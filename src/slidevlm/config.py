@@ -22,11 +22,6 @@ class ConfigError(UsageError):
 # Schema nodes: a dict maps keys to child nodes; a tuple of types is a leaf;
 # lists hold one element schema.
 _SCHEMA: dict[str, Any] = {
-    "paths": {
-        "data_root": (str,),
-        "checkpoints": (str,),
-        "outputs": (str,),
-    },
     "model": {
         "patch_dim": (int,),
         "patch_size": (int,),
@@ -89,7 +84,6 @@ _SCHEMA: dict[str, Any] = {
 }
 
 _DEFAULTS: dict[str, Any] = {
-    "paths": {"data_root": ".", "checkpoints": "checkpoints", "outputs": "outputs"},
     "model": {
         "patch_dim": 32,
         "patch_size": 224,
@@ -178,10 +172,6 @@ class RunConfig:
     @property
     def jobs(self) -> int:
         return self.tree["jobs"]
-
-    @property
-    def paths(self) -> dict[str, str]:
-        return self.tree["paths"]
 
     def encoder_config(self) -> SlideEncoderConfig:
         m = self.tree["model"]

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .layers import HeadProjections, Linear, PostNormBlock
 from .numerics import (
     Parameter,
     Tensor,
@@ -38,7 +39,6 @@ __all__ = [
     "SlideEncoder",
     "Projector",
     "dilated_branch",
-    "dilated_attention",
 ]
 
 EMBEDDINGS_MAGIC = b"SVLMEMB1"
@@ -157,68 +157,54 @@ class PatchEncoder:
 
 
 def dilated_branch(
-    q: Tensor, k: Tensor, v: Tensor, w: int, r: int, offset: int = 0
+    q: Tensor, k: Tensor, v: Tensor, w: int, r: int, offsets
 ) -> tuple[Tensor, Tensor, np.ndarray]:
-    """One (segment length, dilation) branch of sparse attention.
+    """One (segment length, dilation) branch of sparse attention, all heads at once.
 
-    The sequence is cut into ceil(N/w) segments; within each, the rows at
-    `offset` with stride `r` attend densely among themselves. The final
-    segment is right-padded and padded keys are masked out. Returns the
-    [N, D] output (zero at unselected rows), the per-row log of the
-    softmax denominator (zero at unselected rows), and the boolean
+    q, k and v are [H, N, d]. Each head's sequence is cut into ceil(N/w)
+    segments; within each, the rows at that head's offset with stride `r`
+    attend densely among themselves. The final segment is right-padded
+    with zero rows and padded keys are masked out. Returns the [H, N, d]
+    output (zero at unselected rows), the [H, N] log of each row's softmax
+    denominator (zero at unselected rows), and the boolean [H, N]
     selection mask.
     """
     if r < 1 or w < r:
         raise UsageError("branch needs w >= r >= 1")
     if w % r:
         raise UsageError(f"segment length {w} not divisible by dilation {r}")
-    if not 0 <= offset < r:
-        raise UsageError("offset must lie in [0, r)")
-    n, dim = q.shape
-    locals_ = list(range(offset, w, r))
-    m_full = len(locals_)
-    scale = 1.0 / math.sqrt(dim)
-    selected = np.zeros(n, dtype=bool)
-    out_parts: list[Tensor] = []
-    logden_parts: list[Tensor] = []
-    for start in range(0, n, w):
-        real = [start + l for l in locals_ if start + l < n]
-        if not real:
-            continue
-        m_real = len(real)
-        qs, ks, vs = take_rows(q, real), take_rows(k, real), take_rows(v, real)
-        if m_real < m_full:
-            pad_to = list(range(m_real))
-            qs = put_rows(m_full, pad_to, qs)
-            ks = put_rows(m_full, pad_to, ks)
-            vs = put_rows(m_full, pad_to, vs)
-        key_ok = np.arange(m_full) < m_real
-        mask = np.broadcast_to(key_ok[None, :], (m_full, m_full))
-        scores = (qs @ ks.T) * scale
-        att = masked_softmax(scores, mask, axis=-1)
-        seg_out = att @ vs
-        seg_logden = masked_logsumexp(scores, mask, axis=-1)
-        if m_real < m_full:
-            seg_out = seg_out.rows(0, m_real)
-            seg_logden = seg_logden.rows(0, m_real)
-        out_parts.append(put_rows(n, real, seg_out))
-        logden_parts.append(put_rows(n, real, seg_logden))
-        selected[real] = True
-    if not out_parts:
-        zero = Tensor(np.zeros((n, dim)))
-        return zero, Tensor(np.zeros(n)), selected
-    out = out_parts[0]
-    logden = logden_parts[0]
-    for part, ld in zip(out_parts[1:], logden_parts[1:]):
-        out = out + part
-        logden = logden + ld
-    return out, logden, selected
+    heads, n, dim = q.shape
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.shape != (heads,):
+        raise UsageError(f"need one offset per head ({heads}), got {offsets.size}")
+    if ((offsets < 0) | (offsets >= r)).any():
+        raise UsageError("offsets must lie in [0, r)")
+    segments, m = -(-n // w), w // r
+    padded = segments * w
+    # Group g = h * segments + s holds the m dilated rows of segment s of
+    # head h, at sequence positions pos[g]; positions >= n are padding.
+    pos = offsets[:, None, None] + np.arange(0, padded, w)[:, None] + np.arange(0, w, r)
+    pos = pos.reshape(-1, m)
+    head = np.repeat(np.arange(heads), segments)[:, None]
+    real = pos < n
+    unpadded = (np.arange(heads)[:, None] * padded + np.arange(n)).ravel()
 
+    def gather(t: Tensor) -> Tensor:
+        padded_t = put_rows(heads * padded, unpadded, t.reshape(heads * n, t.shape[-1]))
+        return take_rows(padded_t, head * padded + pos)
 
-def dilated_attention(q: Tensor, k: Tensor, v: Tensor, w: int, r: int, offset: int = 0) -> Tensor:
-    """Output of a single dilated-attention branch (zeros at unselected rows)."""
-    out, _, _ = dilated_branch(q, k, v, w, r, offset)
-    return out
+    qs, ks, vs = gather(q), gather(k), gather(v)
+    mask = np.broadcast_to(real[:, None, :], (len(pos), m, m))
+    scores = (qs @ ks.transpose(0, 2, 1)) * (1.0 / math.sqrt(dim))
+    out = masked_softmax(scores, mask, axis=-1) @ vs
+    logden = masked_logsumexp(scores, mask, axis=-1)
+    slots = np.flatnonzero(real)
+    targets = (head * n + pos).ravel()[slots]
+    out = put_rows(heads * n, targets, take_rows(out.reshape(-1, v.shape[-1]), slots))
+    logden = put_rows(heads * n, targets, take_rows(logden.reshape(-1), slots))
+    selected = np.zeros(heads * n, dtype=bool)
+    selected[targets] = True
+    return out.reshape(heads, n, v.shape[-1]), logden.reshape(heads, n), selected.reshape(heads, n)
 
 
 @dataclass
@@ -263,43 +249,7 @@ class SlideEncoderConfig:
         return out
 
 
-def _linear_init(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    scale = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-scale, scale, size=(fan_in, fan_out))
-
-
-class _Linear:
-    def __init__(self, prefix: str, fan_in: int, fan_out: int, rng, bias: bool = True):
-        self.weight = Parameter(f"{prefix}.weight", _linear_init(rng, fan_in, fan_out))
-        self.bias = Parameter(f"{prefix}.bias", np.zeros(fan_out)) if bias else None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.value
-        return out + self.bias.value if self.bias is not None else out
-
-    def params(self) -> list[Parameter]:
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
-
-
-class _LayerNorm:
-    EPS = 1e-5
-
-    def __init__(self, prefix: str, dim: int):
-        self.gain = Parameter(f"{prefix}.gain", np.ones(dim))
-        self.bias = Parameter(f"{prefix}.bias", np.zeros(dim))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.EPS).sqrt()
-        return normed * self.gain.value + self.bias.value
-
-    def params(self) -> list[Parameter]:
-        return [self.gain, self.bias]
-
-
-class DilatedSelfAttention:
+class DilatedSelfAttention(HeadProjections):
     """Multi-head attention where head h uses segment offset h mod r.
 
     Branch outputs at each position are combined with weights
@@ -308,76 +258,26 @@ class DilatedSelfAttention:
     """
 
     def __init__(self, prefix: str, cfg: SlideEncoderConfig, rng):
-        dim = cfg.model_dim
+        super().__init__(prefix, cfg.model_dim, cfg.heads, rng)
         self.cfg = cfg
-        self.wq = _Linear(f"{prefix}.q", dim, dim, rng)
-        # A key bias shifts every score in a row equally, which softmax
-        # cancels, so it would train with an exactly-zero gradient.
-        self.wk = _Linear(f"{prefix}.k", dim, dim, rng, bias=False)
-        self.wv = _Linear(f"{prefix}.v", dim, dim, rng)
-        self.wo = _Linear(f"{prefix}.out", dim, dim, rng)
-
-    def params(self) -> list[Parameter]:
-        return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
 
     def __call__(self, x: Tensor) -> Tensor:
-        n = x.shape[0]
-        cfg = self.cfg
-        dh = cfg.head_dim
-        q_all, k_all, v_all = self.wq(x), self.wk(x), self.wv(x)
-        branches = cfg.effective_branches(n)
-        head_outs = []
-        for h in range(cfg.heads):
-            q = q_all.cols(h * dh, (h + 1) * dh)
-            k = k_all.cols(h * dh, (h + 1) * dh)
-            v = v_all.cols(h * dh, (h + 1) * dh)
-            outs, logdens, sels = [], [], []
-            for w, r in branches:
-                out, logden, sel = dilated_branch(q, k, v, w, r, offset=h % r)
-                outs.append(out)
-                logdens.append(logden.reshape(n, 1))
-                sels.append(sel)
-            if len(branches) == 1:
-                # Sole branch gets weight 1 wherever it selected anything.
-                head = outs[0]
-            else:
-                weights = masked_softmax(
-                    concat(logdens, axis=1), np.stack(sels, axis=1), axis=1
-                )
-                head = weights.cols(0, 1) * outs[0]
-                for b in range(1, len(branches)):
-                    head = head + weights.cols(b, b + 1) * outs[b]
-            head_outs.append(head)
-        merged = head_outs[0] if len(head_outs) == 1 else concat(head_outs, axis=1)
-        return self.wo(merged)
-
-
-class _FeedForward:
-    def __init__(self, prefix: str, dim: int, mult: int, rng):
-        self.up = _Linear(f"{prefix}.up", dim, mult * dim, rng)
-        self.down = _Linear(f"{prefix}.down", mult * dim, dim, rng)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.down(self.up(x).gelu())
-
-    def params(self) -> list[Parameter]:
-        return self.up.params() + self.down.params()
-
-
-class _EncoderBlock:
-    def __init__(self, prefix: str, cfg: SlideEncoderConfig, rng):
-        dim = cfg.model_dim
-        self.attn = DilatedSelfAttention(f"{prefix}.attn", cfg, rng)
-        self.ln1 = _LayerNorm(f"{prefix}.ln1", dim)
-        self.ffn = _FeedForward(f"{prefix}.ffn", dim, cfg.ffn_mult, rng)
-        self.ln2 = _LayerNorm(f"{prefix}.ln2", dim)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        x = self.ln1(x + self.attn(x))
-        return self.ln2(x + self.ffn(x))
-
-    def params(self) -> list[Parameter]:
-        return self.attn.params() + self.ln1.params() + self.ffn.params() + self.ln2.params()
+        q, k, v = self.split(x)
+        heads, n, dim = q.shape
+        outs, logdens, sels = zip(
+            *(
+                dilated_branch(q, k, v, w, r, np.arange(heads) % r)
+                for w, r in self.cfg.effective_branches(n)
+            )
+        )
+        weights = masked_softmax(
+            concat([ld.reshape(heads * n, 1) for ld in logdens], axis=1),
+            np.stack(sels, axis=-1).reshape(heads * n, len(sels)),
+            axis=1,
+        )
+        stacked = concat([out.reshape(1, heads, n, dim) for out in outs], axis=0)
+        mixed = (weights.T.reshape(len(outs), heads, n, 1) * stacked).sum(axis=0)
+        return self.merge(mixed)
 
 
 class SlideEncoder:
@@ -393,9 +293,16 @@ class SlideEncoder:
     def __init__(self, cfg: SlideEncoderConfig, seed: int = 0):
         self.cfg = cfg
         rng = stream(seed, "slide-encoder")
-        self.input_proj = _Linear(f"{self.GROUP}.input", cfg.in_dim, cfg.model_dim, rng)
+        self.input_proj = Linear(f"{self.GROUP}.input", cfg.in_dim, cfg.model_dim, rng)
         self.blocks = [
-            _EncoderBlock(f"{self.GROUP}.block{i}", cfg, rng) for i in range(cfg.layers)
+            PostNormBlock(
+                f"{self.GROUP}.block{i}",
+                DilatedSelfAttention(f"{self.GROUP}.block{i}.attn", cfg, rng),
+                cfg.model_dim,
+                cfg.ffn_mult,
+                rng,
+            )
+            for i in range(cfg.layers)
         ]
         self.row_embed = self.col_embed = None
         if cfg.positional == "grid":
@@ -448,11 +355,11 @@ class Projector:
         rng = stream(seed, "projector")
         self.layers = layers
         if layers == 1:
-            self.maps = [_Linear(f"{self.GROUP}.map", in_dim, out_dim, rng)]
+            self.maps = [Linear(f"{self.GROUP}.map", in_dim, out_dim, rng)]
         else:
             self.maps = [
-                _Linear(f"{self.GROUP}.map0", in_dim, out_dim, rng),
-                _Linear(f"{self.GROUP}.map1", out_dim, out_dim, rng),
+                Linear(f"{self.GROUP}.map0", in_dim, out_dim, rng),
+                Linear(f"{self.GROUP}.map1", out_dim, out_dim, rng),
             ]
 
     def params(self) -> list[Parameter]:

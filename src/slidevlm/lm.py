@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import _LayerNorm, _Linear
 from .interpret import AttentionTrace
+from .layers import HeadProjections, Linear, PostNormBlock
 from .numerics import (
     Parameter,
     Tensor,
@@ -175,62 +175,16 @@ class DecoderConfig:
         return self.heads * self.head_dim
 
 
-class _MaskedSelfAttention:
+class _MaskedSelfAttention(HeadProjections):
     """Dense multi-head attention under an arbitrary boolean layout mask."""
 
-    def __init__(self, prefix: str, dim: int, heads: int, head_dim: int, rng):
-        self.heads = heads
-        self.head_dim = head_dim
-        self.wq = _Linear(f"{prefix}.q", dim, dim, rng)
-        # Key bias cancels in the row softmax; see the slide encoder.
-        self.wk = _Linear(f"{prefix}.k", dim, dim, rng, bias=False)
-        self.wv = _Linear(f"{prefix}.v", dim, dim, rng)
-        self.wo = _Linear(f"{prefix}.out", dim, dim, rng)
-
-    def params(self) -> list[Parameter]:
-        return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
-
     def __call__(self, x: Tensor, allow: np.ndarray, capture: list | None) -> Tensor:
-        dh = self.head_dim
-        scale = 1.0 / math.sqrt(dh)
-        q_all, k_all, v_all = self.wq(x), self.wk(x), self.wv(x)
-        heads = []
-        recorded = []
-        for h in range(self.heads):
-            q = q_all.cols(h * dh, (h + 1) * dh)
-            k = k_all.cols(h * dh, (h + 1) * dh)
-            v = v_all.cols(h * dh, (h + 1) * dh)
-            att = masked_softmax((q @ k.T) * scale, allow, axis=-1)
-            if capture is not None:
-                recorded.append(att.data.copy())
-            heads.append(att @ v)
+        q, k, v = self.split(x)
+        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(q.shape[-1]))
+        att = masked_softmax(scores, np.broadcast_to(allow, scores.shape), axis=-1)
         if capture is not None:
-            capture.append(np.stack(recorded))
-        merged = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-        return self.wo(merged)
-
-
-class _DecoderBlock:
-    def __init__(self, prefix: str, cfg: DecoderConfig, rng):
-        dim = cfg.dim
-        self.attn = _MaskedSelfAttention(f"{prefix}.attn", dim, cfg.heads, cfg.head_dim, rng)
-        self.ln1 = _LayerNorm(f"{prefix}.ln1", dim)
-        self.up = _Linear(f"{prefix}.ffn.up", dim, cfg.ffn_mult * dim, rng)
-        self.down = _Linear(f"{prefix}.ffn.down", cfg.ffn_mult * dim, dim, rng)
-        self.ln2 = _LayerNorm(f"{prefix}.ln2", dim)
-
-    def params(self) -> list[Parameter]:
-        return (
-            self.attn.params()
-            + self.ln1.params()
-            + self.up.params()
-            + self.down.params()
-            + self.ln2.params()
-        )
-
-    def __call__(self, x: Tensor, allow: np.ndarray, capture: list | None) -> Tensor:
-        x = self.ln1(x + self.attn(x, allow, capture))
-        return self.ln2(x + self.down(self.up(x).gelu()))
+            capture.append(att.data)
+        return self.merge(att @ v)
 
 
 class DecoderLM:
@@ -253,10 +207,19 @@ class DecoderLM:
         self.pos_embed = Parameter(
             f"{self.GROUP}.pos_embed", rng.uniform(-scale, scale, size=(cfg.max_positions, dim))
         )
-        self.blocks = [_DecoderBlock(f"{self.GROUP}.block{i}", cfg, rng) for i in range(cfg.layers)]
+        self.blocks = [
+            PostNormBlock(
+                f"{self.GROUP}.block{i}",
+                _MaskedSelfAttention(f"{self.GROUP}.block{i}.attn", dim, cfg.heads, rng),
+                dim,
+                cfg.ffn_mult,
+                rng,
+            )
+            for i in range(cfg.layers)
+        ]
         self.head = None
         if not cfg.tied_head:
-            self.head = _Linear(f"{self.GROUP}.head", dim, cfg.vocab_size, rng)
+            self.head = Linear(f"{self.GROUP}.head", dim, cfg.vocab_size, rng)
 
     def params(self) -> list[Parameter]:
         out = [self.tok_embed, self.pos_embed]

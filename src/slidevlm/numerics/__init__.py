@@ -1,6 +1,6 @@
 """Minimal float64 tensor engine: autograd, AdamW, RNG streams, checkpoints."""
 
-from .checkpoint import CheckpointError, load_checkpoint, load_into, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .optim import AdamW, Parameter
 from .rng import stream
 from .tensor import (
@@ -24,7 +24,6 @@ __all__ = [
     "concat",
     "cross_entropy",
     "load_checkpoint",
-    "load_into",
     "masked_logsumexp",
     "masked_softmax",
     "put_rows",

@@ -21,8 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import UsageError
-
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 MAGIC = b"SVLMCKPT"
@@ -91,18 +89,3 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return tensors, meta
 
-
-def load_into(path, params: dict) -> dict:
-    """Load a checkpoint into named Parameters, verifying shapes match."""
-    tensors, meta = load_checkpoint(path)
-    missing = sorted(set(params) - set(tensors))
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {missing[:4]}")
-    for name, param in params.items():
-        arr = tensors[name]
-        if arr.shape != param.value.data.shape:
-            raise UsageError(
-                f"{name}: checkpoint shape {arr.shape} != parameter shape {param.value.data.shape}"
-            )
-        param.value.data[...] = arr
-    return meta

@@ -245,30 +245,24 @@ class Tensor:
 
         return Tensor._result(data, (a,), backward)
 
+    def transpose(self, *axes: int) -> "Tensor":
+        """Permute axes like numpy; no axes reverses them."""
+        a = self
+        axes = axes or tuple(reversed(range(a.data.ndim)))
+        if sorted(axes) != list(range(a.data.ndim)):
+            raise UsageError(f"axes {axes} do not permute a {a.data.ndim}-D tensor")
+        inverse = tuple(np.argsort(axes))
+
+        def backward(grad):
+            a._accumulate(grad.transpose(inverse))
+
+        return Tensor._result(a.data.transpose(axes), (a,), backward)
+
     @property
     def T(self) -> "Tensor":
         if self.data.ndim != 2:
-            raise UsageError("transpose is defined for 2-D tensors only")
-        a = self
-
-        def backward(grad):
-            a._accumulate(grad.T)
-
-        return Tensor._result(a.data.T, (a,), backward)
-
-    def cols(self, start: int, stop: int) -> "Tensor":
-        """Contiguous column slice of a 2-D tensor."""
-        if self.data.ndim != 2:
-            raise UsageError("cols() is defined for 2-D tensors only")
-        a = self
-        data = a.data[:, start:stop]
-
-        def backward(grad):
-            full = np.zeros_like(a.data)
-            full[:, start:stop] = grad
-            a._accumulate(full)
-
-        return Tensor._result(data, (a,), backward)
+            raise UsageError("T is defined for 2-D tensors only; use transpose()")
+        return self.transpose()
 
     def rows(self, start: int, stop: int) -> "Tensor":
         """Contiguous row slice along the first axis."""
@@ -304,16 +298,17 @@ class Tensor:
     # -- linear algebra -------------------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
+        """Matrix product over the last two axes; leading axes broadcast."""
         a, b = self, Tensor._coerce(other)
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise UsageError("matmul is defined for 2-D tensors only")
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            raise UsageError("matmul needs tensors of at least 2 dimensions")
         data = a.data @ b.data
 
         def backward(grad):
             if a.requires_grad:
-                a._accumulate(grad @ b.data.T)
+                a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape))
             if b.requires_grad:
-                b._accumulate(a.data.T @ grad)
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape))
 
         return Tensor._result(data, (a, b), backward)
 
@@ -378,12 +373,18 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise UsageError(f"axis {axis} invalid for shape {x.shape}")
     a = x
-    neg = np.where(mask, a.data, -np.inf)
-    peak = neg.max(axis=axis, keepdims=True)
+    # Work in one buffer: a batch of attention maps can outgrow the cache,
+    # and each full-size temporary costs another pass over memory.
+    masked_out = ~mask
+    data = np.where(mask, a.data, -np.inf)
+    peak = data.max(axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    expd = np.where(mask, np.exp(np.where(mask, a.data - peak, 0.0)), 0.0)
-    total = expd.sum(axis=axis, keepdims=True)
-    data = expd / np.where(total == 0.0, 1.0, total)
+    np.subtract(a.data, peak, out=data)
+    np.copyto(data, 0.0, where=masked_out)
+    np.exp(data, out=data)
+    np.copyto(data, 0.0, where=masked_out)
+    total = data.sum(axis=axis, keepdims=True)
+    data /= np.where(total == 0.0, 1.0, total)
 
     def backward(grad):
         dot = (grad * data).sum(axis=axis, keepdims=True)
@@ -473,7 +474,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
 def put_rows(n_rows: int, indices, x: Tensor) -> Tensor:
     """Scatter rows of `x` into a zero tensor with `n_rows` rows."""
     indices = np.asarray(indices, dtype=np.int64)
-    if len(set(indices.tolist())) != indices.size:
+    if np.unique(indices).size != indices.size:
         raise UsageError("put_rows indices must be unique")
     a = x
     data = np.zeros((n_rows,) + a.shape[1:], dtype=np.float64)

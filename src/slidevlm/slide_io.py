@@ -9,7 +9,6 @@ fixtures for the rest of the pipeline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -22,7 +21,6 @@ __all__ = [
     "Raster",
     "GridEntry",
     "PatchGrid",
-    "SlideManifest",
     "Region",
     "SlideSpec",
     "read_raster",
@@ -126,50 +124,6 @@ class PatchGrid:
             row, col, x, y, tissue = (int(v) for v in line.split())
             entries.append(GridEntry(row, col, x, y, bool(tissue)))
         return PatchGrid(patch_size, width, height, entries)
-
-
-@dataclass
-class SlideManifest:
-    """Pointers tying one slide's artifacts together."""
-
-    slide_id: str
-    raster_path: str
-    grid_path: str
-    embeddings_path: str | None = None
-    caption_ids: list[str] = field(default_factory=list)
-    qa_ids: list[str] = field(default_factory=list)
-
-    def save(self, path) -> None:
-        doc = {
-            "slide_id": self.slide_id,
-            "raster_path": self.raster_path,
-            "grid_path": self.grid_path,
-            "embeddings_path": self.embeddings_path,
-            "caption_ids": self.caption_ids,
-            "qa_ids": self.qa_ids,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-    @staticmethod
-    def load(path) -> "SlideManifest":
-        path = Path(path)
-        doc = json.loads(path.read_text())
-        manifest = SlideManifest(
-            slide_id=doc["slide_id"],
-            raster_path=doc["raster_path"],
-            grid_path=doc["grid_path"],
-            embeddings_path=doc.get("embeddings_path"),
-            caption_ids=list(doc.get("caption_ids", [])),
-            qa_ids=list(doc.get("qa_ids", [])),
-        )
-        base = path.parent
-        referenced = [manifest.raster_path, manifest.grid_path]
-        if manifest.embeddings_path:
-            referenced.append(manifest.embeddings_path)
-        for rel in referenced:
-            if not (base / rel).exists():
-                raise UsageError(f"manifest references missing file: {rel}")
-        return manifest
 
 
 # -- PPM / PGM -----------------------------------------------------------------

@@ -410,6 +410,9 @@ def test_bad_config_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert "model.epoches" in err
+    bad.write_text(json.dumps({"paths": {"outputs": "out"}}))
+    assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
+    assert "paths" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err

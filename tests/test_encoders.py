@@ -1,19 +1,26 @@
 """Patch featurizer, embedding files, dilated attention, slide encoder, projector."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slidevlm
+
 from slidevlm.numerics import Tensor, UsageError, concat, masked_softmax, stream
 from slidevlm.encoders import (
     EMBEDDINGS_MAGIC,
+    DilatedSelfAttention,
     EmbeddingMatrix,
     PatchEncoder,
     Projector,
     SlideEncoder,
     SlideEncoderConfig,
-    dilated_attention,
     dilated_branch,
     load_embeddings,
     save_embeddings,
@@ -35,72 +42,80 @@ def dense_attention(q, k, v, allowed=None):
 # -- dilated branch ------------------------------------------------------------------
 
 
+def dilated_attention(q, k, v, w, r, offset=0):
+    """Output of one single-head branch on plain [N, d] arrays."""
+    out, _, _ = dilated_branch(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), w, r, [offset])
+    return out.data[0]
+
+
 def test_single_branch_full_window_equals_dense():
     rng = stream(2, "dense-eq")
     for _ in range(10):
         n = int(rng.integers(1, 33))
         d = int(rng.integers(1, 65))
         q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
-        got = dilated_attention(Tensor(q), Tensor(k), Tensor(v), w=n, r=1)
+        got = dilated_attention(q, k, v, w=n, r=1)
         want = dense_attention(q, k, v)
-        assert np.abs(got.data - want).max() <= 1e-9
+        assert np.abs(got - want).max() <= 1e-9
 
 
 def test_dilated_rows_attend_within_their_offset_class():
     rng = stream(3, "offset")
     q, k, v = (rng.normal(size=(4, 5)) for _ in range(3))
-    got = dilated_attention(Tensor(q), Tensor(k), Tensor(v), w=4, r=2, offset=0)
+    got = dilated_attention(q, k, v, w=4, r=2, offset=0)
     # Offset 0 selects rows {0, 2}; they attend among themselves only.
     allowed = np.zeros((4, 4), dtype=bool)
     allowed[np.ix_([0, 2], [0, 2])] = True
-    want = np.zeros_like(got.data)
+    want = np.zeros_like(got)
     sub = dense_attention(q[[0, 2]], k[[0, 2]], v[[0, 2]])
     want[[0, 2]] = sub
-    np.testing.assert_allclose(got.data, want, atol=1e-12)
-    assert (got.data[[1, 3]] == 0.0).all()
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert (got[[1, 3]] == 0.0).all()
 
 
 def test_dilated_offset_one_selects_odd_rows():
     rng = stream(4, "offset1")
     q, k, v = (rng.normal(size=(4, 5)) for _ in range(3))
-    got = dilated_attention(Tensor(q), Tensor(k), Tensor(v), w=4, r=2, offset=1)
+    got = dilated_attention(q, k, v, w=4, r=2, offset=1)
     sub = dense_attention(q[[1, 3]], k[[1, 3]], v[[1, 3]])
-    np.testing.assert_allclose(got.data[[1, 3]], sub, atol=1e-12)
-    assert (got.data[[0, 2]] == 0.0).all()
+    np.testing.assert_allclose(got[[1, 3]], sub, atol=1e-12)
+    assert (got[[0, 2]] == 0.0).all()
 
 
 def test_padded_segment_keys_carry_no_weight():
     rng = stream(5, "pad")
     q, k, v = (rng.normal(size=(5, 3)) for _ in range(3))
-    got = dilated_attention(Tensor(q), Tensor(k), Tensor(v), w=4, r=1)
+    got = dilated_attention(q, k, v, w=4, r=1)
     # Segment 2 holds only row 4; with padding masked its attention is a
     # self-loop, so the output row must equal v[4] exactly.
-    np.testing.assert_allclose(got.data[4], v[4], atol=1e-12)
+    np.testing.assert_allclose(got[4], v[4], atol=1e-12)
     # Ones as values reveal each row's total attention mass over real keys.
     ones = np.ones((5, 1))
-    mass = dilated_attention(Tensor(q), Tensor(k), Tensor(ones), w=4, r=1)
-    np.testing.assert_allclose(mass.data, np.ones((5, 1)), atol=1e-12)
+    mass = dilated_attention(q, k, ones, w=4, r=1)
+    np.testing.assert_allclose(mass, np.ones((5, 1)), atol=1e-12)
 
 
 def test_multi_segment_rows_stay_inside_their_segment():
     rng = stream(6, "segments")
     q, k, v = (rng.normal(size=(8, 4)) for _ in range(3))
-    got = dilated_attention(Tensor(q), Tensor(k), Tensor(v), w=4, r=1)
+    got = dilated_attention(q, k, v, w=4, r=1)
     want = np.vstack([
         dense_attention(q[:4], k[:4], v[:4]),
         dense_attention(q[4:], k[4:], v[4:]),
     ])
-    np.testing.assert_allclose(got.data, want, atol=1e-12)
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_branch_validation():
-    t = Tensor(np.zeros((4, 2)))
+    t = Tensor(np.zeros((2, 4, 2)))
     with pytest.raises(UsageError):
-        dilated_branch(t, t, t, w=5, r=2)
+        dilated_branch(t, t, t, w=5, r=2, offsets=[0, 1])
     with pytest.raises(UsageError):
-        dilated_branch(t, t, t, w=2, r=3)
+        dilated_branch(t, t, t, w=2, r=3, offsets=[0, 1])
     with pytest.raises(UsageError):
-        dilated_branch(t, t, t, w=4, r=2, offset=2)
+        dilated_branch(t, t, t, w=4, r=2, offsets=[0, 2])
+    with pytest.raises(UsageError):
+        dilated_branch(t, t, t, w=4, r=2, offsets=[0])
 
 
 def test_branch_mix_weights_sum_to_one_over_selecting_branches():
@@ -108,25 +123,104 @@ def test_branch_mix_weights_sum_to_one_over_selecting_branches():
     # branches that selected each row. With all-ones values every branch
     # output is 1 at selected rows, so the mix must return exactly 1.
     rng = stream(7, "mix")
-    n = 6
-    q, k = (Tensor(rng.normal(size=(n, 4))) for _ in range(2))
-    v = Tensor(np.ones((n, 1)))
+    heads, n = 3, 6
+    q, k = (Tensor(rng.normal(size=(heads, n, 4))) for _ in range(2))
+    v = Tensor(np.ones((heads, n, 1)))
     branch_specs = [(2, 1), (6, 2), (6, 3)]
     outs, logdens, sels = [], [], []
     for w, r in branch_specs:
-        out, logden, sel = dilated_branch(q, k, v, w, r, offset=0)
-        outs.append(out)
-        logdens.append(logden.reshape(n, 1))
-        sels.append(sel)
+        out, logden, sel = dilated_branch(q, k, v, w, r, offsets=np.arange(heads) % r)
+        outs.append(out.reshape(heads * n, 1))
+        logdens.append(logden.reshape(heads * n, 1))
+        sels.append(sel.reshape(heads * n))
     weights = masked_softmax(concat(logdens, axis=1), np.stack(sels, axis=1), axis=1)
     assert (weights.data >= 0.0).all()
     selected_any = np.stack(sels, axis=1).any(axis=1)
     sums = weights.data.sum(axis=1)
     np.testing.assert_allclose(sums[selected_any], 1.0, atol=1e-12)
-    mixed = weights.cols(0, 1) * outs[0]
-    for b in range(1, len(branch_specs)):
-        mixed = mixed + weights.cols(b, b + 1) * outs[b]
+    mixed = (weights * concat(outs, axis=1)).sum(axis=1)
     np.testing.assert_allclose(mixed.data[selected_any], 1.0, atol=1e-12)
+
+
+def reference_dilated_self_attention(attn, x):
+    """Plain-numpy loops over heads, branches and segments of DilatedSelfAttention."""
+    cfg, dh, n = attn.cfg, attn.cfg.head_dim, x.shape[0]
+    p = {prm.name.split(".", 1)[1]: prm.value.data for prm in attn.params()}
+    q = x @ p["q.weight"] + p["q.bias"]
+    k = x @ p["k.weight"]
+    v = x @ p["v.weight"] + p["v.bias"]
+    merged = np.zeros((n, cfg.model_dim))
+    for h in range(cfg.heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        outs, logdens, sels = [], [], []
+        for w, r in cfg.effective_branches(n):
+            out, logden, sel = np.zeros((n, dh)), np.full(n, -np.inf), np.zeros(n, dtype=bool)
+            for start in range(0, n, w):
+                rows = list(range(start + h % r, min(start + w, n), r))
+                if not rows:
+                    continue
+                scores = q[rows, cols] @ k[rows, cols].T / math.sqrt(dh)
+                peak = scores.max(axis=1, keepdims=True)
+                e = np.exp(scores - peak)
+                out[rows] = e / e.sum(axis=1, keepdims=True) @ v[rows, cols]
+                logden[rows] = peak[:, 0] + np.log(e.sum(axis=1))
+                sel[rows] = True
+            outs.append(out)
+            logdens.append(logden)
+            sels.append(sel)
+        for i in range(n):
+            live = [b for b in range(len(outs)) if sels[b][i]]
+            if not live:
+                continue
+            peak = max(logdens[b][i] for b in live)
+            mix = {b: math.exp(logdens[b][i] - peak) for b in live}
+            total = sum(mix.values())
+            merged[i, cols] = sum(mix[b] / total * outs[b][i] for b in live)
+    return merged @ p["out.weight"] + p["out.bias"]
+
+
+@pytest.mark.parametrize(
+    "n, heads, branches",
+    [
+        (1, 3, ((4, 1), (8, 2))),                 # a single patch
+        (5, 5, ((8, 1), (16, 2), (32, 4))),       # N < w, heads > r
+        (13, 4, ((4, 1), (8, 2), (12, 3))),       # N not a multiple of w
+        (24, 4, ((4, 1), (8, 2), (12, 3))),       # N a multiple of every w
+        (11, 3, ((8, 2),)),                       # one branch; each head skips half its rows
+        (37, 6, ((16, 1), (32, 2), (64, 4))),     # default schedule, heads > r
+    ],
+)
+def test_batched_dilated_attention_matches_loop_oracle(n, heads, branches):
+    cfg = SlideEncoderConfig(in_dim=8, heads=heads, head_dim=3, branches=branches)
+    attn = DilatedSelfAttention("attn", cfg, stream(n, "oracle", "weights"))
+    x = stream(n, "oracle", "x").normal(size=(n, cfg.model_dim))
+    got = attn(Tensor(x)).data
+    np.testing.assert_allclose(got, reference_dilated_self_attention(attn, x), rtol=0, atol=1e-12)
+
+
+def test_encoder_memory_is_linear_at_4096_patches():
+    # Forward and backward at default dims under a 3 GiB address-space cap.
+    # A per-segment scatter into fresh N-row tensors needs O(N^2 / w) memory
+    # and raises MemoryError here even with 6 GiB.
+    code = textwrap.dedent(
+        """
+        import resource
+        cap = 3 * 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from slidevlm.encoders import SlideEncoder, SlideEncoderConfig
+        from slidevlm.numerics import Tensor, stream
+        enc = SlideEncoder(SlideEncoderConfig(), seed=0)
+        x = Tensor(stream(0, "memory-guard").normal(size=(4096, 32)))
+        (enc(x) ** 2.0).mean().backward()
+        """
+    )
+    src = str(Path(slidevlm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_effective_branches_cap():
@@ -243,7 +337,11 @@ def test_embeddings_round_trip(tmp_path):
     emb = EmbeddingMatrix(4, 8, values)
     path = tmp_path / "e.emb"
     save_embeddings(path, emb)
-    assert path.read_bytes()[:8] == EMBEDDINGS_MAGIC
+    raw = path.read_bytes()
+    assert raw[:8] == EMBEDDINGS_MAGIC
+    # magic | u32 N | u32 D | float32-LE rows
+    assert raw[8:16] == np.array([4, 8], dtype="<u4").tobytes()
+    assert raw[16:] == values.astype("<f4").tobytes()
     back = load_embeddings(path)
     assert (back.n_patches, back.dim) == (4, 8)
     np.testing.assert_array_equal(back.values, values)

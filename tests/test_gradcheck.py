@@ -83,13 +83,20 @@ def test_matmul(seed):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     check(lambda ts: ((ts[0] @ ts[1]) ** 2.0).sum(), [a, b])
+    # Batched: a's size-1 axis and b's missing leading axis both broadcast.
+    a = rng.normal(size=(2, 1, 3, 4))
+    b = rng.normal(size=(5, 4, 2))
+    check(lambda ts: ((ts[0] @ ts[1]) ** 2.0).sum(), [a, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reshape_transpose_slices(seed):
     rng = stream(seed, "gc", "shape")
     a = rng.normal(size=(4, 6))
-    check(lambda ts: (ts[0].reshape(6, 4).T.rows(1, 3).cols(0, 4) ** 2.0).sum(), [a])
+    check(
+        lambda ts: (ts[0].reshape(2, 3, 4).transpose(1, 2, 0).rows(1, 3).reshape(8, 2).T ** 2.0).sum(),
+        [a],
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,5 +1,7 @@
 """Tokenizer, sequence assembly, decoder masking, loss, and greedy decoding."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from slidevlm.lm import (
     DecoderLM,
     MultimodalSequence,
     Vocab,
+    _MaskedSelfAttention,
     assemble,
 )
 from slidevlm.numerics import UsageError, cross_entropy, Tensor, stream
@@ -317,3 +320,31 @@ def test_tied_head_shares_embedding():
     seq = assemble(visual(2), "the slide", None, vocab())
     logits, _ = lm.forward(seq)
     assert logits.shape == (seq.total_len, len(SPECIALS) + len(WORDS))
+
+
+def test_batched_masked_attention_matches_per_head_oracle():
+    heads, dh, t = 3, 4, 9
+    dim = heads * dh
+    attn = _MaskedSelfAttention("attn", dim, heads, stream(1, "oracle", "weights"))
+    x = stream(1, "oracle", "x").normal(size=(t, dim))
+    allow = np.tril(np.ones((t, t), dtype=bool))
+    allow[:4, :4] = True
+    capture = []
+    got = attn(Tensor(x), allow, capture).data
+
+    p = {prm.name.split(".", 1)[1]: prm.value.data for prm in attn.params()}
+    q = x @ p["q.weight"] + p["q.bias"]
+    k = x @ p["k.weight"]
+    v = x @ p["v.weight"] + p["v.bias"]
+    heads_out, weights = [], []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = np.where(allow, q[:, cols] @ k[:, cols].T / math.sqrt(dh), -np.inf)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        att = e / e.sum(axis=1, keepdims=True)
+        weights.append(att)
+        heads_out.append(att @ v[:, cols])
+    want = np.hstack(heads_out) @ p["out.weight"] + p["out.bias"]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert len(capture) == 1 and capture[0].shape == (heads, t, t)
+    np.testing.assert_allclose(capture[0], np.stack(weights), rtol=0, atol=1e-12)

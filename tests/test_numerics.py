@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import tiny_model
 from hypothesis import strategies as st
 
 from slidevlm.numerics import (
@@ -16,7 +17,6 @@ from slidevlm.numerics import (
     concat,
     cross_entropy,
     load_checkpoint,
-    load_into,
     masked_logsumexp,
     masked_softmax,
     put_rows,
@@ -177,6 +177,20 @@ def test_frozen_tensor_accumulates_no_gradient():
     assert frozen.grad is None or not frozen.grad.any()
 
 
+def test_transpose_and_matmul_shapes():
+    a = np.arange(24.0).reshape(2, 3, 4)
+    np.testing.assert_array_equal(Tensor(a).transpose(2, 0, 1).data, a.transpose(2, 0, 1))
+    np.testing.assert_array_equal(Tensor(a).transpose().data, a.T)
+    b = np.arange(8.0).reshape(4, 2)
+    np.testing.assert_array_equal((Tensor(a) @ Tensor(b)).data, a @ b)
+    with pytest.raises(UsageError):
+        Tensor(a).transpose(0, 0, 1)
+    with pytest.raises(UsageError):
+        Tensor(a).T
+    with pytest.raises(UsageError):
+        Tensor(a) @ Tensor(np.ones(4))
+
+
 def test_gather_scatter_concat_round_trips():
     x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     taken = take_rows(x, [2, 0, 2])
@@ -282,16 +296,23 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
-def test_load_into_checks_names_and_shapes(tmp_path):
+def test_load_tensors_checks_names_and_shapes(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, {"w": np.ones((2, 2))})
-    good = {"w": Parameter("w", np.zeros((2, 2)))}
-    load_into(path, good)
-    np.testing.assert_array_equal(good["w"].value.data, np.ones((2, 2)))
-    with pytest.raises(CheckpointError):
-        load_into(path, {"missing": Parameter("missing", np.zeros(1))})
-    with pytest.raises(UsageError):
-        load_into(path, {"w": Parameter("w", np.zeros((3, 3)))})
+    source, target = tiny_model(seed=1), tiny_model(seed=2)
+    save_checkpoint(path, source.tensors())
+    tensors, _ = load_checkpoint(path)
+    target.load_tensors(tensors)
+    assert all(
+        target.tensors()[name].tobytes() == arr.tobytes() for name, arr in source.tensors().items()
+    )
+    name = sorted(tensors)[0]
+    missing = {k: v for k, v in tensors.items() if k != name}
+    with pytest.raises(UsageError, match="missing"):
+        target.load_tensors(missing)
+    with pytest.raises(UsageError, match="extra"):
+        target.load_tensors({**tensors, "stray": np.zeros(1)})
+    with pytest.raises(UsageError, match=name):
+        target.load_tensors({**tensors, name: np.zeros(tensors[name].shape + (2,))})
 
 
 # -- seeded streams ----------------------------------------------------------------

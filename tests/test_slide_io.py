@@ -11,7 +11,6 @@ from slidevlm.slide_io import (
     PatchGrid,
     Raster,
     Region,
-    SlideManifest,
     SlideSpec,
     box_weights,
     extract_patch,
@@ -280,19 +279,3 @@ def test_extract_patch_geometry():
     patch = extract_patch(raster, entry, 224)
     assert patch.shape == (224, 224, 3)
     np.testing.assert_array_equal(patch, raster.pixels[224:, 224:])
-
-
-# -- manifest -------------------------------------------------------------------------
-
-
-def test_manifest_round_trip_and_missing_file(tmp_path):
-    raster = solid(224, 224, (180, 60, 140))
-    write_raster(tmp_path / "s.ppm", raster)
-    tile_slide(raster).save(tmp_path / "s.grid")
-    manifest = SlideManifest("s", "s.ppm", "s.grid")
-    manifest.save(tmp_path / "s.json")
-    loaded = SlideManifest.load(tmp_path / "s.json")
-    assert loaded.slide_id == "s"
-    (tmp_path / "s.grid").unlink()
-    with pytest.raises(UsageError):
-        SlideManifest.load(tmp_path / "s.json")
