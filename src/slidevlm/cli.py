@@ -3,15 +3,14 @@
 Every command writes its outputs under --run-dir and records them in
 manifest.json with content hashes; nothing emits timestamps, so rerunning
 a command with the same inputs and seed reproduces every byte. Exit codes:
-0 success, 2 bad config or usage (the error line names the failing key),
-3 missing input file.
+0 success, 2 bad config, usage or malformed input (the error line names the
+failing key, or the file and line), 3 missing input file.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .curation import (
     MockChatClient,
     PromptCache,
     ReportRecord,
+    read_replay,
     run_curation,
     save_candidates,
     split_assign,
@@ -39,6 +39,7 @@ from .evaluation import (
     write_summary_csv,
 )
 from .interpret import load_trace, render_overlay, saliency, saliency_csv, save_trace
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .lm import Vocab
 from .model import SlideInputs, SlideVLM
 from .numerics import CheckpointError, UsageError, load_checkpoint, save_checkpoint
@@ -55,56 +56,63 @@ from .slide_io import (
 )
 from .training import StageConfig, TrainSample, run_stage
 
-# -- run-dir bookkeeping ------------------------------------------------------------
+# -- shared helpers -----------------------------------------------------------------
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+class RunDir:
+    """A command's output directory; every file handed out lands in manifest.json."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._names: set[str] = set()
+
+    def path(self, name: str) -> Path:
+        self._names.add(name)
+        return self.root / name
+
+    def text(self, name: str, s: str) -> None:
+        self.path(name).write_text(s, encoding="utf-8")
+
+    def json(self, name: str, obj) -> None:
+        write_json(self.path(name), obj)
+
+    def write_manifest(self) -> None:
+        """Merge this command's outputs (name -> sha256) into manifest.json."""
+        manifest_path = self.root / "manifest.json"
+        manifest = read_json(manifest_path) if manifest_path.exists() else {}
+        outputs = manifest.setdefault("outputs", {})
+        for name in self._names:
+            outputs[name] = hashlib.sha256((self.root / name).read_bytes()).hexdigest()
+        write_json(manifest_path, manifest)
 
 
-def _record_outputs(run_dir: Path, names: list[str]) -> None:
-    """Merge this command's outputs into manifest.json (name -> sha256)."""
-    manifest_path = run_dir / "manifest.json"
-    manifest = {"outputs": {}}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for name in names:
-        manifest["outputs"][name] = _sha256_file(run_dir / name)
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _load_jsonl(path: Path, required: set[str]) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if set(row) != required:
-                raise UsageError(
-                    f"{path}:{lineno}: expected keys {sorted(required)}, got {sorted(row)}"
-                )
-            rows.append(row)
-    return rows
-
-
-def _slide_inputs(slides_dir: Path, slide_id: str) -> SlideInputs:
-    emb_path = slides_dir / f"{slide_id}.emb"
-    grid_path = slides_dir / f"{slide_id}.grid"
+def _slide_inputs(emb_path, grid_path) -> SlideInputs:
+    """Embeddings plus the grid's tissue coordinates when a grid is given."""
     emb = load_embeddings(emb_path)
+    if emb.n_patches == 0:
+        raise UsageError(f"{emb_path}: no embedding rows (the slide has no tissue tile)")
     coords = None
-    if grid_path.exists():
-        grid = PatchGrid.load(grid_path)
-        coords = [(e.row, e.col) for e in grid.tissue_entries()]
+    if grid_path is not None:
+        coords = [(e.row, e.col) for e in PatchGrid.load(grid_path).tissue_entries()]
     return SlideInputs(emb, coords)
 
 
-def _replay_model(path: Path):
+def _chat_client(cfg: RunConfig, replay: str | None, live: bool, who: str):
+    """The replay client if a file is given, else the configured endpoint if `live`."""
+    if replay is not None:
+        return MockChatClient.from_replay(replay)
+    if not live:
+        return None
+    chat = cfg.tree["clients"]["chat"]
+    if not chat["base_url"]:
+        raise UsageError(f"{who} needs clients.chat.base_url in the config")
+    return LiveChatClient(EndpointConfig(**chat))
+
+
+def _replay_model(path):
     """Patch -> reply table keyed by sha256(pixels)[:16], 'default' fallback."""
-    table = json.loads(path.read_text(encoding="utf-8"))
+    table = read_replay(path)
 
     def model(patch: Raster) -> str:
         key = hashlib.sha256(patch.pixels.tobytes()).hexdigest()[:16]
@@ -112,15 +120,21 @@ def _replay_model(path: Path):
             return table[key]
         if "default" in table:
             return table["default"]
-        raise UsageError(f"replay file has no entry for patch {key} and no default")
+        raise UsageError(f"{path}: no entry for patch {key} and no default")
 
     return model
+
+
+def _print_accuracy(report) -> int:
+    acc = report.overall_accuracy
+    print(f"overall={'n/a' if acc is None else f'{acc:.4f}'} n={report.total}")
+    return 0
 
 
 # -- commands -----------------------------------------------------------------------
 
 
-def _cmd_synth(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_synth(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     regions = []
     for text in args.region or []:
         parts = text.split(":")
@@ -130,47 +144,48 @@ def _cmd_synth(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
         regions.append(Region(label, x, y, w, h))
     spec = SlideSpec(args.width, args.height, args.patch_size, regions)
     raster, labels = synth_slide(seed, spec)
-    write_raster(run_dir / "slide.ppm", raster)
-    label_map = {f"{r},{c}": lab for (r, c), lab in labels.items()}
-    (run_dir / "labels.json").write_text(
-        json.dumps(label_map, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    _record_outputs(run_dir, ["slide.ppm", "labels.json"])
+    write_raster(run.path("slide.ppm"), raster)
+    run.json("labels.json", {f"{r},{c}": lab for (r, c), lab in labels.items()})
     print(f"slide {raster.width}x{raster.height} regions={len(regions)}")
     return 0
 
 
-def _cmd_tile(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_tile(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     raster = read_raster(args.slide)
     grid = tile_slide(raster, patch_size=cfg.tree["model"]["patch_size"])
-    grid.save(run_dir / "grid.txt")
-    _record_outputs(run_dir, ["grid.txt"])
+    grid.save(run.path("grid.txt"))
     print(f"tiles={len(grid.entries)} tissue={len(grid.tissue_entries())}")
     return 0
 
 
-def _cmd_encode(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_encode(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     raster = read_raster(args.slide)
     grid = PatchGrid.load(args.grid)
+    if not grid.tissue_entries():
+        raise UsageError(f"{args.slide}: {args.grid} has no tissue tile to encode")
     encoder = PatchEncoder(
         dim=cfg.tree["model"]["patch_dim"],
         patch_size=cfg.tree["model"]["patch_size"],
         seed=seed,
     )
     emb = encoder.encode_grid(raster, grid)
-    save_embeddings(run_dir / "embeddings.bin", emb)
-    _record_outputs(run_dir, ["embeddings.bin"])
+    save_embeddings(run.path("embeddings.bin"), emb)
     print(f"embeddings n={emb.n_patches} dim={emb.dim}")
     return 0
 
 
-def _cmd_train(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
-    rows = _load_jsonl(Path(args.samples), {"slide_id", "kind", "prompt", "target"})
-    samples = [TrainSample(r["slide_id"], r["kind"], r["prompt"], r["target"]) for r in rows]
+def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    rows = read_jsonl(args.samples, ("slide_id", "kind", "prompt", "target"))
+    samples = [TrainSample(**r) for r in rows]
     slides_dir = Path(args.slides_dir)
-    slides = {s.slide_id: _slide_inputs(slides_dir, s.slide_id) for s in samples}
+    slides = {}
+    for s in samples:
+        grid = slides_dir / f"{s.slide_id}.grid"
+        slides[s.slide_id] = _slide_inputs(
+            slides_dir / f"{s.slide_id}.emb", grid if grid.exists() else None
+        )
 
-    vocab_path = run_dir / "vocab.txt"
+    vocab_path = run.path("vocab.txt")
     if vocab_path.exists():
         vocab = Vocab.load(vocab_path)
     else:
@@ -182,7 +197,7 @@ def _cmd_train(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
         tensors, _ = load_checkpoint(args.init)
         model.load_tensors(tensors)
     save_checkpoint(
-        run_dir / "init.ckpt",
+        run.path("init.ckpt"),
         model.tensors(),
         {"kind": "init", "stage": args.stage, "seed": seed},
     )
@@ -196,101 +211,73 @@ def _cmd_train(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
         accum_steps=overrides["accum_steps"],
         weight_decay=overrides["weight_decay"],
     )
-    result = run_stage(stage_cfg, samples, model, slides, out_dir=run_dir)
-    outputs = ["vocab.txt", "init.ckpt", "loss.csv"]
-    outputs += [str(Path(p).relative_to(run_dir)) for p in result.checkpoints]
-    if result.best_checkpoint is not None:
-        outputs.append(str(Path(result.best_checkpoint).relative_to(run_dir)))
-    _record_outputs(run_dir, sorted(set(outputs)))
+    result = run_stage(stage_cfg, samples, model, slides, out_dir=run.root)
+    # run_stage writes these itself; record them for the manifest.
+    for written in [*result.checkpoints, result.best_checkpoint, "loss.csv"]:
+        if written is not None:
+            run.path(Path(written).name)
     print(f"stage={args.stage} steps={len(result.losses)} best_epoch_loss={result.best_epoch_loss:.6f}")
     return 0
 
 
-def _cmd_infer(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_infer(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     vocab = Vocab.load(args.vocab)
     model = SlideVLM(cfg.model_config(), vocab, seed=seed)
     tensors, _ = load_checkpoint(args.checkpoint)
     model.load_tensors(tensors)
-    emb = load_embeddings(args.emb)
-    coords = None
-    if args.grid is not None:
-        grid = PatchGrid.load(args.grid)
-        coords = [(e.row, e.col) for e in grid.tissue_entries()]
-    text, trace = model.generate(
-        SlideInputs(emb, coords), args.prompt, max_len=args.max_len
-    )
-    (run_dir / "answer.txt").write_text(text + "\n", encoding="utf-8")
-    outputs = ["answer.txt"]
+    slide = _slide_inputs(args.emb, args.grid)
+    text, trace = model.generate(slide, args.prompt, max_len=args.max_len)
+    run.text("answer.txt", text + "\n")
     if trace is not None:
-        save_trace(run_dir / "trace.ckpt", trace)
-        outputs.append("trace.ckpt")
-    _record_outputs(run_dir, outputs)
+        save_trace(run.path("trace.ckpt"), trace)
     print(text)
     return 0
 
 
-def _judge_client(args, cfg: RunConfig):
-    if getattr(args, "judge_replay", None) is not None:
-        return MockChatClient.from_replay(args.judge_replay)
-    chat = cfg.tree["clients"]["chat"]
-    if getattr(args, "judge", False):
-        if not chat["base_url"]:
-            raise UsageError("--judge needs clients.chat.base_url in the config")
-        return LiveChatClient(EndpointConfig(**chat))
-    return None
-
-
-def _cmd_caption_eval(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
-    rows = _load_jsonl(Path(args.pairs), {"candidate", "reference"})
+def _cmd_caption_eval(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    rows = read_jsonl(args.pairs, ("candidate", "reference"))
     pairs = [(r["candidate"], r["reference"]) for r in rows]
-    client = _judge_client(args, cfg)
+    client = _chat_client(cfg, args.judge_replay, args.judge, "--judge")
     report = caption_eval(pairs, client=client, jobs=cfg.jobs)
-    payload = {
+    run.json("caption_report.json", {
         "n": report.n,
         "bleu": {str(k): v for k, v in report.bleu.items()},
         "rouge_l": report.rouge_l,
         "judge_mean": report.judge_mean,
         "judge_missing": report.judge_missing,
         "judge_prompt_sha256": report.judge_prompt_sha256,
-    }
-    (run_dir / "caption_report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    _record_outputs(run_dir, ["caption_report.json"])
+    })
     print(f"bleu1={report.bleu[1]:.4f} rouge_l={report.rouge_l:.4f}")
     return 0
 
 
-def _cmd_vqa_eval(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_vqa_eval(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     records = load_records(args.records)
-    if args.predictor == "random":
-        predictions = random_baseline(records, seed=seed)
-    else:
-        predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
+    predictions = read_json(args.predictions)
+    bad = sorted(k for k, v in predictions.items() if v is not None and not isinstance(v, str))
+    if bad:
+        raise UsageError(f"{args.predictions}: predictions for {bad[:3]} are not strings")
     report = vqa_eval(records, predictions)
-    write_record_csv(run_dir / "vqa_records.csv", records, predictions)
-    write_summary_csv(run_dir / "vqa_summary.csv", report)
-    _record_outputs(run_dir, ["vqa_records.csv", "vqa_summary.csv"])
-    acc = report.overall_accuracy
-    print(f"overall={'n/a' if acc is None else f'{acc:.4f}'} n={report.total}")
-    return 0
+    write_record_csv(run.path("vqa_records.csv"), records, predictions)
+    write_summary_csv(run.path("vqa_summary.csv"), report)
+    return _print_accuracy(report)
 
 
-def _cmd_baseline(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_baseline(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    need = {"random": ("records",), "majority": ("slide", "grid", "options", "replay"),
+            "thumbnail": ("slide", "options", "replay")}[args.kind]
+    for flag in need:
+        if getattr(args, flag) is None:
+            raise UsageError(f"baseline --kind {args.kind} needs --{flag}")
     if args.kind == "random":
         records = load_records(args.records)
         predictions = random_baseline(records, seed=seed)
-        (run_dir / "predictions.json").write_text(
-            json.dumps(predictions, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        run.json("predictions.json", predictions)
         report = vqa_eval(records, predictions)
-        write_summary_csv(run_dir / "vqa_summary.csv", report)
-        _record_outputs(run_dir, ["predictions.json", "vqa_summary.csv"])
-        acc = report.overall_accuracy
-        print(f"overall={'n/a' if acc is None else f'{acc:.4f}'} n={report.total}")
-        return 0
+        write_summary_csv(run.path("vqa_summary.csv"), report)
+        return _print_accuracy(report)
     options = args.options.split("|")
-    model = _replay_model(Path(args.replay))
+    model = _replay_model(args.replay)
     raster = read_raster(args.slide)
     if args.kind == "majority":
         grid = PatchGrid.load(args.grid)
@@ -299,35 +286,27 @@ def _cmd_baseline(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
         )
     else:
         answer = thumbnail_baseline(raster, model, options)
-    (run_dir / "answer.txt").write_text(("" if answer is None else answer) + "\n", encoding="utf-8")
-    _record_outputs(run_dir, ["answer.txt"])
+    run.text("answer.txt", ("" if answer is None else answer) + "\n")
     print("none" if answer is None else answer)
     return 0
 
 
-def _cmd_interpret(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
+def _cmd_interpret(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     trace = load_trace(args.trace)
     sal = saliency(trace, k=args.k, renormalize=not args.no_renormalize)
     raster = read_raster(args.slide)
     grid = PatchGrid.load(args.grid)
     overlay = render_overlay(thumbnail(raster, target=1024), grid, sal)
-    write_raster(run_dir / "overlay.ppm", overlay)
-    (run_dir / "saliency.csv").write_text(saliency_csv(sal), encoding="utf-8")
-    _record_outputs(run_dir, ["overlay.ppm", "saliency.csv"])
+    write_raster(run.path("overlay.ppm"), overlay)
+    run.text("saliency.csv", saliency_csv(sal))
     print(" ".join(str(i) for i, _ in sal.entries))
     return 0
 
 
-def _cmd_curate(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
-    rows = _load_jsonl(Path(args.reports), {"patient_id", "report_text", "slide_ids"})
-    reports = [ReportRecord(r["patient_id"], r["report_text"], r["slide_ids"]) for r in rows]
-    if args.replay is not None:
-        client = MockChatClient.from_replay(args.replay)
-    else:
-        chat = cfg.tree["clients"]["chat"]
-        if not chat["base_url"]:
-            raise UsageError("curate needs --replay or clients.chat.base_url in the config")
-        client = LiveChatClient(EndpointConfig(**chat))
+def _cmd_curate(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    rows = read_jsonl(args.reports, ("patient_id", "report_text", "slide_ids"))
+    reports = [ReportRecord(**r) for r in rows]
+    client = _chat_client(cfg, args.replay, True, "curate without --replay")
     filter_clients = None
     if args.filter_replay:
         if len(args.filter_replay) != 4:
@@ -336,53 +315,16 @@ def _cmd_curate(args, cfg: RunConfig, run_dir: Path, seed: int) -> int:
             MockChatClient.from_replay(p, model=f"filter{i}")
             for i, p in enumerate(args.filter_replay)
         ]
-    cache = PromptCache(args.cache_dir if args.cache_dir else run_dir / "cache")
-    result = run_curation(
-        reports, client, cache, filter_clients=filter_clients, jobs=cfg.jobs
-    )
-
-    def dump_jsonl(name: str, rows_iter) -> None:
-        with open(run_dir / name, "w", encoding="utf-8") as fh:
-            for row in rows_iter:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-    dump_jsonl(
-        "cleaned.jsonl",
-        ({"patient_id": k, "cleaned": v} for k, v in sorted(result.cleaned.items())),
-    )
-    dump_jsonl(
-        "captions.jsonl",
-        ({"patient_id": k, "caption": v} for k, v in sorted(result.captions.items())),
-    )
-    save_candidates(run_dir / "candidates.jsonl", result.candidates)
-    save_candidates(run_dir / "kept.jsonl", result.kept)
-    dump_jsonl(
-        "drops.jsonl",
-        ({"item": d.item, "reason": d.reason, "payload": d.payload} for d in result.drops),
-    )
-    (run_dir / "flagged.json").write_text(
-        json.dumps(result.flagged, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    cache = PromptCache(args.cache_dir if args.cache_dir else run.root / "cache")
+    result = run_curation(reports, client, cache, filter_clients=filter_clients, jobs=cfg.jobs)
+    write_jsonl(run.path("cleaned.jsonl"), ({"patient_id": k, "cleaned": v} for k, v in sorted(result.cleaned.items())))
+    write_jsonl(run.path("captions.jsonl"), ({"patient_id": k, "caption": v} for k, v in sorted(result.captions.items())))
+    save_candidates(run.path("candidates.jsonl"), result.candidates)
+    save_candidates(run.path("kept.jsonl"), result.kept)
+    write_jsonl(run.path("drops.jsonl"), (d.__dict__ for d in result.drops))
+    run.json("flagged.json", result.flagged)
     split = split_assign(reports, seed=seed)
-    (run_dir / "split.json").write_text(
-        json.dumps(
-            {"train": sorted(split.train), "test": sorted(split.test)}, indent=2
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    _record_outputs(
-        run_dir,
-        [
-            "cleaned.jsonl",
-            "captions.jsonl",
-            "candidates.jsonl",
-            "kept.jsonl",
-            "drops.jsonl",
-            "flagged.json",
-            "split.json",
-        ],
-    )
+    run.json("split.json", {"train": sorted(split.train), "test": sorted(split.test)})
     print(
         f"reports={len(reports)} candidates={len(result.candidates)} "
         f"kept={len(result.kept)} flagged={len(result.flagged)}"
@@ -454,9 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vqa-eval", parents=[common], help="closed-set VQA accuracy",
                        description="Reads records.jsonl and predictions; writes vqa_records.csv, vqa_summary.csv.")
     p.add_argument("--records", required=True)
-    p.add_argument("--predictions", default=None, help="JSON {record id: letter}")
-    p.add_argument("--predictor", choices=("random",), default=None,
-                   help="generate predictions instead of reading them")
+    p.add_argument("--predictions", required=True, help="JSON {record id: letter}")
     p.set_defaults(func=_cmd_vqa_eval)
 
     p = sub.add_parser("baseline", parents=[common], help="slide-level answer baselines",
@@ -503,17 +443,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg.tree["seed"] = args.seed
         if args.jobs is not None:
             cfg.tree["jobs"] = args.jobs
-        run_dir = Path(args.run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "vqa-eval" and (args.predictions is None) == (args.predictor is None):
-            raise UsageError("vqa-eval needs exactly one of --predictions / --predictor")
-        if args.command == "baseline":
-            need = {"random": ("records",), "majority": ("slide", "grid", "options", "replay"),
-                    "thumbnail": ("slide", "options", "replay")}[args.kind]
-            for flag in need:
-                if getattr(args, flag) is None:
-                    raise UsageError(f"baseline --kind {args.kind} needs --{flag.replace('_', '-')}")
-        return args.func(args, cfg, run_dir, cfg.seed)
+        run = RunDir(args.run_dir)
+        code = args.func(args, cfg, run, cfg.seed)
+        run.write_manifest()
+        return code
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -7,11 +7,12 @@ worst failure mode a config system can have.
 
 from __future__ import annotations
 
-import json
+import copy
 from dataclasses import dataclass
 from typing import Any
 
 from .encoders import SlideEncoderConfig
+from .jsonio import read_json
 from .numerics import UsageError
 
 
@@ -69,15 +70,6 @@ _SCHEMA: dict[str, Any] = {
             "timeout": (float, int),
             "max_retries": (int,),
         },
-        "filter": [
-            {
-                "base_url": (str,),
-                "model": (str,),
-                "auth_env": (str,),
-                "timeout": (float, int),
-                "max_retries": (int,),
-            }
-        ],
     },
     "seed": (int,),
     "jobs": (int,),
@@ -121,7 +113,6 @@ _DEFAULTS: dict[str, Any] = {
             "timeout": 60.0,
             "max_retries": 3,
         },
-        "filter": [],
     },
     "seed": 0,
     "jobs": 1,
@@ -221,12 +212,9 @@ def validate_tree(tree: dict[str, Any]) -> dict[str, Any]:
 def load_config(path: str | None) -> RunConfig:
     """Load and validate a config file; None means all defaults."""
     if path is None:
-        return RunConfig(tree=json.loads(json.dumps(_DEFAULTS)))
+        return RunConfig(tree=copy.deepcopy(_DEFAULTS))
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"<root>: not valid JSON: {exc}") from exc
+        raw = read_json(path)
+    except UsageError as exc:
+        raise ConfigError(str(exc)) from exc
     return RunConfig(tree=validate_tree(raw))

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .evaluation import NARROW_BY_BROAD, NARROW_TO_BROAD, QARecord, extract_choice, option_letters
+from .jsonio import read_json, write_jsonl
 from .numerics import UsageError, stream
 from .prompts import (
     GENERAL_PROMPT,
@@ -61,8 +62,10 @@ class EndpointConfig:
 class LiveChatClient:
     """Chat-completion endpoint speaking the usual JSON contract.
 
-    Failures retry with exponential backoff up to the configured cap, then
-    raise ClientError.
+    Timeouts, dropped connections, HTTP 429 and 5xx retry with exponential
+    backoff up to the configured cap, then raise ClientError. Any other
+    HTTP error or a malformed reply body cannot pass on a retry and raises
+    ClientError at once.
     """
 
     def __init__(self, config: EndpointConfig):
@@ -71,6 +74,7 @@ class LiveChatClient:
         import requests
 
         self._requests = requests
+        self._transient = (requests.Timeout, requests.ConnectionError)
         self.config = config
         self.model = config.model
         token = os.environ.get(config.auth_env, "")
@@ -94,11 +98,31 @@ class LiveChatClient:
                 resp = self._requests.post(
                     url, json=payload, headers=self._headers, timeout=self.config.timeout
                 )
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except Exception as exc:  # noqa: BLE001 - every failure mode retries the same way
+            except self._transient as exc:
                 last = exc
+                continue
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last = f"HTTP {resp.status_code}"
+                continue
+            if resp.status_code >= 400:
+                raise ClientError(f"chat call failed: HTTP {resp.status_code}")
+            try:
+                reply = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise ClientError(f"chat reply is malformed: {exc!r}") from exc
+            if not isinstance(reply, str):
+                raise ClientError(f"chat reply content is {type(reply).__name__}, not text")
+            return reply
         raise ClientError(f"chat call failed after {self.config.max_retries + 1} attempts: {last}")
+
+
+def read_replay(path) -> dict[str, str]:
+    """Replay file: one JSON object whose values are all reply strings."""
+    table = read_json(path)
+    bad = sorted(key for key, reply in table.items() if not isinstance(reply, str))
+    if bad:
+        raise UsageError(f"{path}: replies for {bad[:3]} are not strings")
+    return table
 
 
 class MockChatClient:
@@ -114,30 +138,27 @@ class MockChatClient:
         table: dict[str, str] | None = None,
         default: str | None = None,
         model: str = "mock",
+        by_hash: dict[str, str] | None = None,
     ):
         self.replies = list(replies) if replies is not None else None
         self.table = dict(table) if table is not None else None
         self.default = default
         self.model = model
+        self.by_hash = by_hash
         self.calls: list[str] = []
 
     @classmethod
     def from_replay(cls, path, model: str = "replay") -> "MockChatClient":
         """Replay file: JSON object mapping sha256(prompt) to reply."""
-        with open(path, encoding="utf-8") as fh:
-            by_hash = json.load(fh)
-        client = cls(model=model)
-        client._by_hash = by_hash
-        return client
+        return cls(model=model, by_hash=read_replay(path))
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         self.calls.append(prompt)
-        by_hash = getattr(self, "_by_hash", None)
-        if by_hash is not None:
+        if self.by_hash is not None:
             key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-            if key not in by_hash:
+            if key not in self.by_hash:
                 raise ClientError(f"no replay entry for prompt hash {key[:12]}")
-            return by_hash[key]
+            return self.by_hash[key]
         if self.table is not None and prompt in self.table:
             return self.table[prompt]
         if self.replies is not None:
@@ -179,8 +200,7 @@ class PromptCache:
         path = self._path(template_h, input_h, model)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["reply"]
+        return read_json(path)["reply"]
 
     def store(self, template_h: str, input_h: str, model: str, reply: str) -> None:
         entry = {
@@ -682,10 +702,9 @@ def run_curation(
 
 def save_candidates(path, candidates: Sequence[QACandidate]) -> None:
     """Line-delimited candidates: record fields plus provenance."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for cand in candidates:
-            row = dict(cand.record.__dict__)
-            row["reasoning"] = cand.reasoning
-            row["source_report"] = cand.source_report
-            row["prompt_hash"] = cand.prompt_hash
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    rows = (
+        dict(c.record.__dict__, reasoning=c.reasoning,
+             source_report=c.source_report, prompt_hash=c.prompt_hash)
+        for c in candidates
+    )
+    write_jsonl(path, rows)

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import re
 import string
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .jsonio import read_jsonl, write_jsonl
 from .numerics import UsageError, stream
 from .slide_io import PatchGrid, Raster, extract_patch, thumbnail
 
@@ -256,31 +255,12 @@ _RECORD_KEYS = {"id", "slide_id", "question", "options", "answer", "qtype", "bro
 
 
 def save_records(path, records: Sequence[QARecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.__dict__, sort_keys=True) + "\n")
+    write_jsonl(path, (rec.__dict__ for rec in records))
 
 
 def load_records(path) -> list[QARecord]:
     """Read line-delimited records; unknown or missing keys are errors."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if set(raw) != _RECORD_KEYS:
-                extra = sorted(set(raw) - _RECORD_KEYS)
-                missing = sorted(_RECORD_KEYS - set(raw))
-                raise UsageError(
-                    f"{path}:{lineno}: bad record keys (extra {extra}, missing {missing})"
-                )
-            records.append(QARecord(**raw))
-    return records
+    return [QARecord(**row) for row in read_jsonl(path, _RECORD_KEYS)]
 
 
 # -- choice extraction --------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import UsageError, load_checkpoint, save_checkpoint
-from .slide_io import PatchGrid, Raster
+from .slide_io import PatchGrid, Raster, letterbox
 
 __all__ = [
     "AttentionTrace",
@@ -134,16 +134,6 @@ def _draw_digit(pixels: np.ndarray, digit: str, x: int, y: int, scale: int, colo
                 pixels[y0:y1, x0:x1] = color
 
 
-def _thumb_geometry(grid: PatchGrid, thumb_side: int) -> tuple[float, float, int, int]:
-    """Scale and offset mapping slide pixels onto the letterboxed thumbnail."""
-    long_side = max(grid.width, grid.height)
-    out_w = max(1, round(grid.width * thumb_side / long_side))
-    out_h = max(1, round(grid.height * thumb_side / long_side))
-    x0 = (thumb_side - out_w) // 2
-    y0 = (thumb_side - out_h) // 2
-    return out_w / grid.width, out_h / grid.height, x0, y0
-
-
 def render_overlay(thumb: Raster, grid: PatchGrid, sal: PatchSaliency) -> Raster:
     """Mark top-k patches on a copy of the thumbnail.
 
@@ -157,7 +147,8 @@ def render_overlay(thumb: Raster, grid: PatchGrid, sal: PatchSaliency) -> Raster
     pixels = thumb.pixels.copy()
     if pixels.shape[2] == 1:
         pixels = np.repeat(pixels, 3, axis=2)
-    sx, sy, x_off, y_off = _thumb_geometry(grid, thumb.width)
+    out_w, out_h, x_off, y_off = letterbox(grid.width, grid.height, thumb.width)
+    sx, sy = out_w / grid.width, out_h / grid.height
     ps = grid.patch_size
     by_coord = {(e.row, e.col): e for e in grid.entries}
     for rank, (patch_idx, _score) in enumerate(sal.entries, start=1):

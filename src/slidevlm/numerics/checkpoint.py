@@ -4,18 +4,21 @@ Layout (all integers little-endian uint32, all floats little-endian
 float64):
 
     magic   b"SVLMCKPT"
-    version u32 (currently 1)
+    version u32 (currently 2)
     meta    u32 byte length + UTF-8 JSON (sorted keys; seed, stage, ...)
     count   u32 number of tensors
     entry*  name (u32 length + UTF-8), ndim u32, dims u32*, raw float64
+    sha256  32-byte digest of everything above (version 2 only)
 
 Entries are sorted by name, so identical parameters always serialize to
-identical bytes.
+identical bytes. Version 1 files (no digest) still load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -24,7 +27,8 @@ import numpy as np
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
 MAGIC = b"SVLMCKPT"
-VERSION = 1
+VERSION = 2
+_DIGEST_BYTES = 32
 
 
 class CheckpointError(ValueError):
@@ -50,42 +54,48 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
         out += struct.pack("<I", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes(order="C")
+    out += hashlib.sha256(out).digest()
     Path(path).write_bytes(bytes(out))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; a corrupt or truncated file raises CheckpointError."""
     raw = Path(path).read_bytes()
-    view = memoryview(raw)
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
+    body = memoryview(raw)
     pos = len(MAGIC)
 
-    def take(fmt: str):
+    def take(n_bytes: int) -> memoryview:
         nonlocal pos
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, view, pos)
-        pos += size
-        return values
-
-    (version,) = take("<I")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = take("<I")
-    meta = json.loads(bytes(view[pos : pos + meta_len]).decode("utf-8"))
-    pos += meta_len
-    (count,) = take("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = take("<I")
-        name = bytes(view[pos : pos + name_len]).decode("utf-8")
-        pos += name_len
-        (ndim,) = take("<I")
-        shape = take(f"<{ndim}I") if ndim else ()
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        arr = np.frombuffer(view[pos : pos + n_bytes], dtype="<f8").reshape(shape)
+        if pos + n_bytes > len(body):
+            raise CheckpointError(f"{path}: truncated checkpoint")
         pos += n_bytes
-        tensors[name] = arr.copy()
-    if pos != len(raw):
+        return body[pos - n_bytes : pos]
+
+    def u32s(count: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    (version,) = u32s(1)
+    if version == 2:
+        body = body[:-_DIGEST_BYTES]
+        if len(body) < pos or hashlib.sha256(body).digest() != raw[-_DIGEST_BYTES:]:
+            raise CheckpointError(f"{path}: sha256 mismatch, the file is corrupt or truncated")
+    elif version != 1:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    tensors: dict[str, np.ndarray] = {}
+    try:
+        meta = json.loads(bytes(take(*u32s(1))).decode("utf-8"))
+        (count,) = u32s(1)
+        for _ in range(count):
+            name = bytes(take(*u32s(1))).decode("utf-8")
+            shape = u32s(*u32s(1))
+            arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            tensors[name] = arr.copy()
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint meta or tensor name: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: checkpoint meta is not a JSON object")
+    if pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return tensors, meta
-

@@ -29,6 +29,7 @@ __all__ = [
     "tissue_filter",
     "saturation",
     "thumbnail",
+    "letterbox",
     "box_weights",
     "synth_slide",
 ]
@@ -90,6 +91,8 @@ class PatchGrid:
     entries: list[GridEntry] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.patch_size < 1:
+            raise UsageError(f"patch size {self.patch_size} must be >= 1")
         seen = set()
         for e in self.entries:
             if e.x % self.patch_size or e.y % self.patch_size:
@@ -113,17 +116,30 @@ class PatchGrid:
 
     @staticmethod
     def load(path) -> "PatchGrid":
-        lines = Path(path).read_text().splitlines()
+        # Undecodable bytes become U+FFFD and fail the integer parse below.
+        lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
         if not lines:
             raise UsageError(f"{path}: empty grid file")
-        patch_size, width, height = (int(v) for v in lines[0].split())
+
+        def ints(lineno: int, count: int) -> list[int]:
+            try:
+                values = [int(f) for f in lines[lineno - 1].split()]
+            except ValueError:
+                values = []
+            if len(values) != count:
+                raise UsageError(f"{path}:{lineno}: expected {count} integers, got {lines[lineno - 1]!r}")
+            return values
+
+        patch_size, width, height = ints(1, 3)
         entries = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            row, col, x, y, tissue = (int(v) for v in line.split())
-            entries.append(GridEntry(row, col, x, y, bool(tissue)))
-        return PatchGrid(patch_size, width, height, entries)
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line.strip():
+                row, col, x, y, tissue = ints(lineno, 5)
+                entries.append(GridEntry(row, col, x, y, bool(tissue)))
+        try:
+            return PatchGrid(patch_size, width, height, entries)
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- PPM / PGM -----------------------------------------------------------------
@@ -161,6 +177,8 @@ def read_raster(path) -> Raster:
     fields = []
     for _ in range(3):
         token, pos = _read_token(data, pos)
+        if not token.isdigit():
+            raise UsageError(f"{path}: header field {token!r} is not a non-negative integer")
         fields.append(int(token))
     width, height, maxval = fields
     if maxval != 255:
@@ -261,24 +279,26 @@ def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
+def letterbox(width: int, height: int, target: int) -> tuple[int, int, int, int]:
+    """Size and offset (w, h, x0, y0) of a width x height image scaled so its
+    longest side is `target` and centred on a target x target canvas."""
+    long_side = max(width, height)
+    out_w = max(1, round(width * target / long_side))
+    out_h = max(1, round(height * target / long_side))
+    return out_w, out_h, (target - out_w) // 2, (target - out_h) // 2
+
+
 def thumbnail(raster: Raster, target: int = 1024) -> Raster:
     """Area-averaged square thumbnail.
 
-    Non-square rasters are scaled so the longest side equals `target`
-    and centered on a white canvas.
+    The raster is scaled so its longest side equals `target` and centred
+    on a white canvas.
     """
     if target < 1:
         raise UsageError("target must be >= 1")
-    if raster.width == raster.height:
-        return Raster(target, target, raster.channels, _area_resize(raster.pixels, target, target))
-    long_side = max(raster.width, raster.height)
-    out_w = max(1, round(raster.width * target / long_side))
-    out_h = max(1, round(raster.height * target / long_side))
-    scaled = _area_resize(raster.pixels, out_h, out_w)
+    out_w, out_h, x0, y0 = letterbox(raster.width, raster.height, target)
     canvas = np.full((target, target, raster.channels), 255, dtype=np.uint8)
-    x0 = (target - out_w) // 2
-    y0 = (target - out_h) // 2
-    canvas[y0 : y0 + out_h, x0 : x0 + out_w] = scaled
+    canvas[y0 : y0 + out_h, x0 : x0 + out_w] = _area_resize(raster.pixels, out_h, out_w)
     return Raster(target, target, raster.channels, canvas)
 
 

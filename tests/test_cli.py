@@ -5,10 +5,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from slidevlm.cli import main
 from slidevlm.curation import filter_prompt
+from slidevlm.encoders import EmbeddingMatrix, save_embeddings
 from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord, save_records
 from slidevlm.prompts import caption_prompt, qa_prompt, report_clean_prompt
 
@@ -174,16 +176,22 @@ def records_file(path, n=24):
 
 
 def test_vqa_eval_random_predictor_is_deterministic(world, capsys):
+    # The random predictor is `baseline --kind random`; its predictions.json
+    # feeds `vqa-eval --predictions`.
     records = records_file(world["root"] / "records.jsonl")
     out = {}
     for name in ("vqa_a", "vqa_b"):
         run = world["root"] / name
+        assert main(["baseline", *world["base"], "--run-dir", str(run),
+                     "--kind", "random", "--records", str(records)]) == 0
         assert main(["vqa-eval", *world["base"], "--run-dir", str(run),
-                     "--records", str(records), "--predictor", "random"]) == 0
+                     "--records", str(records),
+                     "--predictions", str(run / "predictions.json")]) == 0
         out[name] = (
             (run / "vqa_records.csv").read_bytes(),
             (run / "vqa_summary.csv").read_bytes(),
         )
+        assert set(manifest(run)) == {"predictions.json", "vqa_records.csv", "vqa_summary.csv"}
     assert out["vqa_a"] == out["vqa_b"]
     assert "overall=" in capsys.readouterr().out
 
@@ -200,9 +208,11 @@ def test_vqa_eval_reads_prediction_file(world, capsys):
 
 def test_vqa_eval_wants_exactly_one_source(world, capsys):
     records = records_file(world["root"] / "records3.jsonl", n=4)
-    assert main(["vqa-eval", *world["base"], "--run-dir", str(world["root"] / "x"),
-                 "--records", str(records)]) == 2
-    assert capsys.readouterr().err.startswith("error: usage:")
+    with pytest.raises(SystemExit) as exc:
+        main(["vqa-eval", *world["base"], "--run-dir", str(world["root"] / "x"),
+              "--records", str(records)])
+    assert exc.value.code == 2
+    assert "--predictions" in capsys.readouterr().err
 
 
 def test_caption_eval_with_replay_judge(world):
@@ -413,9 +423,109 @@ def test_bad_config_exits_two(tmp_path, capsys):
     bad.write_text(json.dumps({"paths": {"outputs": "out"}}))
     assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
     assert "paths" in capsys.readouterr().err
+    bad.write_text(json.dumps({"clients": {"filter": []}}))
+    assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
+    assert "clients.filter" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def _curate_argv(world, reports=None, replay=None, filters=None):
+    good_reports, good_replay, good_filters = curate_world(world["root"])
+    argv = ["curate", "--reports", str(reports or good_reports), "--replay", str(replay or good_replay)]
+    for f in filters or good_filters:
+        argv += ["--filter-replay", str(f)]
+    return argv
+
+
+def _pairs(world):
+    pairs = world["root"] / "pairs_ok.jsonl"
+    write_jsonl(pairs, [{"candidate": "a b", "reference": "a c"}])
+    return str(pairs)
+
+
+def _records(world):
+    return str(records_file(world["root"] / "records_ok.jsonl", n=4))
+
+
+# (case, bad file name, its bytes, line the error must name or None, argv given the bad path)
+MALFORMED = [
+    ("samples-invalid-json", "samples.jsonl",
+     b'{"slide_id": "s1", "kind": "vqa", "prompt": "p", "target": "t"}\n\n{"slide_id": \n', 3,
+     lambda w, bad: ["train", "--stage", "1", "--samples", bad, "--slides-dir", str(w["slides"])]),
+    ("reports-non-object", "reports.jsonl", b"\n7\n", 2,
+     lambda w, bad: _curate_argv(w, reports=bad)),
+    ("pairs-wrong-keys", "pairs.jsonl", b'{"candidate": "a", "ref": "b"}\n', 1,
+     lambda w, bad: ["caption-eval", "--pairs", bad]),
+    ("records-not-utf8", "records.jsonl", b'{"id": "\xff"}\n', 1,
+     lambda w, bad: ["vqa-eval", "--records", bad, "--predictions", bad]),
+    ("predictions-invalid-json", "predictions.json", b'{"r0": "A",', None,
+     lambda w, bad: ["vqa-eval", "--records", _records(w), "--predictions", bad]),
+    ("predictions-list", "predictions.json", b'["A", "B"]', None,
+     lambda w, bad: ["vqa-eval", "--records", _records(w), "--predictions", bad]),
+    ("predictions-not-strings", "predictions.json", b'{"r0": 1}', None,
+     lambda w, bad: ["vqa-eval", "--records", _records(w), "--predictions", bad]),
+    ("replay-invalid-json", "patch_replay.json", b'{"default": ', None,
+     lambda w, bad: ["baseline", "--kind", "thumbnail", "--slide", str(w["data"] / "slide.ppm"),
+                     "--options", "a|b", "--replay", bad]),
+    ("replay-not-strings", "patch_replay.json", b'{"default": 2}', None,
+     lambda w, bad: ["baseline", "--kind", "thumbnail", "--slide", str(w["data"] / "slide.ppm"),
+                     "--options", "a|b", "--replay", bad]),
+    ("judge-replay-invalid-json", "judge.json", b"not json", None,
+     lambda w, bad: ["caption-eval", "--pairs", _pairs(w), "--judge-replay", bad]),
+    ("curate-replay-invalid-json", "chat.json", b"{", None,
+     lambda w, bad: _curate_argv(w, replay=bad)),
+    ("filter-replay-invalid-json", "filter.json", b"[", None,
+     lambda w, bad: _curate_argv(w, filters=[*curate_world(w["root"])[2][:3], bad])),
+    ("config-not-utf8", "config.json", b'{"seed": "\xff"}', None,
+     lambda w, bad: ["synth", "--config", bad]),
+    ("grid-non-integer", "grid.txt", b"16 64 64\n0 0 0 x 1\n", 2,
+     lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("grid-short-header", "grid.txt", b"16 64\n0 0 0 0 1\n", 1,
+     lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("ppm-header-non-integer", "slide.ppm", b"P6\n64 sixty\n255\n" + bytes(12), None,
+     lambda w, bad: ["tile", "--slide", bad]),
+]
+
+
+@pytest.mark.parametrize("name,content,line,argv", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_two_naming_the_file(world, tmp_path, capsys, name, content, line, argv):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    args = argv(world, str(bad))
+    if "--config" not in args:
+        args[1:1] = world["base"]
+    # main() returns rather than raising, so no traceback reaches the user.
+    assert main([*args, "--run-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (str(bad) if line is None else f"{bad}:{line}:") in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_slide_without_tissue_fails_early(world, tmp_path, capsys):
+    base = world["base"]
+    assert main(["synth", *base, "--run-dir", str(tmp_path), "--width", "32",
+                 "--height", "32", "--patch-size", "16"]) == 0
+    slide = tmp_path / "slide.ppm"
+    assert main(["tile", *base, "--run-dir", str(tmp_path), "--slide", str(slide)]) == 0
+    capsys.readouterr()
+    assert main(["encode", *base, "--run-dir", str(tmp_path), "--slide", str(slide),
+                 "--grid", str(tmp_path / "grid.txt")]) == 2
+    assert str(slide) in capsys.readouterr().err
+    assert not (tmp_path / "embeddings.bin").exists()
+
+    slides = tmp_path / "slides"
+    slides.mkdir()
+    save_embeddings(slides / "blank7.emb", EmbeddingMatrix(0, 8, np.zeros((0, 8))))
+    samples = tmp_path / "samples.jsonl"
+    write_jsonl(samples, [{"slide_id": "blank7", "kind": "caption", "prompt": "p", "target": "t"}])
+    assert main(["train", *base, "--run-dir", str(tmp_path / "t"), "--stage", "1",
+                 "--samples", str(samples), "--slides-dir", str(slides)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and "blank7" in err
 
 
 def test_bad_region_exits_two(world, capsys):
@@ -426,13 +536,16 @@ def test_bad_region_exits_two(world, capsys):
 
 def test_foreign_checkpoint_exits_two(world, capsys):
     fake = world["root"] / "fake.ckpt"
-    fake.write_bytes(b"not a checkpoint")
-    assert main(["infer", *world["base"], "--run-dir", str(world["root"] / "x"),
-                 "--checkpoint", str(fake), "--vocab", str(world["train2"] / "vocab.txt"),
-                 "--emb", str(world["slides"] / "s1.emb"),
-                 "--grid", str(world["slides"] / "s1.grid"),
-                 "--prompt", "hi"]) == 2
-    assert capsys.readouterr().err.startswith("error: usage:")
+    whole = (world["train2"] / "stage2_best.ckpt").read_bytes()
+    for content in (b"not a checkpoint", whole[: len(whole) // 2]):
+        fake.write_bytes(content)
+        assert main(["infer", *world["base"], "--run-dir", str(world["root"] / "x"),
+                     "--checkpoint", str(fake), "--vocab", str(world["train2"] / "vocab.txt"),
+                     "--emb", str(world["slides"] / "s1.emb"),
+                     "--grid", str(world["slides"] / "s1.grid"),
+                     "--prompt", "hi"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and str(fake) in err
 
 
 def test_seed_flag_overrides_config(world):

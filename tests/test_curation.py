@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+import requests
 
 from slidevlm.curation import (
     BCNB_TASK_CATEGORIES,
@@ -129,34 +130,46 @@ def test_mock_client_replay_file(tmp_path):
 
 
 class _Resp:
-    def __init__(self, content):
-        self._content = content
-
-    def raise_for_status(self):
-        pass
+    def __init__(self, body, status_code=200):
+        self.body = body
+        self.status_code = status_code
 
     def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+        if self.body is None:
+            raise ValueError("no JSON body")
+        return self.body
+
+
+LIVE_REPLY = {"choices": [{"message": {"content": "live reply"}}]}
 
 
 class _Transport:
-    def __init__(self, fail_first):
+    """Stands in for `requests`: `fail_first` failures, then `reply`.
+
+    A failure is a dropped connection, or an HTTP status when `status` is set.
+    """
+
+    def __init__(self, fail_first, status=None, reply=LIVE_REPLY):
         self.fail_first = fail_first
+        self.status = status
+        self.reply = reply
         self.posts = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts.append((url, json))
         if len(self.posts) <= self.fail_first:
-            raise RuntimeError("connection reset")
-        return _Resp("live reply")
+            if self.status is None:
+                raise requests.ConnectionError("connection reset")
+            return _Resp(None, status_code=self.status)
+        return _Resp(self.reply)
 
 
-def live_client(fail_first, max_retries):
+def live_client(fail_first, max_retries, **transport_args):
     config = EndpointConfig(
         base_url="http://endpoint/v1/", model="m", max_retries=max_retries, backoff_base=0.0
     )
     client = LiveChatClient(config)
-    transport = _Transport(fail_first)
+    transport = _Transport(fail_first, **transport_args)
     client._requests = transport
     return client, transport
 
@@ -179,6 +192,27 @@ def test_live_client_exhausts_retries():
     with pytest.raises(ClientError, match="after 3 attempts"):
         client.complete("ask")
     assert len(transport.posts) == 3
+
+
+def test_live_client_retries_server_errors():
+    client, transport = live_client(fail_first=1, max_retries=2, status=503)
+    assert client.complete("ask") == "live reply"
+    assert len(transport.posts) == 2
+
+
+def test_live_client_does_not_retry_client_errors():
+    client, transport = live_client(fail_first=99, max_retries=2, status=401)
+    with pytest.raises(ClientError, match="HTTP 401"):
+        client.complete("ask")
+    assert len(transport.posts) == 1
+
+
+@pytest.mark.parametrize("reply", [None, {"choices": []}, {"choices": [{"message": {"content": 3}}]}])
+def test_live_client_does_not_retry_malformed_replies(reply):
+    client, transport = live_client(fail_first=0, max_retries=2, reply=reply)
+    with pytest.raises(ClientError, match="malformed|not text"):
+        client.complete("ask")
+    assert len(transport.posts) == 1
 
 
 # -- prompt cache ------------------------------------------------------------------------

@@ -296,6 +296,47 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
+def _as_version_one(v2: bytes) -> bytes:
+    """The same checkpoint in format version 1, which has no digest trailer."""
+    return v2[:8] + (1).to_bytes(4, "little") + v2[12:-32]
+
+
+def test_checkpoint_detects_truncation_and_bit_flips(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}, meta={"stage": 1})
+    whole = path.read_bytes()
+    for cut in (9, 12, 16, 40, len(whole) // 2, len(whole) - 33, len(whole) - 1):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    for byte in (9, 20, len(whole) // 2, len(whole) - 40, len(whole) - 1):
+        flipped = bytearray(whole)
+        flipped[byte] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def test_version_one_checkpoints_still_load(tmp_path):
+    tensors = {"a": np.arange(6.0).reshape(2, 3), "s": np.array(2.5)}
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, tensors, meta={"stage": 2})
+    v1 = _as_version_one(path.read_bytes())
+    path.write_bytes(v1)
+    loaded, meta = load_checkpoint(path)
+    assert meta["stage"] == 2
+    assert {k: v.tobytes() for k, v in loaded.items()} == {k: v.tobytes() for k, v in tensors.items()}
+    # Without a digest, short reads are still caught field by field.
+    for cut in range(9, len(v1), 7):
+        path.write_bytes(v1[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    meta_len = int.from_bytes(v1[12:16], "little")
+    path.write_bytes(v1[:16] + b"{" * meta_len + v1[16 + meta_len :])
+    with pytest.raises(CheckpointError, match="meta"):
+        load_checkpoint(path)
+
+
 def test_load_tensors_checks_names_and_shapes(tmp_path):
     path = tmp_path / "t.ckpt"
     source, target = tiny_model(seed=1), tiny_model(seed=2)
