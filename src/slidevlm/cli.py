@@ -175,7 +175,7 @@ def _cmd_encode(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
-    rows = read_jsonl(args.samples, ("slide_id", "kind", "prompt", "target"))
+    rows = read_jsonl(args.samples, dict.fromkeys(("slide_id", "kind", "prompt", "target"), str))
     samples = [TrainSample(**r) for r in rows]
     slides_dir = Path(args.slides_dir)
     slides = {}
@@ -235,7 +235,7 @@ def _cmd_infer(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_caption_eval(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
-    rows = read_jsonl(args.pairs, ("candidate", "reference"))
+    rows = read_jsonl(args.pairs, {"candidate": str, "reference": str})
     pairs = [(r["candidate"], r["reference"]) for r in rows]
     client = _chat_client(cfg, args.judge_replay, args.judge, "--judge")
     report = caption_eval(pairs, client=client, jobs=cfg.jobs)
@@ -304,7 +304,7 @@ def _cmd_interpret(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_curate(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
-    rows = read_jsonl(args.reports, ("patient_id", "report_text", "slide_ids"))
+    rows = read_jsonl(args.reports, {"patient_id": str, "report_text": str, "slide_ids": list[str]})
     reports = [ReportRecord(**r) for r in rows]
     client = _chat_client(cfg, args.replay, True, "curate without --replay")
     filter_clients = None

@@ -72,6 +72,8 @@ def load_embeddings(path, expect_n: int | None = None, expect_dim: int | None = 
     data = Path(path).read_bytes()
     if data[:8] != EMBEDDINGS_MAGIC:
         raise UsageError(f"{path}: not an embeddings file")
+    if len(data) < 16:
+        raise UsageError(f"{path}: embeddings header cut short at {len(data)} bytes")
     n, dim = (int(v) for v in np.frombuffer(data[8:16], dtype="<u4"))
     body = data[16:]
     if len(body) != n * dim * 4:

@@ -251,7 +251,10 @@ class QARecord:
             raise UsageError("short-answer record must not carry options")
 
 
-_RECORD_KEYS = {"id", "slide_id", "question", "options", "answer", "qtype", "broad", "narrow"}
+_RECORD_SCHEMA = {
+    **dict.fromkeys(("id", "slide_id", "question", "answer", "qtype", "broad", "narrow"), str),
+    "options": list[str],
+}
 
 
 def save_records(path, records: Sequence[QARecord]) -> None:
@@ -259,8 +262,8 @@ def save_records(path, records: Sequence[QARecord]) -> None:
 
 
 def load_records(path) -> list[QARecord]:
-    """Read line-delimited records; unknown or missing keys are errors."""
-    return [QARecord(**row) for row in read_jsonl(path, _RECORD_KEYS)]
+    """Read line-delimited records; unknown or missing keys and wrongly typed values are errors."""
+    return [QARecord(**row) for row in read_jsonl(path, _RECORD_SCHEMA)]
 
 
 # -- choice extraction --------------------------------------------------------------

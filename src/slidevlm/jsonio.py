@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from .numerics import UsageError
 
@@ -27,9 +27,11 @@ def read_json(path) -> dict[str, Any]:
     return obj
 
 
-def read_jsonl(path, keys: Iterable[str]) -> list[dict[str, Any]]:
-    """One JSON object per non-blank line, each with exactly `keys`."""
-    keys = set(keys)
+def read_jsonl(path, schema: Mapping[str, type]) -> list[dict[str, Any]]:
+    """One JSON object per non-blank line, with exactly the keys of `schema`.
+
+    Each value must have its key's type: `str`, say, or `list[str]`.
+    """
     rows = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -41,10 +43,22 @@ def read_jsonl(path, keys: Iterable[str]) -> list[dict[str, Any]]:
                 raise UsageError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise UsageError(f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
-            if set(row) != keys:
-                raise UsageError(f"{path}:{lineno}: expected keys {sorted(keys)}, got {sorted(row)}")
+            if set(row) != set(schema):
+                raise UsageError(f"{path}:{lineno}: expected keys {sorted(schema)}, got {sorted(row)}")
+            for key, kind in schema.items():
+                if not _has_type(row[key], kind):
+                    want = kind if hasattr(kind, "__args__") else kind.__name__
+                    got = type(row[key]).__name__
+                    raise UsageError(f"{path}:{lineno}: {key!r} must be {want}, got {got}")
             rows.append(row)
     return rows
+
+
+def _has_type(value, kind) -> bool:
+    item = getattr(kind, "__args__", None)  # list[str] -> (str,)
+    if item:
+        return isinstance(value, list) and all(isinstance(v, item[0]) for v in value)
+    return isinstance(value, kind)
 
 
 def write_json(path, obj: Any) -> None:

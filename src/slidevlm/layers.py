@@ -87,9 +87,10 @@ class HeadProjections:
         return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
 
     def split(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        n = x.shape[0]
+        n, dim = x.shape
         q, k, v = (
-            w(x).reshape(n, self.heads, -1).transpose(1, 0, 2) for w in (self.wq, self.wk, self.wv)
+            w(x).reshape(n, self.heads, dim // self.heads).transpose(1, 0, 2)
+            for w in (self.wq, self.wk, self.wv)
         )
         return q, k, v
 

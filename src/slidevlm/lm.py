@@ -5,8 +5,11 @@ prompt..., answer..., EOS]. The loss mask covers the answer span plus
 EOS only. Text positions attend causally; every text position sees every
 visual position; visual positions attend bidirectionally among
 themselves unless the fully-causal flag is set. Generation is greedy
-with ties broken by the lowest token id, recording attention from each
-generated token to every visual position.
+with ties broken by the lowest token id: one prefill forward over the
+prompt fills a key/value cache, then each further token runs one cached
+row. The attention trace, from each generated token to every visual
+position, comes from one more forward over just the generated rows
+against the cache as the prefill left it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "MultimodalSequence",
     "DecoderConfig",
     "DecoderLM",
+    "KVCache",
     "assemble",
 ]
 
@@ -175,11 +179,33 @@ class DecoderConfig:
         return self.heads * self.head_dim
 
 
-class _MaskedSelfAttention(HeadProjections):
-    """Dense multi-head attention under an arbitrary boolean layout mask."""
+@dataclass
+class KVCache:
+    """Keys and values of the first `length` positions, one [k, v] pair of
+    [H, length, dh] arrays per decoder block."""
 
-    def __call__(self, x: Tensor, allow: np.ndarray, capture: list | None) -> Tensor:
+    length: int
+    kv: list[list[np.ndarray]]
+
+    def snapshot(self) -> "KVCache":
+        return KVCache(self.length, [list(pair) for pair in self.kv])
+
+
+class _MaskedSelfAttention(HeadProjections):
+    """Dense multi-head attention under an arbitrary boolean layout mask.
+
+    With `past` (this block's [k, v] cache entry) the rows of `x` come
+    after the cached positions: they attend to those too, and `past`
+    then holds the keys and values of all of them.
+    """
+
+    def __call__(
+        self, x: Tensor, allow: np.ndarray, capture: list | None, past: list | None = None
+    ) -> Tensor:
         q, k, v = self.split(x)
+        if past is not None:
+            k, v = (concat([Tensor(old), new], axis=1) for old, new in zip(past, (k, v)))
+            past[:] = [k.data, v.data]
         scores = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(q.shape[-1]))
         att = masked_softmax(scores, np.broadcast_to(allow, scores.shape), axis=-1)
         if capture is not None:
@@ -229,42 +255,61 @@ class DecoderLM:
             out.extend(self.head.params())
         return out
 
-    def _layout_mask(self, seq: MultimodalSequence) -> np.ndarray:
+    def empty_cache(self) -> KVCache:
+        none = np.zeros((self.cfg.heads, 0, self.cfg.head_dim))
+        return KVCache(0, [[none, none] for _ in self.blocks])
+
+    def _layout_mask(self, seq: MultimodalSequence, start: int = 0) -> np.ndarray:
+        """Rows start..T-1 of the [T, T] mask of which positions each may see."""
         t = seq.total_len
-        allow = np.tril(np.ones((t, t), dtype=bool))
+        allow = np.tri(t - start, t, start, dtype=bool)
         if not self.cfg.causal_visual:
             p = seq.n_prefix
-            allow[:p, :p] = True
+            allow[: max(p - start, 0), :p] = True
         return allow
 
-    def _embed(self, seq: MultimodalSequence) -> Tensor:
+    def _embed(self, seq: MultimodalSequence, start: int = 0) -> Tensor:
+        """Input rows start..T-1."""
+        n_text = seq.total_len - seq.text_start
+        if n_text > self.cfg.max_positions:
+            raise UsageError(
+                f"text span {n_text} exceeds max positions {self.cfg.max_positions}"
+            )
+        if start >= seq.text_start:  # text rows only: token plus position from BOS
+            return take_rows(self.tok_embed.value, seq.ids[start:]) + take_rows(
+                self.pos_embed.value, range(start - seq.text_start, n_text)
+            )
         visual = seq.visual if isinstance(seq.visual, Tensor) else Tensor(np.asarray(seq.visual, dtype=np.float64))
         if visual.shape[1] != self.cfg.dim:
             raise UsageError(
                 f"visual token dim {visual.shape[1]} != model dim {self.cfg.dim}"
             )
         tail_ids = seq.ids[seq.n_visual + 1 :].tolist()
-        n_text = seq.total_len - seq.text_start
-        if n_text > self.cfg.max_positions:
-            raise UsageError(
-                f"text span {n_text} exceeds max positions {self.cfg.max_positions}"
-            )
-        start = take_rows(self.tok_embed.value, [IMG_START])
+        img_start = take_rows(self.tok_embed.value, [IMG_START])
         tail = take_rows(self.tok_embed.value, tail_ids)
         # tail = [IMG_END, BOS, text...]; positions start at BOS.
         img_end = tail.rows(0, 1)
         text = tail.rows(1, tail.shape[0]) + take_rows(self.pos_embed.value, range(n_text))
-        return concat([start, visual, img_end, text], axis=0)
+        x = concat([img_start, visual, img_end, text], axis=0)
+        return x.rows(start, seq.total_len) if start else x
 
     def forward(
-        self, seq: MultimodalSequence, capture_attention: bool = False
+        self, seq: MultimodalSequence, capture_attention: bool = False, cache: KVCache | None = None
     ) -> tuple[Tensor, list[np.ndarray] | None]:
-        """Logits [T, V] and, when asked, per-layer [H, T, T] attention."""
-        x = self._embed(seq)
-        allow = self._layout_mask(seq)
+        """Logits [T - m, V] for rows m..T-1 and, when asked, per-layer
+        [H, T - m, T] attention; m is the cache's length, 0 without one.
+
+        The rows attend to the m cached positions, and the cache then
+        holds all T.
+        """
+        start = 0 if cache is None else cache.length
+        x = self._embed(seq, start)
+        allow = self._layout_mask(seq, start)
         capture: list | None = [] if capture_attention else None
-        for block in self.blocks:
-            x = block(x, allow, capture)
+        for i, block in enumerate(self.blocks):
+            x = block(x, allow, capture, None if cache is None else cache.kv[i])
+        if cache is not None:
+            cache.length = seq.total_len
         if self.head is not None:
             logits = self.head(x)
         else:
@@ -289,38 +334,22 @@ class DecoderLM:
             raise UsageError("max_len must be >= 1")
         if seq.answer_ids is not None:
             raise UsageError("generation starts from a sequence without an answer")
+        cache = self.empty_cache()
+        logits, _ = self.forward(seq, cache=cache)  # prefill over the prompt
+        prefix = cache.snapshot()
         generated: list[int] = []
-        hit_eos = False
-        for _ in range(max_len):
-            probe = MultimodalSequence(seq.visual, seq.prompt_ids, generated)
-            # Drop the trailing EOS the assembly appends; it is not input yet.
-            probe.ids = probe.ids[:-1]
-            probe.loss_mask = probe.loss_mask[:-1]
-            logits, _ = self.forward(probe)
-            next_id = int(np.argmax(logits.data[-1]))
-            if next_id == EOS:
-                hit_eos = True
-                break
+        while (next_id := int(np.argmax(logits.data[-1]))) != EOS:
             generated.append(next_id)
-        trace = None
-        if capture_attention:
-            final = MultimodalSequence(seq.visual, seq.prompt_ids, generated)
-            if not hit_eos:
-                final.ids = final.ids[:-1]
-                final.loss_mask = final.loss_mask[:-1]
-            _, recorded = self.forward(final, capture_attention=True)
-            n = seq.n_visual
-            gen_start = final.text_start + 1 + len(seq.prompt_ids)
-            rows = []
-            for g in range(len(generated)):
-                pos = gen_start + g
-                rows.append(
-                    np.stack([layer[:, pos, 1 : 1 + n] for layer in recorded])
-                )
-            values = (
-                np.stack(rows)
-                if rows
-                else np.zeros((0, self.cfg.layers, self.cfg.heads, n))
-            )
-            trace = AttentionTrace(values=values)
-        return generated, trace
+            if len(generated) == max_len:
+                break
+            # The generated tokens so far act as prompt; only the last runs.
+            step = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
+            logits, _ = self.forward(step, cache=cache)
+        if not capture_attention:
+            return generated, None
+        final = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
+        _, recorded = self.forward(final, capture_attention=True, cache=prefix)
+        # [layers, heads, generated, T] -> [generated, layers, heads, visual]
+        shape = (self.cfg.layers, self.cfg.heads, len(generated), final.total_len)
+        layers = np.array(recorded).reshape(shape)[..., seq.visual_slice()]
+        return generated, AttentionTrace(values=layers.transpose(2, 0, 1, 3))

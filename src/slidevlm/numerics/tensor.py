@@ -221,15 +221,18 @@ class Tensor:
     def gelu(self) -> "Tensor":
         # tanh-form GELU; smooth everywhere, which keeps finite-difference
         # gradient checks clean (no ReLU kinks).
+        # Powers are written as products: numpy's `x**3` calls pow(), which
+        # is some forty times slower than two multiplies.
         a = self
+        x = a.data
         c = np.sqrt(2.0 / np.pi)
-        u = c * (a.data + 0.044715 * a.data**3)
+        u = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(u)
-        data = 0.5 * a.data * (1.0 + t)
+        data = 0.5 * x * (1.0 + t)
 
         def backward(grad):
-            du = c * (1.0 + 3.0 * 0.044715 * a.data**2)
-            local = 0.5 * (1.0 + t) + 0.5 * a.data * (1.0 - t * t) * du
+            du = c * (1.0 + 3.0 * 0.044715 * (x * x))
+            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
             a._accumulate(grad * local)
 
         return Tensor._result(data, (a,), backward)

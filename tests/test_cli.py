@@ -449,49 +449,70 @@ def _records(world):
     return str(records_file(world["root"] / "records_ok.jsonl", n=4))
 
 
-# (case, bad file name, its bytes, line the error must name or None, argv given the bad path)
+_NARROW = next(iter(NARROW_TO_BROAD))
+_RECORD_INT_OPTIONS = json.dumps({
+    "id": "r0", "slide_id": "s1", "question": "q", "options": [1, 2], "answer": "A",
+    "qtype": "multi-choice", "broad": NARROW_TO_BROAD[_NARROW], "narrow": _NARROW,
+}).encode() + b"\n"
+
+
+# (case, bad file name, its bytes, line the error must name or None, key it must name or None,
+#  argv given the bad path)
 MALFORMED = [
     ("samples-invalid-json", "samples.jsonl",
-     b'{"slide_id": "s1", "kind": "vqa", "prompt": "p", "target": "t"}\n\n{"slide_id": \n', 3,
+     b'{"slide_id": "s1", "kind": "vqa", "prompt": "p", "target": "t"}\n\n{"slide_id": \n', 3, None,
      lambda w, bad: ["train", "--stage", "1", "--samples", bad, "--slides-dir", str(w["slides"])]),
-    ("reports-non-object", "reports.jsonl", b"\n7\n", 2,
+    ("reports-non-object", "reports.jsonl", b"\n7\n", 2, None,
      lambda w, bad: _curate_argv(w, reports=bad)),
-    ("pairs-wrong-keys", "pairs.jsonl", b'{"candidate": "a", "ref": "b"}\n', 1,
+    ("pairs-wrong-keys", "pairs.jsonl", b'{"candidate": "a", "ref": "b"}\n', 1, None,
      lambda w, bad: ["caption-eval", "--pairs", bad]),
-    ("records-not-utf8", "records.jsonl", b'{"id": "\xff"}\n', 1,
+    ("records-not-utf8", "records.jsonl", b'{"id": "\xff"}\n', 1, None,
      lambda w, bad: ["vqa-eval", "--records", bad, "--predictions", bad]),
-    ("predictions-invalid-json", "predictions.json", b'{"r0": "A",', None,
+    ("predictions-invalid-json", "predictions.json", b'{"r0": "A",', None, None,
      lambda w, bad: ["vqa-eval", "--records", _records(w), "--predictions", bad]),
-    ("predictions-list", "predictions.json", b'["A", "B"]', None,
+    ("predictions-list", "predictions.json", b'["A", "B"]', None, None,
      lambda w, bad: ["vqa-eval", "--records", _records(w), "--predictions", bad]),
-    ("predictions-not-strings", "predictions.json", b'{"r0": 1}', None,
+    ("predictions-not-strings", "predictions.json", b'{"r0": 1}', None, None,
      lambda w, bad: ["vqa-eval", "--records", _records(w), "--predictions", bad]),
-    ("replay-invalid-json", "patch_replay.json", b'{"default": ', None,
+    ("replay-invalid-json", "patch_replay.json", b'{"default": ', None, None,
      lambda w, bad: ["baseline", "--kind", "thumbnail", "--slide", str(w["data"] / "slide.ppm"),
                      "--options", "a|b", "--replay", bad]),
-    ("replay-not-strings", "patch_replay.json", b'{"default": 2}', None,
+    ("replay-not-strings", "patch_replay.json", b'{"default": 2}', None, None,
      lambda w, bad: ["baseline", "--kind", "thumbnail", "--slide", str(w["data"] / "slide.ppm"),
                      "--options", "a|b", "--replay", bad]),
-    ("judge-replay-invalid-json", "judge.json", b"not json", None,
+    ("judge-replay-invalid-json", "judge.json", b"not json", None, None,
      lambda w, bad: ["caption-eval", "--pairs", _pairs(w), "--judge-replay", bad]),
-    ("curate-replay-invalid-json", "chat.json", b"{", None,
+    ("curate-replay-invalid-json", "chat.json", b"{", None, None,
      lambda w, bad: _curate_argv(w, replay=bad)),
-    ("filter-replay-invalid-json", "filter.json", b"[", None,
+    ("filter-replay-invalid-json", "filter.json", b"[", None, None,
      lambda w, bad: _curate_argv(w, filters=[*curate_world(w["root"])[2][:3], bad])),
-    ("config-not-utf8", "config.json", b'{"seed": "\xff"}', None,
+    ("config-not-utf8", "config.json", b'{"seed": "\xff"}', None, None,
      lambda w, bad: ["synth", "--config", bad]),
-    ("grid-non-integer", "grid.txt", b"16 64 64\n0 0 0 x 1\n", 2,
+    ("grid-non-integer", "grid.txt", b"16 64 64\n0 0 0 x 1\n", 2, None,
      lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
-    ("grid-short-header", "grid.txt", b"16 64\n0 0 0 0 1\n", 1,
+    ("grid-short-header", "grid.txt", b"16 64\n0 0 0 0 1\n", 1, None,
      lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
-    ("ppm-header-non-integer", "slide.ppm", b"P6\n64 sixty\n255\n" + bytes(12), None,
+    ("ppm-header-non-integer", "slide.ppm", b"P6\n64 sixty\n255\n" + bytes(12), None, None,
      lambda w, bad: ["tile", "--slide", bad]),
+    ("samples-prompt-not-string", "samples.jsonl",
+     b'{"slide_id": "s1", "kind": "vqa", "prompt": 5, "target": "t"}\n', 1, "prompt",
+     lambda w, bad: ["train", "--stage", "1", "--samples", bad, "--slides-dir", str(w["slides"])]),
+    ("reports-slide-ids-not-list", "reports.jsonl",
+     b'{"patient_id": "p1", "report_text": "r", "slide_ids": "s1"}\n', 1, "slide_ids",
+     lambda w, bad: _curate_argv(w, reports=bad)),
+    ("pairs-reference-not-string", "pairs.jsonl", b'{"candidate": "a", "reference": null}\n', 1,
+     "reference", lambda w, bad: ["caption-eval", "--pairs", bad]),
+    ("records-options-not-strings", "records.jsonl", _RECORD_INT_OPTIONS, 1, "options",
+     lambda w, bad: ["vqa-eval", "--records", bad, "--predictions", bad]),
+    ("emb-short-header", "s1.emb", b"SVLMEMB1\x02\x00", None, None,
+     lambda w, bad: ["infer", "--checkpoint", str(w["train2"] / "stage2_best.ckpt"),
+                     "--vocab", str(w["train2"] / "vocab.txt"), "--emb", bad, "--prompt", "is tumor present"]),
 ]
 
 
-@pytest.mark.parametrize("name,content,line,argv", [c[1:] for c in MALFORMED],
+@pytest.mark.parametrize("name,content,line,key,argv", [c[1:] for c in MALFORMED],
                          ids=[c[0] for c in MALFORMED])
-def test_malformed_input_exits_two_naming_the_file(world, tmp_path, capsys, name, content, line, argv):
+def test_malformed_input_exits_two_naming_the_file(world, tmp_path, capsys, name, content, line, key, argv):
     bad = tmp_path / name
     bad.write_bytes(content)
     args = argv(world, str(bad))
@@ -502,6 +523,7 @@ def test_malformed_input_exits_two_naming_the_file(world, tmp_path, capsys, name
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert (str(bad) if line is None else f"{bad}:{line}:") in err
+    assert key is None or repr(key) in err
     assert not (tmp_path / "run" / "manifest.json").exists()
 
 

@@ -164,6 +164,18 @@ def test_causal_visual_flag_drops_the_block():
     np.testing.assert_array_equal(allow, np.tril(allow))
 
 
+@pytest.mark.parametrize("causal_visual", [False, True])
+def test_layout_mask_rows_from_any_start(causal_visual):
+    lm = tiny_lm(causal_visual=causal_visual)
+    seq = assemble(visual(3), "the slide", "tumor", vocab())
+    t, p = seq.total_len, seq.n_prefix
+    want = np.tril(np.ones((t, t), dtype=bool))
+    if not causal_visual:
+        want[:p, :p] = True
+    for start in range(t + 1):
+        np.testing.assert_array_equal(lm._layout_mask(seq, start), want[start:])
+
+
 def test_visual_attention_flag_changes_forward():
     seq = assemble(visual(4), "the slide", None, vocab())
     a, _ = tiny_lm().forward(seq)
@@ -267,6 +279,15 @@ def test_generation_stops_at_eos():
     assert trace.values.shape == (0, 0, 2, 2)
 
 
+def test_immediate_eos_still_traces_every_layer():
+    lm = tiny_lm()
+    lm.head.bias.value.data[EOS] = 1e3
+    seq = assemble(visual(3), "the slide", None, vocab())
+    out, trace = lm.generate(seq, max_len=5)
+    assert out == []
+    assert trace.values.shape == (0, 2, 2, 3)
+
+
 def test_max_len_one_emits_one_token():
     lm = tiny_lm()
     seq = assemble(visual(2), "the slide", None, vocab())
@@ -348,3 +369,111 @@ def test_batched_masked_attention_matches_per_head_oracle():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert len(capture) == 1 and capture[0].shape == (heads, t, t)
     np.testing.assert_allclose(capture[0], np.stack(weights), rtol=0, atol=1e-12)
+
+
+# -- cached decoding against the full-forward oracle ------------------------------------
+
+
+def full_forward_greedy(lm, seq, max_len):
+    """Greedy decoding without a cache: one full forward per token, then one
+    more over the whole sequence for the trace. Returns the ids, the trace
+    values and the last-row logits of every step."""
+    generated, last_logits = [], []
+    hit_eos = False
+    for _ in range(max_len):
+        probe = MultimodalSequence(seq.visual, seq.prompt_ids, generated)
+        probe.ids = probe.ids[:-1]  # the EOS the assembly appends is not input yet
+        logits, _ = lm.forward(probe)
+        last_logits.append(logits.data[-1])
+        next_id = int(np.argmax(logits.data[-1]))
+        if next_id == EOS:
+            hit_eos = True
+            break
+        generated.append(next_id)
+    final = MultimodalSequence(seq.visual, seq.prompt_ids, generated)
+    if not hit_eos:
+        final.ids = final.ids[:-1]
+    _, recorded = lm.forward(final, capture_attention=True)
+    n = seq.n_visual
+    gen_start = final.text_start + 1 + len(seq.prompt_ids)
+    values = np.zeros((len(generated), lm.cfg.layers, lm.cfg.heads, n))
+    for g in range(len(generated)):
+        for layer, att in enumerate(recorded):
+            values[g, layer] = att[:, gen_start + g, 1 : 1 + n]
+    return generated, values, last_logits
+
+
+def assert_matches_oracle(lm, seq, max_len):
+    want_ids, want_trace, _ = full_forward_greedy(lm, seq, max_len)
+    ids, trace = lm.generate(seq, max_len=max_len)
+    assert ids == want_ids
+    assert trace.values.shape == want_trace.shape
+    np.testing.assert_allclose(trace.values, want_trace, rtol=0, atol=1e-12)
+    plain, none = lm.generate(seq, max_len=max_len, capture_attention=False)
+    assert plain == want_ids and none is None
+    return ids
+
+
+@pytest.mark.parametrize("kw,max_len,tokens", [
+    ({}, 6, 6),
+    ({"causal_visual": True}, 6, 6),
+    ({"tied_head": True}, 6, 6),
+    ({"layers": 0}, 6, 3),  # this model emits EOS after three tokens
+    ({}, 1, 1),
+], ids=["default", "causal-visual", "tied-head", "no-layers", "max-len-1"])
+def test_cached_generate_matches_full_forward_oracle(kw, max_len, tokens):
+    seq = assemble(visual(3), "the slide shows", None, vocab())
+    assert len(assert_matches_oracle(tiny_lm(**kw), seq, max_len)) == tokens
+
+
+def test_cached_generate_matches_oracle_when_eos_comes_mid_decode():
+    lm = tiny_lm()
+    seq = assemble(visual(3), "the slide shows", None, vocab())
+    _, _, last_logits = full_forward_greedy(lm, seq, 6)
+    # Raise the EOS logit until it wins at the step where it trails least.
+    margins = [np.delete(row, EOS).max() - row[EOS] for row in last_logits]
+    k = int(np.argmin(margins))
+    assert 0 < k < 5
+    lm.head.bias.value.data[EOS] += (margins[k] + min(margins[:k])) / 2
+    assert len(assert_matches_oracle(lm, seq, 6)) == k
+
+
+def test_cached_decode_runs_one_row_per_step(monkeypatch):
+    lm = tiny_lm()
+    seq = assemble(visual(3), "the slide shows", None, vocab())
+    calls = []
+    forward = lm.forward
+
+    def spy(s, capture_attention=False, cache=None):
+        before = cache.length
+        logits, att = forward(s, capture_attention, cache)
+        shapes = None if att is None else [a.shape for a in att]
+        calls.append((before, cache.length, logits.shape[0], shapes))
+        return logits, att
+
+    monkeypatch.setattr(lm, "forward", spy)
+    ids, _ = lm.generate(seq, max_len=5)
+    assert len(ids) == 5
+    m = seq.total_len
+    prefill, *steps, trace = calls
+    assert prefill == (0, m, m, None)
+    assert steps == [(m + i, m + i + 1, 1, None) for i in range(4)]
+    assert trace == (m, m + 5, 5, [(2, 5, m + 5)] * 2)
+
+
+def test_cached_forward_row_matches_full_forward():
+    lm = tiny_lm()
+    v = vocab()
+    prompt = assemble(visual(3), "the slide", None, v)
+    longer = assemble(visual(3), "the slide shows", None, v)
+    cache = lm.empty_cache()
+    lm.forward(prompt, cache=cache)
+    m = prompt.total_len
+    logits, att = lm.forward(longer, capture_attention=True, cache=cache)
+    full_logits, full_att = lm.forward(longer, capture_attention=True)
+    assert cache.length == m + 1
+    assert logits.shape == (1, len(SPECIALS) + len(WORDS))
+    np.testing.assert_allclose(logits.data[0], full_logits.data[m], rtol=0, atol=1e-12)
+    for got, want in zip(att, full_att, strict=True):
+        assert got.shape == (2, 1, m + 1)
+        np.testing.assert_allclose(got[:, 0], want[:, m], rtol=0, atol=1e-12)

@@ -205,6 +205,22 @@ def test_gather_scatter_concat_round_trips():
         concat([Tensor([1.0])], axis=2)
 
 
+def test_gelu_matches_pow_form():
+    # The op spells x**3 and x**2 as products; the textbook pow form is the oracle.
+    x = stream(3, "gelu").normal(scale=3.0, size=(1040, 64))
+    x[0, :3] = [0.0, -12.0, 12.0]
+    a = Tensor(x, requires_grad=True)
+    out = a.gelu()
+    out.sum().backward()
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    want = 0.5 * x * (1.0 + t)
+    want_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x**2)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
+    # The derivative crosses zero near x = -0.75; there only an absolute bound means anything.
+    np.testing.assert_allclose(a.grad, want_grad, rtol=1e-12, atol=1e-15)
+
+
 # -- optimizer -------------------------------------------------------------------
 
 
