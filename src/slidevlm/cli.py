@@ -175,8 +175,9 @@ def _cmd_encode(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
-    rows = read_jsonl(args.samples, dict.fromkeys(("slide_id", "kind", "prompt", "target"), str))
-    samples = [TrainSample(**r) for r in rows]
+    samples = read_jsonl(
+        args.samples, dict.fromkeys(("slide_id", "kind", "prompt", "target"), str), TrainSample
+    )
     slides_dir = Path(args.slides_dir)
     slides = {}
     for s in samples:
@@ -304,8 +305,9 @@ def _cmd_interpret(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_curate(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
-    rows = read_jsonl(args.reports, {"patient_id": str, "report_text": str, "slide_ids": list[str]})
-    reports = [ReportRecord(**r) for r in rows]
+    reports = read_jsonl(
+        args.reports, {"patient_id": str, "report_text": str, "slide_ids": list[str]}, ReportRecord
+    )
     client = _chat_client(cfg, args.replay, True, "curate without --replay")
     filter_clients = None
     if args.filter_replay:

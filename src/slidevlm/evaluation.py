@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .jsonio import read_jsonl, write_jsonl
 from .numerics import UsageError, stream
-from .slide_io import PatchGrid, Raster, extract_patch, thumbnail
+from .slide_io import PatchGrid, Raster, thumbnail
 
 # -- tokenization -------------------------------------------------------------------
 
@@ -263,7 +263,7 @@ def save_records(path, records: Sequence[QARecord]) -> None:
 
 def load_records(path) -> list[QARecord]:
     """Read line-delimited records; unknown or missing keys and wrongly typed values are errors."""
-    return [QARecord(**row) for row in read_jsonl(path, _RECORD_SCHEMA)]
+    return read_jsonl(path, _RECORD_SCHEMA, QARecord)
 
 
 # -- choice extraction --------------------------------------------------------------
@@ -461,10 +461,11 @@ def majority_vote_baseline(
     rng = stream(seed, "majority-vote")
     k = min(k_patches, len(tissue))
     picked = sorted(rng.choice(len(tissue), size=k, replace=False).tolist())
+    ps = grid.patch_size
     votes = []
     for index in picked:
         entry = tissue[index]
-        patch = Raster.from_pixels(extract_patch(raster, entry, grid.patch_size))
+        patch = Raster.from_pixels(raster.pixels[entry.y : entry.y + ps, entry.x : entry.x + ps])
         choice = extract_choice(model(patch), options)
         if choice is not None:
             votes.append(choice)

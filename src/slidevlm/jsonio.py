@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .numerics import UsageError
 
@@ -27,10 +27,12 @@ def read_json(path) -> dict[str, Any]:
     return obj
 
 
-def read_jsonl(path, schema: Mapping[str, type]) -> list[dict[str, Any]]:
+def read_jsonl(path, schema: Mapping[str, type], build: Callable[..., Any] | None = None) -> list[Any]:
     """One JSON object per non-blank line, with exactly the keys of `schema`.
 
-    Each value must have its key's type: `str`, say, or `list[str]`.
+    Each value must have its key's type: `str`, say, or `list[str]`. With
+    `build`, each row becomes `build(**row)`, and a UsageError it raises
+    names the line too.
     """
     rows = []
     with open(path, "rb") as fh:
@@ -50,6 +52,11 @@ def read_jsonl(path, schema: Mapping[str, type]) -> list[dict[str, Any]]:
                     want = kind if hasattr(kind, "__args__") else kind.__name__
                     got = type(row[key]).__name__
                     raise UsageError(f"{path}:{lineno}: {key!r} must be {want}, got {got}")
+            if build is not None:
+                try:
+                    row = build(**row)
+                except UsageError as exc:
+                    raise UsageError(f"{path}:{lineno}: {exc}") from exc
             rows.append(row)
     return rows
 

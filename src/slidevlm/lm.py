@@ -4,12 +4,16 @@ Sequences carry a visual prefix: [IMG_START, v_1..v_N, IMG_END, BOS,
 prompt..., answer..., EOS]. The loss mask covers the answer span plus
 EOS only. Text positions attend causally; every text position sees every
 visual position; visual positions attend bidirectionally among
-themselves unless the fully-causal flag is set. Generation is greedy
-with ties broken by the lowest token id: one prefill forward over the
-prompt fills a key/value cache, then each further token runs one cached
-row. The attention trace, from each generated token to every visual
-position, comes from one more forward over just the generated rows
-against the cache as the prefill left it.
+themselves unless the fully-causal flag is set, so the prefix rows
+(IMG_START, visual tokens, IMG_END) never see text: their keys and values
+depend only on the visual tokens and the weights.
+
+Generation is greedy with ties broken by the lowest token id, and keeps
+no autodiff tape. It starts from a snapshot of the prefix rows' key/value
+cache, one prefill forward over BOS and the prompt extends it, then each
+further token runs one cached row. The attention trace, from each
+generated token to every visual position, comes from one more forward
+over just the generated rows against the cache as the prefill left it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .numerics import (
     concat,
     cross_entropy,
     masked_softmax,
+    no_grad,
     stream,
     take_rows,
 )
@@ -268,6 +273,17 @@ class DecoderLM:
             allow[: max(p - start, 0), :p] = True
         return allow
 
+    def _visual_rows(self, visual) -> Tensor:
+        """Input rows 0..N+1: IMG_START, the visual tokens, IMG_END."""
+        if not isinstance(visual, Tensor):
+            visual = Tensor(np.asarray(visual, dtype=np.float64))
+        if visual.shape[1] != self.cfg.dim:
+            raise UsageError(
+                f"visual token dim {visual.shape[1]} != model dim {self.cfg.dim}"
+            )
+        marks = take_rows(self.tok_embed.value, [IMG_START, IMG_END])
+        return concat([marks.rows(0, 1), visual, marks.rows(1, 2)], axis=0)
+
     def _embed(self, seq: MultimodalSequence, start: int = 0) -> Tensor:
         """Input rows start..T-1."""
         n_text = seq.total_len - seq.text_start
@@ -275,23 +291,32 @@ class DecoderLM:
             raise UsageError(
                 f"text span {n_text} exceeds max positions {self.cfg.max_positions}"
             )
-        if start >= seq.text_start:  # text rows only: token plus position from BOS
-            return take_rows(self.tok_embed.value, seq.ids[start:]) + take_rows(
-                self.pos_embed.value, range(start - seq.text_start, n_text)
-            )
-        visual = seq.visual if isinstance(seq.visual, Tensor) else Tensor(np.asarray(seq.visual, dtype=np.float64))
-        if visual.shape[1] != self.cfg.dim:
-            raise UsageError(
-                f"visual token dim {visual.shape[1]} != model dim {self.cfg.dim}"
-            )
-        tail_ids = seq.ids[seq.n_visual + 1 :].tolist()
-        img_start = take_rows(self.tok_embed.value, [IMG_START])
-        tail = take_rows(self.tok_embed.value, tail_ids)
-        # tail = [IMG_END, BOS, text...]; positions start at BOS.
-        img_end = tail.rows(0, 1)
-        text = tail.rows(1, tail.shape[0]) + take_rows(self.pos_embed.value, range(n_text))
-        x = concat([img_start, visual, img_end, text], axis=0)
+        # Text rows carry a token plus a position counted from BOS.
+        first = max(start, seq.text_start)
+        text = take_rows(self.tok_embed.value, seq.ids[first:]) + take_rows(
+            self.pos_embed.value, range(first - seq.text_start, n_text)
+        )
+        if start >= seq.text_start:
+            return text
+        x = concat([self._visual_rows(seq.visual), text], axis=0)
         return x.rows(start, seq.total_len) if start else x
+
+    @no_grad()
+    def prefix_cache(self, visual) -> KVCache:
+        """The cache of rows 0..N+1: IMG_START, the visual tokens, IMG_END.
+
+        Those rows never attend to text, so their keys and values depend
+        only on the visual tokens and the weights, and every prompt about
+        one slide can start from the same cache.
+        """
+        x = self._visual_rows(visual)
+        p = x.shape[0]
+        allow = np.tri(p, dtype=bool) if self.cfg.causal_visual else np.ones((p, p), dtype=bool)
+        cache = self.empty_cache()
+        for block, past in zip(self.blocks, cache.kv):
+            x = block(x, allow, None, past)
+        cache.length = p
+        return cache
 
     def forward(
         self, seq: MultimodalSequence, capture_attention: bool = False, cache: KVCache | None = None
@@ -326,17 +351,31 @@ class DecoderLM:
             logits.rows(0, t - 1), seq.ids[1:], seq.loss_mask[1:]
         )
 
+    @no_grad()
     def generate(
-        self, seq: MultimodalSequence, max_len: int = 32, capture_attention: bool = True
+        self,
+        seq: MultimodalSequence,
+        max_len: int = 32,
+        capture_attention: bool = True,
+        prefix: KVCache | None = None,
     ) -> tuple[list[int], AttentionTrace | None]:
-        """Greedy decode; returns generated ids (EOS excluded) and the trace."""
+        """Greedy decode; returns generated ids (EOS excluded) and the trace.
+
+        Decoding starts from a snapshot of `prefix`, the `prefix_cache` of
+        the sequence's visual tokens (computed here when not given), so
+        the prefill runs only BOS and the prompt.
+        """
         if max_len < 1:
             raise UsageError("max_len must be >= 1")
         if seq.answer_ids is not None:
             raise UsageError("generation starts from a sequence without an answer")
-        cache = self.empty_cache()
-        logits, _ = self.forward(seq, cache=cache)  # prefill over the prompt
-        prefix = cache.snapshot()
+        if prefix is None:
+            prefix = self.prefix_cache(seq.visual)
+        if prefix.length != seq.n_prefix:
+            raise UsageError(f"prefix cache holds {prefix.length} rows, not {seq.n_prefix}")
+        cache = prefix.snapshot()
+        logits, _ = self.forward(seq, cache=cache)  # prefill BOS and the prompt
+        prompted = cache.snapshot()
         generated: list[int] = []
         while (next_id := int(np.argmax(logits.data[-1]))) != EOS:
             generated.append(next_id)
@@ -348,7 +387,7 @@ class DecoderLM:
         if not capture_attention:
             return generated, None
         final = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
-        _, recorded = self.forward(final, capture_attention=True, cache=prefix)
+        _, recorded = self.forward(final, capture_attention=True, cache=prompted)
         # [layers, heads, generated, T] -> [generated, layers, heads, visual]
         shape = (self.cfg.layers, self.cfg.heads, len(generated), final.total_len)
         layers = np.array(recorded).reshape(shape)[..., seq.visual_slice()]

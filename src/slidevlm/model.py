@@ -5,6 +5,13 @@ projector, lm) so the training stages can freeze and thaw them as sets.
 The patch encoder group is permanently frozen. With the bypass flag the
 slide encoder is never constructed and patch features feed the projector
 directly.
+
+Generation keeps no autodiff tape and remembers the last slide's visual
+prefix: its visual tokens and the decoder's key/value cache of the prefix
+rows. A request reuses it only when the slide's features, its coordinates
+and every parameter array equal the copies it was computed from, so a
+weight or feature edited in place (an optimizer step, `load_tensors`)
+recomputes it. A round of questions about one slide encodes it once.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from .encoders import (
     SlideEncoderConfig,
 )
 from .interpret import AttentionTrace
-from .lm import DecoderConfig, DecoderLM, MultimodalSequence, Vocab, assemble
-from .numerics import Parameter, Tensor, UsageError
+from .lm import DecoderConfig, DecoderLM, KVCache, MultimodalSequence, Vocab, assemble
+from .numerics import Parameter, Tensor, UsageError, no_grad
 
 __all__ = ["ModelConfig", "SlideVLM", "SlideInputs"]
 
@@ -63,6 +70,16 @@ class SlideInputs:
     coords: list[tuple[int, int]] | None = None
 
 
+@dataclass
+class _Prefix:
+    """One slide's visual tokens and the decoder cache of its prefix rows,
+    with copies of the arrays they were computed from."""
+
+    sources: list[np.ndarray]
+    visual: Tensor
+    cache: KVCache
+
+
 class SlideVLM:
     """Pipeline model over one slide's patch features and a text prompt."""
 
@@ -89,6 +106,7 @@ class SlideVLM:
             ),
             seed=seed,
         )
+        self._prefix: _Prefix | None = None
 
     def params(self) -> list[Parameter]:
         out = list(self.patch_encoder.params())
@@ -131,6 +149,20 @@ class SlideVLM:
     def loss(self, inputs: SlideInputs, prompt: str, answer: str) -> Tensor:
         return self.lm.loss(self.sequence(inputs, prompt, answer))
 
+    def _slide_prefix(self, inputs: SlideInputs) -> _Prefix:
+        """The visual prefix of `inputs`, recomputed unless the last one was
+        computed from equal features, coordinates and parameters."""
+        coords = np.array([] if inputs.coords is None else inputs.coords, dtype=np.int64)
+        sources = [inputs.embeddings.values, coords, *(p.value.data for p in self.params())]
+        entry = self._prefix
+        if entry is None or not all(map(np.array_equal, entry.sources, sources)):
+            self._prefix = None  # let the old entry go before building the new one
+            with no_grad():
+                visual = self.visual_tokens(inputs)
+            entry = _Prefix([a.copy() for a in sources], visual, self.lm.prefix_cache(visual))
+            self._prefix = entry
+        return entry
+
     def generate(
         self,
         inputs: SlideInputs,
@@ -138,8 +170,12 @@ class SlideVLM:
         max_len: int = 32,
         capture_attention: bool = True,
     ) -> tuple[str, AttentionTrace | None]:
-        seq = self.sequence(inputs, prompt, None)
-        ids, trace = self.lm.generate(seq, max_len=max_len, capture_attention=capture_attention)
+        """Greedy answer to `prompt` about the slide, and its attention trace."""
+        entry = self._slide_prefix(inputs)
+        seq = assemble(entry.visual, prompt, None, self.vocab)
+        ids, trace = self.lm.generate(
+            seq, max_len=max_len, capture_attention=capture_attention, prefix=entry.cache
+        )
         if trace is not None and inputs.coords is not None:
             trace.coords = list(inputs.coords)
         if trace is not None:

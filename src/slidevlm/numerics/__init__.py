@@ -10,6 +10,7 @@ from .tensor import (
     cross_entropy,
     masked_logsumexp,
     masked_softmax,
+    no_grad,
     put_rows,
     softmax,
     take_rows,
@@ -26,6 +27,7 @@ __all__ = [
     "load_checkpoint",
     "masked_logsumexp",
     "masked_softmax",
+    "no_grad",
     "put_rows",
     "save_checkpoint",
     "softmax",

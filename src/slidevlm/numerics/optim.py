@@ -14,14 +14,15 @@ class Parameter:
 
     Frozen parameters never accumulate gradient and are skipped by the
     optimizer, so their bytes are identical before and after any number
-    of steps.
+    of steps. The gradient buffer is allocated on first use, so a model
+    that only runs inference holds none.
     """
 
     def __init__(self, name: str, value, trainable: bool = True):
         self.name = name
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.value.requires_grad = bool(trainable)
-        self.value.grad = np.zeros_like(self.value.data)
+        self.value.grad = None
 
     @property
     def trainable(self) -> bool:

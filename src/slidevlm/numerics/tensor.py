@@ -5,10 +5,14 @@ scale: row-major numpy storage, a taped backward pass, and the handful
 of fused ops (masked softmax, cross entropy, row gather/scatter) that
 the attention stacks need. Every public operation checks that its
 output is finite, so numerical blowups surface at the op that caused
-them instead of three modules later.
+them instead of three modules later. Under `no_grad()` operations keep
+no tape: their results have no parents and need no gradient.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -22,11 +26,34 @@ __all__ = [
     "softmax",
     "take_rows",
     "put_rows",
+    "no_grad",
 ]
 
 
 class UsageError(ValueError):
     """A caller violated an operation's precondition."""
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Compute without a tape on this thread, e.g. for inference.
+
+    Results made inside keep no parents and no backward closure, even when
+    their inputs require grad, so nothing they were computed from is held.
+    """
+    before = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = before
 
 
 def _as_array(value) -> np.ndarray:
@@ -68,7 +95,7 @@ class Tensor:
         if not np.all(np.isfinite(out.data)):
             raise UsageError("operation produced non-finite values")
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -102,9 +129,6 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -247,10 +247,6 @@ def tile_slide(
     return PatchGrid(patch_size, raster.width, raster.height, entries)
 
 
-def extract_patch(raster: Raster, entry: GridEntry, patch_size: int) -> np.ndarray:
-    return raster.pixels[entry.y : entry.y + patch_size, entry.x : entry.x + patch_size]
-
-
 # -- thumbnails --------------------------------------------------------------------
 
 

@@ -454,10 +454,14 @@ _RECORD_INT_OPTIONS = json.dumps({
     "id": "r0", "slide_id": "s1", "question": "q", "options": [1, 2], "answer": "A",
     "qtype": "multi-choice", "broad": NARROW_TO_BROAD[_NARROW], "narrow": _NARROW,
 }).encode() + b"\n"
+_RECORD_ESSAY = json.dumps({
+    "id": "r0", "slide_id": "s1", "question": "q", "options": [], "answer": "text",
+    "qtype": "essay", "broad": NARROW_TO_BROAD[_NARROW], "narrow": _NARROW,
+}).encode() + b"\n"
 
 
-# (case, bad file name, its bytes, line the error must name or None, key it must name or None,
-#  argv given the bad path)
+# (case, bad file name, its bytes, line the error must name or None, key or value it must name
+#  or None, argv given the bad path)
 MALFORMED = [
     ("samples-invalid-json", "samples.jsonl",
      b'{"slide_id": "s1", "kind": "vqa", "prompt": "p", "target": "t"}\n\n{"slide_id": \n', 3, None,
@@ -507,6 +511,14 @@ MALFORMED = [
     ("emb-short-header", "s1.emb", b"SVLMEMB1\x02\x00", None, None,
      lambda w, bad: ["infer", "--checkpoint", str(w["train2"] / "stage2_best.ckpt"),
                      "--vocab", str(w["train2"] / "vocab.txt"), "--emb", bad, "--prompt", "is tumor present"]),
+    ("records-qtype-essay", "records.jsonl", b"\n" + _RECORD_ESSAY, 2, "essay",
+     lambda w, bad: ["vqa-eval", "--records", bad, "--predictions", bad]),
+    ("samples-kind-essay", "samples.jsonl",
+     b'{"slide_id": "s1", "kind": "essay", "prompt": "p", "target": "t"}\n', 1, "essay",
+     lambda w, bad: ["train", "--stage", "1", "--samples", bad, "--slides-dir", str(w["slides"])]),
+    ("reports-no-slides", "reports.jsonl",
+     b'{"patient_id": "p1", "report_text": "r", "slide_ids": []}\n', 1, "p1",
+     lambda w, bad: _curate_argv(w, reports=bad)),
 ]
 
 

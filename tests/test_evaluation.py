@@ -449,6 +449,10 @@ def test_majority_vote_counts_and_votes():
     answer = majority_vote_baseline(raster, grid, model, OPTIONS, k_patches=30, seed=0)
     assert len(calls) == 4  # only 4 tissue patches exist; k clamps
     assert all(p.width == 224 and p.height == 224 for p in calls)
+    # Each vote sees the pixels under its grid entry, in grid order.
+    for patch, e in zip(calls, grid.tissue_entries(), strict=True):
+        np.testing.assert_array_equal(patch.pixels, raster.pixels[e.y : e.y + 224, e.x : e.x + 224])
+    assert len({p.pixels.tobytes() for p in calls}) == 4
     assert answer == "A"  # 2-2 tie breaks alphabetically
 
 

@@ -454,9 +454,9 @@ def test_cached_decode_runs_one_row_per_step(monkeypatch):
     monkeypatch.setattr(lm, "forward", spy)
     ids, _ = lm.generate(seq, max_len=5)
     assert len(ids) == 5
-    m = seq.total_len
+    m, p = seq.total_len, seq.n_prefix
     prefill, *steps, trace = calls
-    assert prefill == (0, m, m, None)
+    assert prefill == (p, m, m - p, None)  # BOS and the prompt only
     assert steps == [(m + i, m + i + 1, 1, None) for i in range(4)]
     assert trace == (m, m + 5, 5, [(2, 5, m + 5)] * 2)
 

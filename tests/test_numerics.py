@@ -19,6 +19,7 @@ from slidevlm.numerics import (
     load_checkpoint,
     masked_logsumexp,
     masked_softmax,
+    no_grad,
     put_rows,
     save_checkpoint,
     softmax,
@@ -175,6 +176,34 @@ def test_frozen_tensor_accumulates_no_gradient():
     ((x * frozen).sum()).backward()
     np.testing.assert_allclose(x.grad, frozen.data)
     assert frozen.grad is None or not frozen.grad.any()
+
+
+def test_no_grad_results_keep_no_tape():
+    w = Parameter("w", np.arange(6.0).reshape(3, 2))
+    x = Tensor(np.ones((4, 3)))
+    with no_grad():
+        out = concat([take_rows(x @ w.value, [0, 2]).gelu(), x.rows(0, 1) @ w.value], axis=0)
+        loss = masked_softmax(out, np.ones(out.shape, dtype=bool)).sum()
+    for t in (out, loss):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+    with pytest.raises(UsageError):
+        loss.backward()
+    with no_grad(), np.errstate(divide="ignore"), pytest.raises(UsageError):
+        Tensor([1.0], requires_grad=True) / 0.0  # the finiteness check stays
+    taped = (x @ w.value).sum()
+    assert taped.requires_grad and taped._parents
+
+
+def test_no_grad_restores_the_flag_after_nesting_and_errors():
+    w = Tensor([2.0], requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not (w * 3.0).requires_grad
+        assert not (w * 3.0).requires_grad
+    assert (w * 3.0).requires_grad
+    with pytest.raises(RuntimeError), no_grad():
+        raise RuntimeError("boom")
+    assert (w * 3.0).requires_grad
 
 
 def test_transpose_and_matmul_shapes():

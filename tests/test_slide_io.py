@@ -13,7 +13,6 @@ from slidevlm.slide_io import (
     Region,
     SlideSpec,
     box_weights,
-    extract_patch,
     read_raster,
     saturation,
     synth_slide,
@@ -269,13 +268,3 @@ def test_synth_slide_rejects_overlap_and_misalignment():
         synth_slide(0, SlideSpec(regions=[Region("a", 10, 0, 224, 224)]))
     with pytest.raises(UsageError):
         synth_slide(0, SlideSpec(regions=[Region("a", 448, 0, 224, 224)]))
-
-
-def test_extract_patch_geometry():
-    spec = SlideSpec(regions=[Region("tumor", 224, 224, 224, 224)])
-    raster, _ = synth_slide(1, spec)
-    grid = tile_slide(raster)
-    entry = [e for e in grid.entries if (e.row, e.col) == (1, 1)][0]
-    patch = extract_patch(raster, entry, 224)
-    assert patch.shape == (224, 224, 3)
-    np.testing.assert_array_equal(patch, raster.pixels[224:, 224:])
