@@ -28,7 +28,7 @@ from .encoders import (
     SlideEncoderConfig,
 )
 from .interpret import AttentionTrace
-from .lm import DecoderConfig, DecoderLM, KVCache, MultimodalSequence, Vocab, assemble
+from .lm import DecoderConfig, DecoderLM, KVCache, Vocab, assemble
 from .numerics import Parameter, Tensor, UsageError, no_grad
 
 __all__ = ["ModelConfig", "SlideVLM", "SlideInputs"]
@@ -141,13 +141,8 @@ class SlideVLM:
             return self.projector(inputs.embeddings.values)
         return self.projector(self.slide_encoder(inputs.embeddings, inputs.coords))
 
-    def sequence(
-        self, inputs: SlideInputs, prompt: str, answer: str | None
-    ) -> MultimodalSequence:
-        return assemble(self.visual_tokens(inputs), prompt, answer, self.vocab)
-
     def loss(self, inputs: SlideInputs, prompt: str, answer: str) -> Tensor:
-        return self.lm.loss(self.sequence(inputs, prompt, answer))
+        return self.lm.loss(assemble(self.visual_tokens(inputs), prompt, answer, self.vocab))
 
     def _slide_prefix(self, inputs: SlideInputs) -> _Prefix:
         """The visual prefix of `inputs`, recomputed unless the last one was
