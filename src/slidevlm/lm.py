@@ -264,12 +264,11 @@ class DecoderLM:
         none = np.zeros((self.cfg.heads, 0, self.cfg.head_dim))
         return KVCache(0, [[none, none] for _ in self.blocks])
 
-    def _layout_mask(self, seq: MultimodalSequence, start: int = 0) -> np.ndarray:
-        """Rows start..T-1 of the [T, T] mask of which positions each may see."""
-        t = seq.total_len
+    def _layout_mask(self, t: int, p: int, start: int = 0) -> np.ndarray:
+        """Rows start..t-1 of the [t, t] mask of which positions each may
+        see, for a sequence whose first p positions are the visual prefix."""
         allow = np.tri(t - start, t, start, dtype=bool)
         if not self.cfg.causal_visual:
-            p = seq.n_prefix
             allow[: max(p - start, 0), :p] = True
         return allow
 
@@ -311,7 +310,7 @@ class DecoderLM:
         """
         x = self._visual_rows(visual)
         p = x.shape[0]
-        allow = np.tri(p, dtype=bool) if self.cfg.causal_visual else np.ones((p, p), dtype=bool)
+        allow = self._layout_mask(p, p)
         cache = self.empty_cache()
         for block, past in zip(self.blocks, cache.kv):
             x = block(x, allow, None, past)
@@ -329,7 +328,7 @@ class DecoderLM:
         """
         start = 0 if cache is None else cache.length
         x = self._embed(seq, start)
-        allow = self._layout_mask(seq, start)
+        allow = self._layout_mask(seq.total_len, seq.n_prefix, start)
         capture: list | None = [] if capture_attention else None
         for i, block in enumerate(self.blocks):
             x = block(x, allow, capture, None if cache is None else cache.kv[i])

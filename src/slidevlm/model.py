@@ -11,7 +11,11 @@ prefix: its visual tokens and the decoder's key/value cache of the prefix
 rows. A request reuses it only when the slide's features, its coordinates
 and every parameter array equal the copies it was computed from, so a
 weight or feature edited in place (an optimizer step, `load_tensors`)
-recomputes it. A round of questions about one slide encodes it once.
+recomputes it, and only when the functions that computed it (the slide
+encoder's, the projector's and `DecoderLM.prefix_cache`) are still the
+ones in place, so a wrapped or replaced stage recomputes it too. The
+copies take as much memory as the weights and one slide's features. A
+round of questions about one slide encodes it once.
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ class SlideInputs:
 @dataclass
 class _Prefix:
     """One slide's visual tokens and the decoder cache of its prefix rows,
-    with copies of the arrays they were computed from."""
+    with copies of the arrays and the functions they were computed from."""
 
+    code: list
     sources: list[np.ndarray]
     visual: Tensor
     cache: KVCache
@@ -146,15 +151,22 @@ class SlideVLM:
 
     def _slide_prefix(self, inputs: SlideInputs) -> _Prefix:
         """The visual prefix of `inputs`, recomputed unless the last one was
-        computed from equal features, coordinates and parameters."""
+        computed by the same functions from equal features, coordinates and
+        parameters."""
+        stages = [m for m in (self.slide_encoder, self.projector) if m is not None]
+        code = [type(m).__call__ for m in stages] + [type(self.lm).prefix_cache]
         coords = np.array([] if inputs.coords is None else inputs.coords, dtype=np.int64)
         sources = [inputs.embeddings.values, coords, *(p.value.data for p in self.params())]
         entry = self._prefix
-        if entry is None or not all(map(np.array_equal, entry.sources, sources)):
+        if (
+            entry is None
+            or entry.code != code
+            or not all(map(np.array_equal, entry.sources, sources))
+        ):
             self._prefix = None  # let the old entry go before building the new one
             with no_grad():
                 visual = self.visual_tokens(inputs)
-            entry = _Prefix([a.copy() for a in sources], visual, self.lm.prefix_cache(visual))
+            entry = _Prefix(code, [a.copy() for a in sources], visual, self.lm.prefix_cache(visual))
             self._prefix = entry
         return entry
 

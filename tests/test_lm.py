@@ -149,7 +149,7 @@ def test_empty_visual_rejected():
 def test_prefix_block_is_bidirectional_by_default():
     lm = tiny_lm()
     seq = assemble(visual(3), "the slide", "tumor", vocab())
-    allow = lm._layout_mask(seq)
+    allow = lm._layout_mask(seq.total_len, seq.n_prefix)
     p = seq.n_prefix
     assert allow[:p, :p].all()  # visual block sees itself fully
     assert not allow[p, p + 1]  # text stays causal
@@ -159,7 +159,7 @@ def test_prefix_block_is_bidirectional_by_default():
 def test_causal_visual_flag_drops_the_block():
     lm = tiny_lm(causal_visual=True)
     seq = assemble(visual(3), "the slide", "tumor", vocab())
-    allow = lm._layout_mask(seq)
+    allow = lm._layout_mask(seq.total_len, seq.n_prefix)
     assert not allow[1, 2]  # earlier visual position cannot see a later one
     np.testing.assert_array_equal(allow, np.tril(allow))
 
@@ -173,7 +173,7 @@ def test_layout_mask_rows_from_any_start(causal_visual):
     if not causal_visual:
         want[:p, :p] = True
     for start in range(t + 1):
-        np.testing.assert_array_equal(lm._layout_mask(seq, start), want[start:])
+        np.testing.assert_array_equal(lm._layout_mask(t, p, start), want[start:])
 
 
 def test_visual_attention_flag_changes_forward():

@@ -106,6 +106,19 @@ def test_changed_weights_or_slide_recompute_the_prefix(monkeypatch, edit):
     assert not np.array_equal(got[1].values, before[1].values)
 
 
+def test_a_wrapped_stage_recomputes_the_prefix(monkeypatch):
+    # A prefix computed before a stage was wrapped would skip the wrapper.
+    slide = one_slide(seed=1)
+    model = tiny_model(seed=4)
+    before = model.generate(slide, PROMPTS[0], max_len=5)
+    encodes = spy_on(monkeypatch, SlideEncoder)
+    projections = spy_on(monkeypatch, Projector)
+    assert_same_answer(model.generate(slide, PROMPTS[0], max_len=5), before)
+    assert (len(encodes), len(projections)) == (1, 1)
+    model.generate(slide, PROMPTS[1], max_len=5)
+    assert (len(encodes), len(projections)) == (1, 1)
+
+
 def test_a_round_of_questions_encodes_the_slide_once(monkeypatch):
     slide, other = one_slide(seed=2), one_slide(seed=3)
     model = tiny_model(seed=5)
