@@ -5,7 +5,9 @@ patch model, never trained), a sequence encoder over all patch features
 of one slide built from multi-branch dilated attention, and an affine or
 two-layer projector into the language model's embedding width. A config
 flag can bypass the slide encoder entirely, feeding patch features
-straight to the projector.
+straight to the projector. The featurizer takes the tissue tiles of one
+strip of tile rows as a batch; a single patch is a batch of one and gets
+the same bytes.
 """
 
 from __future__ import annotations
@@ -117,22 +119,38 @@ class PatchEncoder:
     def params(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def _stats(self, patch: np.ndarray) -> np.ndarray:
-        x = patch.astype(np.float64) / 255.0
-        if x.shape[2] == 1:
-            x = np.repeat(x, 3, axis=2)
-        cells = np.stack(
-            [self._cell_w @ x[:, :, c] @ self._cell_w.T for c in range(3)], axis=2
-        )
-        sat = saturation(patch)
-        return np.concatenate(
+    def _features(self, tiles: np.ndarray) -> np.ndarray:
+        """Feature rows of a batch of [n, ps, ps, channels] uint8 tiles.
+
+        Every value keeps the summation order of a one-tile call, so a
+        tile's features do not depend on its batch. numpy adds a patch's
+        pixels for `mean(axis=(0, 1))` one after another in row-major order,
+        and a running sum over each channel plane keeps that order. Cell
+        means are two matmuls per plane, the saturation mean reduces each
+        tile's contiguous map, and the projection takes one row at a time.
+        """
+        n, ps = tiles.shape[0], self.patch_size
+        if tiles.shape[3] == 1:
+            tiles = np.repeat(tiles, 3, axis=3)
+        planes = np.empty((n, 3, ps, ps))
+        np.divide(tiles.transpose(0, 3, 1, 2), 255.0, out=planes)
+        cells = (self._cell_w @ planes @ self._cell_w.T).transpose(0, 2, 3, 1)
+        flat = planes.reshape(n * 3, ps * ps)
+        mean = np.add.accumulate(flat, axis=1)[:, -1] / (ps * ps)
+        squares = np.square(flat - mean[:, None])
+        spread = np.sqrt(np.add.accumulate(squares, axis=1)[:, -1] / (ps * ps))
+        sat = saturation(tiles.reshape(n * ps, ps, 3)).reshape(n, ps * ps)
+        stats = np.concatenate(
             [
-                x.mean(axis=(0, 1)),
-                x.std(axis=(0, 1)),
-                cells.reshape(-1),
-                [sat.mean(), float(np.mean(sat > 0.08))],
-            ]
+                mean.reshape(n, 3),
+                spread.reshape(n, 3),
+                cells.reshape(n, -1),
+                sat.mean(axis=1)[:, None],
+                (np.count_nonzero(sat > 0.08, axis=1) / (ps * ps))[:, None],
+            ],
+            axis=1,
         )
+        return (stats[:, None, :] @ self.weight.value.data)[:, 0] + self.bias.value.data
 
     def encode(self, patch: np.ndarray) -> np.ndarray:
         patch = np.asarray(patch)
@@ -142,17 +160,26 @@ class PatchEncoder:
             )
         if patch.shape[2] not in (1, 3):
             raise UsageError("patch must have 1 or 3 channels")
-        return self._stats(patch) @ self.weight.value.data + self.bias.value.data
+        return self._features(patch[None])[0]
 
     def encode_grid(self, raster: Raster, grid: PatchGrid) -> EmbeddingMatrix:
-        """Featurize every tissue tile, row-major order."""
-        ps = grid.patch_size
-        rows = []
-        for entry in grid.tissue_entries():
-            patch = raster.pixels[entry.y : entry.y + ps, entry.x : entry.x + ps]
-            rows.append(self.encode(patch))
-        values = np.stack(rows) if rows else np.zeros((0, self.dim))
-        return EmbeddingMatrix(len(rows), self.dim, values)
+        """Featurize every tissue tile, row-major order, one strip of tiles at a time."""
+        ps = self.patch_size
+        if grid.patch_size != ps:
+            raise UsageError(f"grid patch size {grid.patch_size} does not match patch size {ps}")
+        strips: dict[int, list[int]] = {}
+        for e in grid.tissue_entries():
+            if e.x + ps > raster.width or e.y + ps > raster.height:
+                raise UsageError(
+                    f"tile at ({e.x},{e.y}) exceeds the {raster.width}x{raster.height} raster"
+                )
+            strips.setdefault(e.y, []).append(e.x)
+        rows = [
+            self._features(np.stack([raster.pixels[y : y + ps, x : x + ps] for x in xs]))
+            for y, xs in strips.items()
+        ]
+        values = np.concatenate(rows) if rows else np.zeros((0, self.dim))
+        return EmbeddingMatrix(len(values), self.dim, values)
 
 
 # -- dilated attention ----------------------------------------------------------

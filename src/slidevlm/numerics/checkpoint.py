@@ -8,10 +8,10 @@ float64):
     meta    u32 byte length + UTF-8 JSON (sorted keys; seed, stage, ...)
     count   u32 number of tensors
     entry*  name (u32 length + UTF-8), ndim u32, dims u32*, raw float64
-    sha256  32-byte digest of everything above (version 2 only)
+    sha256  32-byte digest of everything above
 
 Entries are sorted by name, so identical parameters always serialize to
-identical bytes. Version 1 files (no digest) still load.
+identical bytes. Any other version is rejected.
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         return struct.unpack(f"<{count}I", take(4 * count))
 
     (version,) = u32s(1)
-    if version == 2:
-        body = body[:-_DIGEST_BYTES]
-        if len(body) < pos or hashlib.sha256(body).digest() != raw[-_DIGEST_BYTES:]:
-            raise CheckpointError(f"{path}: sha256 mismatch, the file is corrupt or truncated")
-    elif version != 1:
+    if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    body = body[:-_DIGEST_BYTES]
+    if len(body) < pos or hashlib.sha256(body).digest() != raw[-_DIGEST_BYTES:]:
+        raise CheckpointError(f"{path}: sha256 mismatch, the file is corrupt or truncated")
     tensors: dict[str, np.ndarray] = {}
     try:
         meta = json.loads(bytes(take(*u32s(1))).decode("utf-8"))

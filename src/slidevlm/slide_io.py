@@ -1,14 +1,20 @@
 """Slide rasters and tiling.
 
 Rasters travel as binary PPM (P6, RGB) or PGM (P5, gray) with max value
-255. Tiling cuts non-overlapping `patch_size` squares, drops partial edge
-tiles, and flags each tile tissue/background with an HSV-saturation
-heuristic. A seeded synthetic-slide generator provides ground-truth
-fixtures for the rest of the pipeline.
+255; the reader parses the header and reads the body straight into one
+uint8 array. Tiling cuts non-overlapping `patch_size` squares, drops
+partial edge tiles, and flags each tile tissue/background with an
+HSV-saturation heuristic, one strip of `patch_size` pixel rows at a time.
+Thumbnails apply an exact box filter as a banded sum, rows then columns,
+so each output pixel reads at most ceil(scale) + 1 inputs per axis. A
+seeded synthetic-slide generator provides ground-truth fixtures for the
+rest of the pipeline.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -30,6 +36,7 @@ __all__ = [
     "saturation",
     "thumbnail",
     "letterbox",
+    "box_band",
     "box_weights",
     "synth_slide",
 ]
@@ -37,6 +44,7 @@ __all__ = [
 DEFAULT_PATCH_SIZE = 224
 DEFAULT_SATURATION_THRESHOLD = 0.08
 DEFAULT_TISSUE_FRACTION = 0.25
+_THUMBNAIL_BLOCK = 32  # output rows per pass of the banded box filter
 
 
 @dataclass
@@ -151,61 +159,86 @@ def write_raster(path, raster: Raster) -> None:
     Path(path).write_bytes(header + raster.pixels.tobytes(order="C"))
 
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comment lines between header tokens.
-    while pos < len(data):
-        c = data[pos : pos + 1]
+def _read_token(f) -> bytes:
+    """Next header token. Whitespace and '#' comment lines before it are
+    skipped, and the one whitespace byte that ends it is consumed."""
+    c = f.read(1)
+    while c == b"#" or c.isspace():
         if c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
+            while c not in (b"\n", b""):
+                c = f.read(1)
+        c = f.read(1)
+    token = b""
+    while c and not c.isspace():
+        token += c
+        c = f.read(1)
+    return token
 
 
 def read_raster(path) -> Raster:
-    data = Path(path).read_bytes()
-    magic, pos = _read_token(data, 0)
-    if magic not in (b"P5", b"P6"):
-        raise UsageError(f"{path}: unsupported raster magic {magic!r}")
-    channels = 3 if magic == b"P6" else 1
-    fields = []
-    for _ in range(3):
-        token, pos = _read_token(data, pos)
-        if not token.isdigit():
-            raise UsageError(f"{path}: header field {token!r} is not a non-negative integer")
-        fields.append(int(token))
-    width, height, maxval = fields
-    if maxval != 255:
-        raise UsageError(f"{path}: only max value 255 is supported")
-    pos += 1  # single whitespace byte after maxval
-    expected = width * height * channels
-    body = data[pos : pos + expected]
-    if len(body) != expected:
-        raise UsageError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, channels)
-    return Raster(width, height, channels, pixels.copy())
+    with open(path, "rb") as f:
+        magic = _read_token(f)
+        if magic not in (b"P5", b"P6"):
+            raise UsageError(f"{path}: unsupported raster magic {magic!r}")
+        channels = 3 if magic == b"P6" else 1
+        fields = []
+        for _ in range(3):
+            token = _read_token(f)
+            if not token.isdigit():
+                raise UsageError(f"{path}: header field {token!r} is not a non-negative integer")
+            fields.append(int(token))
+        width, height, maxval = fields
+        if maxval != 255:
+            raise UsageError(f"{path}: only max value 255 is supported")
+        expected = width * height * channels
+        # For a regular file the size check comes first, so a forged header
+        # cannot make us allocate more than the file holds; a pipe has no size.
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < expected:
+            raise UsageError(f"{path}: truncated pixel data")
+        pixels = np.empty((height, width, channels), dtype=np.uint8)
+        if f.readinto(pixels) != expected:
+            raise UsageError(f"{path}: truncated pixel data")
+    return Raster(width, height, channels, pixels)
 
 
 # -- tiling ----------------------------------------------------------------------
 
 
 def saturation(pixels: np.ndarray) -> np.ndarray:
-    """Per-pixel HSV saturation in [0, 1]; zero for grayscale input."""
+    """Per-pixel HSV saturation (max - min) / max in [0, 1], zero where max
+    is zero; zero for grayscale input.
+
+    Max and min come from the channel slices, not from a reduction over
+    the length-3 channel axis, which numpy runs an order of magnitude
+    slower. Integer max, min and difference are exact, so the float64
+    quotient is too.
+    """
     pixels = np.asarray(pixels)
     if pixels.ndim != 3:
         raise UsageError("expected [h, w, channels] pixels")
     if pixels.shape[2] == 1:
         return np.zeros(pixels.shape[:2], dtype=np.float64)
-    as_float = pixels.astype(np.float64)
-    high = as_float.max(axis=2)
-    low = as_float.min(axis=2)
-    return np.where(high > 0.0, (high - low) / np.where(high > 0.0, high, 1.0), 0.0)
+    r, g, b = pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2]
+    high = np.maximum(np.maximum(r, g), b)
+    spread = high - np.minimum(np.minimum(r, g), b)
+    return np.true_divide(spread, np.maximum(high, 1), dtype=np.float64)
+
+
+def _tissue_flags(
+    strip: np.ndarray, tile_width: int, saturation_threshold: float, tissue_fraction: float
+) -> np.ndarray:
+    """Tissue flag of each `tile_width`-wide tile across a strip of pixel rows.
+
+    A tile is tissue iff the fraction of its pixels whose saturation
+    exceeds the threshold exceeds `tissue_fraction`; a partial tile at the
+    right edge is dropped.
+    """
+    height = strip.shape[0]
+    tiles = strip.shape[1] // tile_width
+    saturated = saturation(strip[:, : tiles * tile_width]) > saturation_threshold
+    counts = np.count_nonzero(saturated.reshape(height, tiles, tile_width), axis=(0, 2))
+    return counts / (height * tile_width) > tissue_fraction
 
 
 def tissue_filter(
@@ -214,8 +247,8 @@ def tissue_filter(
     tissue_fraction: float = DEFAULT_TISSUE_FRACTION,
 ) -> bool:
     """True iff the fraction of saturated pixels exceeds `tissue_fraction`."""
-    sat = saturation(patch)
-    return bool(np.mean(sat > saturation_threshold) > tissue_fraction)
+    patch = np.asarray(patch)
+    return bool(_tissue_flags(patch, patch.shape[1], saturation_threshold, tissue_fraction)[0])
 
 
 def tile_slide(
@@ -227,52 +260,59 @@ def tile_slide(
     """Cut non-overlapping tiles and flag each tissue/background.
 
     Partial edge tiles are dropped; a raster smaller than one patch yields
-    an empty grid.
+    an empty grid. Flags are computed one strip of `patch_size` pixel rows
+    at a time.
     """
     if patch_size < 1:
         raise UsageError("patch_size must be >= 1")
     if raster.width < 1 or raster.height < 1:
         raise UsageError("raster must be non-empty")
-    rows = raster.height // patch_size
-    cols = raster.width // patch_size
     entries = []
-    for row in range(rows):
-        for col in range(cols):
-            x = col * patch_size
-            y = row * patch_size
-            patch = raster.pixels[y : y + patch_size, x : x + patch_size]
-            entries.append(
-                GridEntry(row, col, x, y, tissue_filter(patch, saturation_threshold, tissue_fraction))
-            )
+    for row in range(raster.height // patch_size):
+        y = row * patch_size
+        strip = raster.pixels[y : y + patch_size]
+        flags = _tissue_flags(strip, patch_size, saturation_threshold, tissue_fraction)
+        entries.extend(
+            GridEntry(row, col, col * patch_size, y, bool(flag)) for col, flag in enumerate(flags)
+        )
     return PatchGrid(patch_size, raster.width, raster.height, entries)
 
 
 # -- thumbnails --------------------------------------------------------------------
 
 
-def box_weights(src: int, dst: int) -> np.ndarray:
-    """Exact area-overlap weights for 1-D box resampling, rows sum to 1."""
+def box_band(src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact area-overlap weights for 1-D box resampling, in banded form.
+
+    Output i is the sum over t of `weights[i, t] * input[first[i] + t]`;
+    each row of `weights` sums to 1 and has at most ceil(src / dst) + 1
+    taps. Taps past the end of the input carry weight 0.
+    """
     scale = src / dst
-    weights = np.zeros((dst, src), dtype=np.float64)
-    for i in range(dst):
-        lo = i * scale
-        hi = (i + 1) * scale
-        j0 = int(np.floor(lo))
-        j1 = min(int(np.ceil(hi)), src)
-        for j in range(j0, j1):
-            weights[i, j] = min(hi, j + 1.0) - max(lo, float(j))
-    return weights / scale
+    lo = np.arange(dst) * scale
+    hi = np.arange(1, dst + 1) * scale
+    first = np.floor(lo).astype(np.int64)
+    end = np.minimum(np.ceil(hi).astype(np.int64), src)
+    j = first[:, None] + np.arange(int((end - first).max()))
+    overlap = np.minimum(hi[:, None], j + 1.0) - np.maximum(lo[:, None], j)
+    return first, np.where(j < end[:, None], overlap, 0.0) / scale
 
 
-def _area_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    src_h, src_w, channels = pixels.shape
-    wh = box_weights(src_h, out_h)
-    ww = box_weights(src_w, out_w)
-    out = np.empty((out_h, out_w, channels), dtype=np.float64)
-    as_float = pixels.astype(np.float64)
-    for c in range(channels):
-        out[:, :, c] = wh @ as_float[:, :, c] @ ww.T
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+def box_weights(src: int, dst: int) -> np.ndarray:
+    """The weights of `box_band` as a dense [dst, src] matrix."""
+    first, weights = box_band(src, dst)
+    dense = np.zeros((dst, src + weights.shape[1]))
+    np.put_along_axis(dense, first[:, None] + np.arange(weights.shape[1]), weights, axis=1)
+    return np.ascontiguousarray(dense[:, :src])
+
+
+def _box_rows(values: np.ndarray, first: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Banded weighted sum over the rows of a 2-D array, one tap at a time."""
+    last = len(values) - 1
+    out = weights[:, :1] * values[first]
+    for t in range(1, weights.shape[1]):
+        out += weights[:, t : t + 1] * values[np.minimum(first + t, last)]
+    return out
 
 
 def letterbox(width: int, height: int, target: int) -> tuple[int, int, int, int]:
@@ -288,13 +328,26 @@ def thumbnail(raster: Raster, target: int = 1024) -> Raster:
     """Area-averaged square thumbnail.
 
     The raster is scaled so its longest side equals `target` and centred
-    on a white canvas.
+    on a white canvas. Each channel plane is box-filtered as a banded sum,
+    rows then columns, so the cost is linear in the slide's pixel count
+    and no float copy of the whole slide is made.
     """
     if target < 1:
         raise UsageError("target must be >= 1")
     out_w, out_h, x0, y0 = letterbox(raster.width, raster.height, target)
+    first, weights = box_band(raster.height, out_h)
+    cols = box_band(raster.width, out_w)
     canvas = np.full((target, target, raster.channels), 255, dtype=np.uint8)
-    canvas[y0 : y0 + out_h, x0 : x0 + out_w] = _area_resize(raster.pixels, out_h, out_w)
+    for c in range(raster.channels):
+        plane = raster.pixels[:, :, c]
+        # A block of output rows at a time keeps the float intermediates
+        # small; the column pass runs over the transpose of the row pass so
+        # both gather whole rows.
+        for i in range(0, out_h, _THUMBNAIL_BLOCK):
+            tall = _box_rows(plane, first[i : i + _THUMBNAIL_BLOCK], weights[i : i + _THUMBNAIL_BLOCK])
+            wide = _box_rows(np.ascontiguousarray(tall.T), *cols)
+            block = np.clip(np.rint(wide), 0, 255).astype(np.uint8).T
+            canvas[y0 + i : y0 + i + len(block), x0 : x0 + out_w, c] = block
     return Raster(target, target, raster.channels, canvas)
 
 
@@ -360,15 +413,16 @@ def synth_slide(seed: int, spec: SlideSpec) -> tuple[Raster, dict[tuple[int, int
 
     rng = stream(seed, "synth-slide")
     gray = rng.integers(245, 256, size=(spec.height, spec.width, 1), dtype=np.int64)
-    pixels = np.repeat(gray, 3, axis=2)
+    pixels = np.repeat(gray.astype(np.uint8), 3, axis=2)
+    del gray  # the int64 draw is 8 bytes a pixel; drop it before the regions
     labels = sorted({r.label for r in spec.regions})
     color_of = {label: _PALETTE[i % len(_PALETTE)] for i, label in enumerate(labels)}
     for region in spec.regions:
         base = np.array(color_of[region.label], dtype=np.int64)
         noise = rng.integers(-12, 13, size=(region.height, region.width, 3))
-        block = np.clip(base + noise, 30, 255)
+        block = np.clip(base + noise, 30, 255).astype(np.uint8)
         pixels[region.y : region.y + region.height, region.x : region.x + region.width] = block
-    raster = Raster(spec.width, spec.height, 3, pixels.astype(np.uint8))
+    raster = Raster(spec.width, spec.height, 3, pixels)
     # Only tiles fully inside the canvas grid are reportable.
     rows, cols = spec.height // ps, spec.width // ps
     labels_by_tile = {k: v for k, v in covered.items() if k[0] < rows and k[1] < cols}

@@ -6,7 +6,7 @@ from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
 from slidevlm.lm import Vocab
 from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
 from slidevlm.numerics import stream
-from slidevlm.slide_io import Region, SlideSpec, synth_slide, tile_slide
+from slidevlm.slide_io import Raster, Region, SlideSpec, synth_slide, tile_slide
 from slidevlm.training import TrainSample
 
 TINY_TEXTS = [
@@ -104,3 +104,38 @@ def probe_world(seed=11):
         slides[f"s{i}"] = SlideInputs(emb, coords)
         samples.append(TrainSample(f"s{i}", "caption", PROBE_PROMPT, caption))
     return model, samples, slides
+
+
+# Shaped like the benchmark's ingest slide: 1792^2, 224-pixel tiles, 48 of 64
+# tiles tissue.
+BENCH_SPEC = SlideSpec(
+    1792, 1792, 224,
+    [Region(("tumor", "stroma", "necrosis", "fat")[k % 4], (k % 8) * 224, (k // 8) * 224, 224, 224)
+     for k in range(64) if k % 4],
+)
+
+
+def oracle_rasters():
+    """Rasters for the ingest oracles: RGB and gray, sides that are not
+    multiples of 224, 50 or 16, one smaller than a 224 patch, and BENCH_SPEC."""
+    rng = stream(11, "oracle-rasters")
+    # Saturation near the 0.08 threshold, so tissue fractions fall on both
+    # sides of the cut.
+    high = rng.integers(150, 256, size=(300, 500, 1))
+    near = np.concatenate([high, high - rng.integers(0, 19, size=(300, 500, 2))], axis=2)
+    rasters = [
+        Raster.from_pixels(near.astype(np.uint8)),
+        Raster.from_pixels(rng.integers(0, 256, size=(230, 230, 1)).astype(np.uint8)),
+        Raster.from_pixels(rng.integers(0, 256, size=(100, 60, 3)).astype(np.uint8)),
+        synth_slide(2, SlideSpec(467, 250, 16, [Region("a", 32, 16, 160, 96), Region("b", 320, 128, 64, 112)]))[0],
+    ]
+    return rasters + [synth_slide(0, BENCH_SPEC)[0]]
+
+
+def oracle_saturation(pixels):
+    """HSV saturation through max and min over the channel axis."""
+    if pixels.shape[2] == 1:
+        return np.zeros(pixels.shape[:2])
+    as_float = pixels.astype(np.float64)
+    high, low = as_float.max(axis=2), as_float.min(axis=2)
+    return np.where(high > 0.0, (high - low) / np.where(high > 0.0, high, 1.0), 0.0)

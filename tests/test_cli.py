@@ -498,6 +498,8 @@ MALFORMED = [
      lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
     ("ppm-header-non-integer", "slide.ppm", b"P6\n64 sixty\n255\n" + bytes(12), None, None,
      lambda w, bad: ["tile", "--slide", bad]),
+    ("ppm-truncated", "slide.ppm", b"P6\n64 64\n255\n" + bytes(12), None, None,
+     lambda w, bad: ["tile", "--slide", bad]),
     ("samples-prompt-not-string", "samples.jsonl",
      b'{"slide_id": "s1", "kind": "vqa", "prompt": 5, "target": "t"}\n', 1, "prompt",
      lambda w, bad: ["train", "--stage", "1", "--samples", bad, "--slides-dir", str(w["slides"])]),

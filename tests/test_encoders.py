@@ -12,6 +12,7 @@ import pytest
 
 import slidevlm
 
+from conftest import oracle_rasters, oracle_saturation
 from slidevlm.numerics import Tensor, UsageError, concat, masked_softmax, stream
 from slidevlm.encoders import (
     EMBEDDINGS_MAGIC,
@@ -25,6 +26,7 @@ from slidevlm.encoders import (
     load_embeddings,
     save_embeddings,
 )
+from slidevlm.slide_io import PatchGrid, Raster, box_weights, tile_slide
 
 
 def dense_attention(q, k, v, allowed=None):
@@ -394,6 +396,51 @@ def test_patch_encoder_rejects_wrong_size():
         enc.encode(np.zeros((9, 8, 3), dtype=np.uint8))
     with pytest.raises(UsageError):
         enc.encode(np.zeros((8, 8, 2), dtype=np.uint8))
+
+
+def test_patch_encoder_rejects_grids_that_do_not_fit():
+    enc = PatchEncoder(dim=4, patch_size=16, seed=0)
+    raster = oracle_rasters()[2]  # 60 x 100
+    with pytest.raises(UsageError, match="patch size"):
+        enc.encode_grid(raster, tile_slide(raster, patch_size=8))
+    outside = tile_slide(Raster.filled(64, 128, (200, 40, 120)), patch_size=16)
+    with pytest.raises(UsageError, match="exceeds"):
+        enc.encode_grid(raster, outside)
+
+
+def oracle_features(enc, patch):
+    """Statistics of one patch, then the projection, as a per-patch loop computed them."""
+    x = patch.astype(np.float64) / 255.0
+    if x.shape[2] == 1:
+        x = np.repeat(x, 3, axis=2)
+    cell_w = box_weights(enc.patch_size, 4)
+    cells = np.stack([cell_w @ x[:, :, c] @ cell_w.T for c in range(3)], axis=2)
+    sat = oracle_saturation(patch)
+    stats = np.concatenate(
+        [x.mean(axis=(0, 1)), x.std(axis=(0, 1)), cells.reshape(-1), [sat.mean(), float(np.mean(sat > 0.08))]]
+    )
+    return stats @ enc.weight.value.data + enc.bias.value.data
+
+
+def test_strip_featurizer_matches_per_patch_oracle():
+    # Every tile is featurized, tissue or not, so each strip is a full batch.
+    for raster in oracle_rasters():
+        for ps in (224, 50, 16):
+            if (raster.width // ps) * (raster.height // ps) > 2000:
+                continue  # the oracle loops over tiles in Python
+            grid = tile_slide(raster, patch_size=ps)
+            grid = PatchGrid(ps, raster.width, raster.height, [e._replace(tissue=True) for e in grid.entries])
+            enc = PatchEncoder(dim=32, patch_size=ps, seed=ps)
+            got = enc.encode_grid(raster, grid).values
+            want = np.array(
+                [oracle_features(enc, raster.pixels[e.y : e.y + ps, e.x : e.x + ps]) for e in grid.entries]
+            ).reshape(len(grid.entries), 32)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes()
+            if grid.entries:
+                e = grid.entries[-1]
+                patch = raster.pixels[e.y : e.y + ps, e.x : e.x + ps]
+                np.testing.assert_allclose(enc.encode(patch), want[-1], rtol=0, atol=1e-12)
 
 
 # -- projector ----------------------------------------------------------------------

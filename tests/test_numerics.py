@@ -1,5 +1,6 @@
 """Tensor ops, losses, optimizer, checkpoints, and seeded streams."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -341,11 +342,6 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
-def _as_version_one(v2: bytes) -> bytes:
-    """The same checkpoint in format version 1, which has no digest trailer."""
-    return v2[:8] + (1).to_bytes(4, "little") + v2[12:-32]
-
-
 def test_checkpoint_detects_truncation_and_bit_flips(tmp_path):
     path = tmp_path / "t.ckpt"
     save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}, meta={"stage": 1})
@@ -362,22 +358,25 @@ def test_checkpoint_detects_truncation_and_bit_flips(tmp_path):
             load_checkpoint(path)
 
 
-def test_version_one_checkpoints_still_load(tmp_path):
-    tensors = {"a": np.arange(6.0).reshape(2, 3), "s": np.array(2.5)}
+def test_checkpoints_of_other_versions_are_rejected(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, tensors, meta={"stage": 2})
-    v1 = _as_version_one(path.read_bytes())
-    path.write_bytes(v1)
-    loaded, meta = load_checkpoint(path)
-    assert meta["stage"] == 2
-    assert {k: v.tobytes() for k, v in loaded.items()} == {k: v.tobytes() for k, v in tensors.items()}
-    # Without a digest, short reads are still caught field by field.
-    for cut in range(9, len(v1), 7):
-        path.write_bytes(v1[:cut])
-        with pytest.raises(CheckpointError):
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3)}, meta={"stage": 2})
+    v2 = path.read_bytes()
+    # Version 1 had no digest trailer; a version-3 header keeps the version-2 body.
+    for version, body in ((1, v2[12:-32]), (3, v2[12:])):
+        path.write_bytes(v2[:8] + version.to_bytes(4, "little") + body)
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}") as exc:
             load_checkpoint(path)
-    meta_len = int.from_bytes(v1[12:16], "little")
-    path.write_bytes(v1[:16] + b"{" * meta_len + v1[16 + meta_len :])
+        assert str(path) in str(exc.value)
+
+
+def test_checkpoint_rejects_bad_meta_under_a_valid_digest(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, {"a": np.arange(6.0)}, meta={"stage": 2})
+    raw = path.read_bytes()[:-32]
+    meta_len = int.from_bytes(raw[12:16], "little")
+    body = raw[:16] + b"{" * meta_len + raw[16 + meta_len :]
+    path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError, match="meta"):
         load_checkpoint(path)
 

@@ -1,10 +1,18 @@
 """Raster IO, tiling, tissue filtering, thumbnails, synthetic slides."""
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCH_SPEC, oracle_rasters, oracle_saturation
 from slidevlm.numerics import UsageError, stream
 from slidevlm.slide_io import (
     GridEntry,
@@ -12,7 +20,9 @@ from slidevlm.slide_io import (
     Raster,
     Region,
     SlideSpec,
+    box_band,
     box_weights,
+    letterbox,
     read_raster,
     saturation,
     synth_slide,
@@ -25,6 +35,65 @@ from slidevlm.slide_io import (
 
 def solid(width, height, color):
     return Raster.filled(width, height, color)
+
+
+# -- oracles: the per-tile tiling, dense thumbnail and int64 synth they replaced --------
+
+
+def oracle_tile_slide(raster, ps, threshold=0.08, fraction=0.25):
+    entries = []
+    for row in range(raster.height // ps):
+        for col in range(raster.width // ps):
+            patch = raster.pixels[row * ps : (row + 1) * ps, col * ps : (col + 1) * ps]
+            tissue = bool(np.mean(oracle_saturation(patch) > threshold) > fraction)
+            entries.append(GridEntry(row, col, col * ps, row * ps, tissue))
+    return entries
+
+
+def oracle_box_weights(src, dst):
+    scale = src / dst
+    weights = np.zeros((dst, src))
+    for i in range(dst):
+        lo, hi = i * scale, (i + 1) * scale
+        for j in range(int(np.floor(lo)), min(int(np.ceil(hi)), src)):
+            weights[i, j] = min(hi, j + 1.0) - max(lo, float(j))
+    return weights / scale
+
+
+def oracle_thumbnail(raster, target):
+    """Dense [dst, src] box weights applied to a float64 copy of the whole slide."""
+    out_w, out_h, x0, y0 = letterbox(raster.width, raster.height, target)
+    wh, ww = oracle_box_weights(raster.height, out_h), oracle_box_weights(raster.width, out_w)
+    as_float = raster.pixels.astype(np.float64)
+    canvas = np.full((target, target, raster.channels), 255, dtype=np.uint8)
+    for c in range(raster.channels):
+        plane = np.clip(np.rint(wh @ as_float[:, :, c] @ ww.T), 0, 255)
+        canvas[y0 : y0 + out_h, x0 : x0 + out_w, c] = plane
+    return canvas
+
+
+def oracle_synth_pixels(seed, spec):
+    rng = stream(seed, "synth-slide")
+    gray = rng.integers(245, 256, size=(spec.height, spec.width, 1), dtype=np.int64)
+    pixels = np.repeat(gray, 3, axis=2)
+    labels = sorted({r.label for r in spec.regions})
+    palette = [(186, 76, 142), (114, 70, 170), (196, 114, 84), (88, 132, 188), (170, 150, 60), (96, 164, 120)]
+    color_of = {label: palette[i % len(palette)] for i, label in enumerate(labels)}
+    for region in spec.regions:
+        base = np.array(color_of[region.label], dtype=np.int64)
+        noise = rng.integers(-12, 13, size=(region.height, region.width, 3))
+        pixels[region.y : region.y + region.height, region.x : region.x + region.width] = np.clip(
+            base + noise, 30, 255
+        )
+    return pixels.astype(np.uint8)
+
+
+def count_level_flips(got, want):
+    """Pixels where the banded and dense filters round apart; float reordering
+    can move a value sitting on a .5 tie by one level, never more."""
+    diff = np.abs(got.astype(np.int64) - want.astype(np.int64))
+    assert diff.max(initial=0) <= 1
+    return int(np.count_nonzero(diff))
 
 
 # -- tiling --------------------------------------------------------------------
@@ -76,6 +145,17 @@ def test_tiles_partition_without_overlap():
         seen[e.y : e.y + 224, e.x : e.x + 224] += 1
     assert seen.max() == 1
     assert seen.sum() == len(grid.entries) * 224 * 224
+
+
+def test_strip_tiling_matches_per_tile_oracle():
+    rasters = oracle_rasters()
+    for raster in rasters:
+        for ps in (224, 50, 16):
+            if (raster.width // ps) * (raster.height // ps) > 2000:
+                continue  # the oracle loops over tiles in Python
+            grid = tile_slide(raster, patch_size=ps)
+            assert grid.entries == oracle_tile_slide(raster, ps), (raster.pixels.shape, ps)
+    assert {e.tissue for e in tile_slide(rasters[0], patch_size=16).entries} == {True, False}
 
 
 # -- tissue filter ----------------------------------------------------------------
@@ -178,9 +258,11 @@ def test_raster_reader_handles_comments(tmp_path):
 
 def test_raster_reader_rejects_truncation(tmp_path):
     path = tmp_path / "t.ppm"
-    path.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
-    with pytest.raises(UsageError):
-        read_raster(path)
+    # The second header claims 10^12 pixels; it is refused before any allocation.
+    for data in (b"P6\n2 2\n255\n\x00\x00\x00", b"P6\n1000000 1000000\n255\n\x00"):
+        path.write_bytes(data)
+        with pytest.raises(UsageError, match="truncated"):
+            read_raster(path)
 
 
 def test_raster_reader_rejects_wide_maxval(tmp_path):
@@ -232,9 +314,63 @@ def test_thumbnail_letterboxes_non_square():
 
 
 def test_box_weights_rows_sum_to_one():
-    for src, dst in ((10, 3), (7, 7), (5, 2), (1024, 100)):
+    for src, dst in ((10, 3), (7, 7), (5, 2), (1024, 100), (3, 10), (1792, 1024), (224, 4), (1, 1)):
         w = box_weights(src, dst)
         np.testing.assert_allclose(w.sum(axis=1), np.ones(dst), atol=1e-12)
+        np.testing.assert_array_equal(w, oracle_box_weights(src, dst))
+        first, band = box_band(src, dst)
+        assert band.shape[1] <= math.ceil(src / dst) + 1
+        assert (band[first[:, None] + np.arange(band.shape[1]) >= src] == 0).all()
+
+
+def test_banded_thumbnail_matches_dense_oracle():
+    for raster in oracle_rasters():
+        for target in (1, 37, 256, 1024, 2 * max(raster.width, raster.height) + 3):
+            if raster.width * target > 2**21:
+                continue  # the dense oracle costs O(H * W * target)
+            got = thumbnail(raster, target).pixels
+            flips = count_level_flips(got, oracle_thumbnail(raster, target))
+            assert flips <= max(1, got.size // 10_000), (raster.pixels.shape, target, flips)
+    # The benchmark's slide rounds identically: no value lies within 0.01 of a tie.
+    bench = synth_slide(0, BENCH_SPEC)[0]
+    for target in (256, 1024):
+        assert count_level_flips(thumbnail(bench, target).pixels, oracle_thumbnail(bench, target)) == 0
+
+
+def test_ingest_memory_does_not_scale_with_target():
+    # Tiling and the thumbnail of a 4480^2 (20 MP) slide fit in 256 MiB above
+    # what the process holds once the slide is built. The dense resize
+    # needed a float64 copy of the whole slide, 460 MiB here, on its own.
+    code = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from slidevlm.slide_io import Region, SlideSpec, synth_slide, thumbnail, tile_slide
+
+        spec = SlideSpec(4480, 4480, 224, [Region("tumor", 896, 448, 2240, 1344)])
+        raster, labels = synth_slide(0, spec)
+        with open("/proc/self/status") as f:
+            vm = next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmSize:"))
+        cap = vm + 256 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        try:
+            raster.pixels.astype(np.float64)
+        except MemoryError:
+            pass
+        else:
+            raise SystemExit("the cap does not exclude a float64 copy of the slide")
+        grid = tile_slide(raster)
+        assert {(e.row, e.col) for e in grid.tissue_entries()} == set(labels)
+        assert thumbnail(raster, 1024).pixels.shape == (1024, 1024, 3)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # -- synthetic slides ---------------------------------------------------------------
@@ -268,3 +404,16 @@ def test_synth_slide_rejects_overlap_and_misalignment():
         synth_slide(0, SlideSpec(regions=[Region("a", 10, 0, 224, 224)]))
     with pytest.raises(UsageError):
         synth_slide(0, SlideSpec(regions=[Region("a", 448, 0, 224, 224)]))
+
+
+def test_synth_slide_matches_int64_oracle():
+    specs = [
+        SlideSpec(),
+        SlideSpec(500, 300, 100, [Region("a", 0, 0, 200, 100), Region("b", 300, 100, 200, 200)]),
+        BENCH_SPEC,
+    ]
+    for spec in specs:
+        for seed in (0, 7):
+            raster, _ = synth_slide(seed, spec)
+            assert raster.pixels.dtype == np.uint8
+            assert raster.pixels.tobytes() == oracle_synth_pixels(seed, spec).tobytes()
