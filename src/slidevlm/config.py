@@ -20,61 +20,7 @@ class ConfigError(UsageError):
     """Bad config tree; the message starts with the failing dotted path."""
 
 
-# Schema nodes: a dict maps keys to child nodes; a tuple of types is a leaf;
-# lists hold one element schema.
-_SCHEMA: dict[str, Any] = {
-    "model": {
-        "patch_dim": (int,),
-        "patch_size": (int,),
-        "projector_layers": (int,),
-        "bypass_slide_encoder": (bool,),
-        "encoder": {
-            "heads": (int,),
-            "head_dim": (int,),
-            "layers": (int,),
-            "ffn_mult": (int,),
-            "branches": [[(int,)]],
-            "positional": (str,),
-            "grid_rows": (int,),
-            "grid_cols": (int,),
-        },
-        "lm": {
-            "heads": (int,),
-            "head_dim": (int,),
-            "layers": (int,),
-            "ffn_mult": (int,),
-            "max_positions": (int,),
-            "tied_head": (bool,),
-            "causal_visual": (bool,),
-        },
-    },
-    "stages": {
-        "1": {
-            "lr": (float, int),
-            "epochs": (int,),
-            "accum_steps": (int,),
-            "weight_decay": (float, int),
-        },
-        "2": {
-            "lr": (float, int),
-            "epochs": (int,),
-            "accum_steps": (int,),
-            "weight_decay": (float, int),
-        },
-    },
-    "clients": {
-        "chat": {
-            "base_url": (str,),
-            "model": (str,),
-            "auth_env": (str,),
-            "timeout": (float, int),
-            "max_retries": (int,),
-        },
-    },
-    "seed": (int,),
-    "jobs": (int,),
-}
-
+# Every key a config may set, with its default; the schema is derived from it.
 _DEFAULTS: dict[str, Any] = {
     "model": {
         "patch_dim": 32,
@@ -117,6 +63,22 @@ _DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "jobs": 1,
 }
+
+
+def _schema(default: Any) -> Any:
+    """The schema node a default value implies: a dict maps keys to child
+    nodes, a list holds its first element's node, and a leaf is the tuple
+    of types it admits, ints included where the default is a float."""
+    if isinstance(default, dict):
+        return {key: _schema(value) for key, value in default.items()}
+    if isinstance(default, list):
+        return [_schema(default[0])]
+    if isinstance(default, float):
+        return (float, int)
+    return (type(default),)
+
+
+_SCHEMA: dict[str, Any] = _schema(_DEFAULTS)
 
 
 def _check(node: Any, schema: Any, path: str) -> Any:

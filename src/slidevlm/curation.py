@@ -586,14 +586,14 @@ def labels_to_vqa(
     labels: Sequence[str],
     slide_label: str,
     slide_id: str = "",
-    record_id: str | None = None,
     broad: str | None = None,
     narrow: str | None = None,
 ) -> QARecord:
     """Turn a classification label into a lettered multi-choice record.
 
     Options keep the given order so answer letters are reproducible run to
-    run. Categories come from the built-in task table unless given.
+    run. The record id is `{slide_id}:{task}`. Categories come from the
+    built-in task table unless given.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
@@ -606,7 +606,7 @@ def labels_to_vqa(
             raise UsageError(f"unknown task {task!r}: pass broad and narrow explicitly")
         broad, narrow = BCNB_TASK_CATEGORIES[task]
     return QARecord(
-        id=record_id if record_id is not None else f"{slide_id}:{task}",
+        id=f"{slide_id}:{task}",
         slide_id=slide_id,
         question=label_question(task),
         options=labels,
@@ -643,9 +643,12 @@ def run_curation(
 ) -> CurationResult:
     """Run clean -> caption -> QA (-> filter) over a batch of reports.
 
-    A report whose chat calls die lands in `flagged` and the batch moves
-    on. Short-answer candidates bypass the text-only filter.
+    Reports run on a pool of `jobs` threads; results keep patient-id
+    order. A report whose chat calls die lands in `flagged` and the batch
+    moves on. Short-answer candidates bypass the text-only filter.
     """
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
     ids = [r.patient_id for r in reports]
     if len(set(ids)) != len(ids):
         raise UsageError("duplicate patient ids")
@@ -673,11 +676,8 @@ def run_curation(
             return report.patient_id, None, None, [], [], str(exc)
 
     result = CurationResult()
-    if jobs > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, ordered))
-    else:
-        outcomes = [one(r) for r in ordered]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(pool.map(one, ordered))
     for patient_id, cleaned, caption, cands, drops, error in outcomes:
         if error is not None:
             result.flagged[patient_id] = error

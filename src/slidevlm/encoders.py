@@ -13,7 +13,7 @@ the same bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .numerics import (
     stream,
     take_rows,
 )
-from .slide_io import PatchGrid, Raster, box_weights, saturation
+from .slide_io import SATURATION_THRESHOLD, PatchGrid, Raster, box_weights, saturation
 
 __all__ = [
     "EmbeddingMatrix",
@@ -70,7 +70,7 @@ def save_embeddings(path, emb: EmbeddingMatrix) -> None:
     Path(path).write_bytes(header + emb.values.astype("<f4").tobytes(order="C"))
 
 
-def load_embeddings(path, expect_n: int | None = None, expect_dim: int | None = None) -> EmbeddingMatrix:
+def load_embeddings(path) -> EmbeddingMatrix:
     data = Path(path).read_bytes()
     if data[:8] != EMBEDDINGS_MAGIC:
         raise UsageError(f"{path}: not an embeddings file")
@@ -81,13 +81,10 @@ def load_embeddings(path, expect_n: int | None = None, expect_dim: int | None = 
     if len(body) != n * dim * 4:
         raise UsageError(f"{path}: expected {n * dim} float32 values")
     values = np.frombuffer(body, dtype="<f4").reshape(n, dim).astype(np.float64)
-    if expect_n is not None and n != expect_n:
-        raise UsageError(f"{path}: embedding rows {n} != expected {expect_n}")
-    if expect_dim is not None and dim != expect_dim:
-        raise UsageError(f"{path}: embedding dim {dim} != expected {expect_dim}")
-    if not np.isfinite(values).all():
-        raise UsageError(f"{path}: embeddings contain non-finite values")
-    return EmbeddingMatrix(n, dim, values)
+    try:
+        return EmbeddingMatrix(n, dim, values)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 # -- frozen patch featurizer ---------------------------------------------------
@@ -146,7 +143,7 @@ class PatchEncoder:
                 spread.reshape(n, 3),
                 cells.reshape(n, -1),
                 sat.mean(axis=1)[:, None],
-                (np.count_nonzero(sat > 0.08, axis=1) / (ps * ps))[:, None],
+                (np.count_nonzero(sat > SATURATION_THRESHOLD, axis=1) / (ps * ps))[:, None],
             ],
             axis=1,
         )

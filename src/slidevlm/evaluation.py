@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import read_jsonl
 from .numerics import UsageError, stream
 from .slide_io import PatchGrid, Raster, thumbnail
 
@@ -60,9 +60,10 @@ def bleu_n(candidate: str, references: str | Sequence[str], n: int) -> float:
         total = sum(counts.values())
         if total == 0:
             return 0.0
+        ref_counts = [_ngrams(r, k) for r in refs]
         clipped = 0
         for gram, count in counts.items():
-            best = max(_ngrams(r, k)[gram] for r in refs)
+            best = max(rc[gram] for rc in ref_counts)
             clipped += min(count, best)
         if clipped == 0:
             return 0.0
@@ -114,6 +115,8 @@ Rate how well the generated description matches the reference in content, correc
 
 JUDGE_PROMPT_SHA256 = hashlib.sha256(JUDGE_PROMPT.encode("utf-8")).hexdigest()
 
+JUDGE_ATTEMPTS = 3  # unparseable judge replies tolerated per caption
+
 _INT_RE = re.compile(r"\d+")
 
 
@@ -126,16 +129,14 @@ def _parse_judge_reply(reply: str) -> int | None:
     return None
 
 
-def judge_caption(candidate: str, reference: str, client, attempts: int = 3) -> int | None:
+def judge_caption(candidate: str, reference: str, client) -> int | None:
     """Score a caption 1..10 with an external chat model.
 
-    Returns None after `attempts` unparseable replies; callers report such
-    records as missing rather than folding them into the mean.
+    Returns None after JUDGE_ATTEMPTS unparseable replies; callers report
+    such records as missing rather than folding them into the mean.
     """
-    if attempts < 1:
-        raise UsageError("attempts must be >= 1")
     prompt = JUDGE_PROMPT.format(reference=reference, candidate=candidate)
-    for _ in range(attempts):
+    for _ in range(JUDGE_ATTEMPTS):
         score = _parse_judge_reply(client.complete(prompt))
         if score is not None:
             return score
@@ -154,30 +155,22 @@ class CaptionReport:
     judge_prompt_sha256: str | None = None
 
 
-def caption_eval(
-    pairs: Sequence[tuple[str, str]],
-    client=None,
-    attempts: int = 3,
-    jobs: int = 1,
-) -> CaptionReport:
+def caption_eval(pairs: Sequence[tuple[str, str]], client=None, jobs: int = 1) -> CaptionReport:
     """Mean BLEU-1..4 and ROUGE-L over (candidate, reference) pairs.
 
-    With a chat client the judge runs too, over a bounded thread pool;
+    With a chat client the judge runs too, on a pool of `jobs` threads;
     results keep input order so reports are deterministic.
     """
     if not pairs:
         raise UsageError("caption_eval needs at least one pair")
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
     bleu = {n: sum(bleu_n(c, r, n) for c, r in pairs) / len(pairs) for n in range(1, 5)}
     rouge = sum(rouge_l(c, r) for c, r in pairs) / len(pairs)
     report = CaptionReport(n=len(pairs), bleu=bleu, rouge_l=rouge)
     if client is not None:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                scores = list(
-                    pool.map(lambda p: judge_caption(p[0], p[1], client, attempts), pairs)
-                )
-        else:
-            scores = [judge_caption(c, r, client, attempts) for c, r in pairs]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            scores = list(pool.map(lambda p: judge_caption(p[0], p[1], client), pairs))
         kept = [s for s in scores if s is not None]
         report.judge_mean = sum(kept) / len(kept) if kept else None
         report.judge_missing = len(scores) - len(kept)
@@ -255,10 +248,6 @@ _RECORD_SCHEMA = {
     **dict.fromkeys(("id", "slide_id", "question", "answer", "qtype", "broad", "narrow"), str),
     "options": list[str],
 }
-
-
-def save_records(path, records: Sequence[QARecord]) -> None:
-    write_jsonl(path, (rec.__dict__ for rec in records))
 
 
 def load_records(path) -> list[QARecord]:

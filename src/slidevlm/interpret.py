@@ -10,8 +10,7 @@ patches are drawn onto the slide thumbnail with rank-colored borders.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -141,12 +141,8 @@ class MultimodalSequence:
 
     @property
     def n_prefix(self) -> int:
-        """Positions up to and including IMG_END (the bidirectional block)."""
-        return self.n_visual + 2
-
-    @property
-    def text_start(self) -> int:
-        """Index of BOS, where learned positions begin."""
+        """Positions up to and including IMG_END (the bidirectional block);
+        also the index of BOS, where learned positions begin."""
         return self.n_visual + 2
 
     def visual_slice(self) -> slice:
@@ -155,11 +151,8 @@ class MultimodalSequence:
 
 def assemble(visual, prompt: str, answer: str | None, vocab: Vocab) -> MultimodalSequence:
     """Tokenize prompt/answer around the visual span."""
-    prompt_ids = vocab.encode(prompt)
-    if not prompt_ids:
-        raise UsageError("prompt must not be empty")
     answer_ids = None if answer is None else vocab.encode(answer)
-    return MultimodalSequence(visual, prompt_ids, answer_ids)
+    return MultimodalSequence(visual, vocab.encode(prompt), answer_ids)
 
 
 @dataclass
@@ -285,17 +278,17 @@ class DecoderLM:
 
     def _embed(self, seq: MultimodalSequence, start: int = 0) -> Tensor:
         """Input rows start..T-1."""
-        n_text = seq.total_len - seq.text_start
+        n_text = seq.total_len - seq.n_prefix
         if n_text > self.cfg.max_positions:
             raise UsageError(
                 f"text span {n_text} exceeds max positions {self.cfg.max_positions}"
             )
         # Text rows carry a token plus a position counted from BOS.
-        first = max(start, seq.text_start)
+        first = max(start, seq.n_prefix)
         text = take_rows(self.tok_embed.value, seq.ids[first:]) + take_rows(
-            self.pos_embed.value, range(first - seq.text_start, n_text)
+            self.pos_embed.value, range(first - seq.n_prefix, n_text)
         )
-        if start >= seq.text_start:
+        if start >= seq.n_prefix:
             return text
         x = concat([self._visual_rows(seq.visual), text], axis=0)
         return x.rows(start, seq.total_len) if start else x

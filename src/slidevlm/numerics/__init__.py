@@ -12,7 +12,6 @@ from .tensor import (
     masked_softmax,
     no_grad,
     put_rows,
-    softmax,
     take_rows,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "no_grad",
     "put_rows",
     "save_checkpoint",
-    "softmax",
     "stream",
     "take_rows",
 ]

@@ -8,6 +8,9 @@ from .tensor import Tensor, UsageError
 
 __all__ = ["Parameter", "AdamW"]
 
+BETA1, BETA2 = 0.9, 0.999  # decay rates of the first and second moment estimates
+EPS = 1e-8
+
 
 class Parameter:
     """A named weight tensor with a freeze flag.
@@ -55,21 +58,12 @@ class AdamW:
     one on every `step()` call. Non-trainable parameters are never touched.
     """
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3, weight_decay: float = 0.01):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise UsageError("optimizer parameters must have unique names")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self._m = {p.name: np.zeros_like(p.value.data) for p in self.params}
@@ -82,8 +76,8 @@ class AdamW:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for p in self.params:
             if not p.trainable:
                 continue
@@ -92,12 +86,12 @@ class AdamW:
             if m.shape != p.value.data.shape:
                 raise UsageError(f"optimizer state shape mismatch for {p.name!r}")
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
             p.value.data -= self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.value.data
+                m_hat / (np.sqrt(v_hat) + EPS) + self.weight_decay * p.value.data
             )

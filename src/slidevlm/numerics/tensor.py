@@ -23,7 +23,6 @@ __all__ = [
     "cross_entropy",
     "masked_logsumexp",
     "masked_softmax",
-    "softmax",
     "take_rows",
     "put_rows",
     "no_grad",
@@ -147,9 +146,6 @@ class Tensor:
 
         return Tensor._result(data, (a, b), backward)
 
-    def __radd__(self, other) -> "Tensor":
-        return self.__add__(other)
-
     def __neg__(self) -> "Tensor":
         a = self
 
@@ -160,9 +156,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self.__add__(Tensor._coerce(other).__neg__())
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
@@ -176,9 +169,6 @@ class Tensor:
 
         return Tensor._result(data, (a, b), backward)
 
-    def __rmul__(self, other) -> "Tensor":
-        return self.__mul__(other)
-
     def __truediv__(self, other) -> "Tensor":
         a, b = self, Tensor._coerce(other)
         data = a.data / b.data
@@ -191,38 +181,7 @@ class Tensor:
 
         return Tensor._result(data, (a, b), backward)
 
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._coerce(other).__truediv__(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise UsageError("only scalar exponents are supported")
-        a, p = self, float(exponent)
-        data = a.data**p
-
-        def backward(grad):
-            a._accumulate(grad * p * a.data ** (p - 1.0))
-
-        return Tensor._result(data, (a,), backward)
-
     # -- transcendental --------------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        a = self
-        data = np.exp(a.data)
-
-        def backward(grad):
-            a._accumulate(grad * data)
-
-        return Tensor._result(data, (a,), backward)
-
-    def log(self) -> "Tensor":
-        a = self
-
-        def backward(grad):
-            a._accumulate(grad / a.data)
-
-        return Tensor._result(np.log(a.data), (a,), backward)
 
     def sqrt(self) -> "Tensor":
         a = self
@@ -230,15 +189,6 @@ class Tensor:
 
         def backward(grad):
             a._accumulate(grad * 0.5 / data)
-
-        return Tensor._result(data, (a,), backward)
-
-    def tanh(self) -> "Tensor":
-        a = self
-        data = np.tanh(a.data)
-
-        def backward(grad):
-            a._accumulate(grad * (1.0 - data * data))
 
         return Tensor._result(data, (a,), backward)
 
@@ -378,14 +328,6 @@ class Tensor:
 
 
 # -- free functions ------------------------------------------------------------
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-stabilized softmax along `axis`."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise UsageError(f"axis {axis} invalid for shape {x.shape}")
-    mask = np.ones(x.shape, dtype=bool)
-    return masked_softmax(x, mask, axis=axis)
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:

@@ -66,20 +66,12 @@ TEMPLATE_HASHES: dict[str, str] = {
 }
 
 
-def objective_prompt(broad: str, narrows: list[str] | None = None) -> str:
-    """Fill the objective template for one broad category.
-
-    `narrows` defaults to every narrow category of the broad one, in
-    taxonomy order; passing a subset narrows the ask.
-    """
+def objective_prompt(broad: str) -> str:
+    """Fill the objective template for one broad category, listing each of
+    its narrow categories in taxonomy order."""
     if broad not in BROAD_SCOPES:
         raise UsageError(f"unknown broad category {broad!r}")
-    if narrows is None:
-        narrows = list(NARROW_BY_BROAD[broad])
-    for name in narrows:
-        if name not in NARROW_BY_BROAD[broad]:
-            raise UsageError(f"{name!r} is not a narrow category of {broad!r}")
-    lines = " ".join(f"{name}: {NARROW_SCOPES[name]}" for name in narrows)
+    lines = " ".join(f"{name}: {NARROW_SCOPES[name]}" for name in NARROW_BY_BROAD[broad])
     return OBJECTIVE_TEMPLATE.format(
         broad=broad, broad_scope=BROAD_SCOPES[broad], narrow_lines=lines
     )

@@ -32,7 +32,6 @@ __all__ = [
     "read_raster",
     "write_raster",
     "tile_slide",
-    "tissue_filter",
     "saturation",
     "thumbnail",
     "letterbox",
@@ -42,8 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_PATCH_SIZE = 224
-DEFAULT_SATURATION_THRESHOLD = 0.08
-DEFAULT_TISSUE_FRACTION = 0.25
+SATURATION_THRESHOLD = 0.08  # a pixel above this HSV saturation is stained
+TISSUE_FRACTION = 0.25  # a tile whose stained share of pixels exceeds this is tissue
 _THUMBNAIL_BLOCK = 32  # output rows per pass of the banded box filter
 
 
@@ -65,13 +64,6 @@ class Raster:
             )
         if self.channels not in (1, 3):
             raise UsageError("channels must be 1 or 3")
-
-    @staticmethod
-    def filled(width: int, height: int, color) -> "Raster":
-        color = np.atleast_1d(np.asarray(color, dtype=np.uint8))
-        pixels = np.empty((height, width, color.size), dtype=np.uint8)
-        pixels[...] = color
-        return Raster(width, height, color.size, pixels)
 
     @staticmethod
     def from_pixels(pixels: np.ndarray) -> "Raster":
@@ -225,38 +217,21 @@ def saturation(pixels: np.ndarray) -> np.ndarray:
     return np.true_divide(spread, np.maximum(high, 1), dtype=np.float64)
 
 
-def _tissue_flags(
-    strip: np.ndarray, tile_width: int, saturation_threshold: float, tissue_fraction: float
-) -> np.ndarray:
+def _tissue_flags(strip: np.ndarray, tile_width: int) -> np.ndarray:
     """Tissue flag of each `tile_width`-wide tile across a strip of pixel rows.
 
     A tile is tissue iff the fraction of its pixels whose saturation
-    exceeds the threshold exceeds `tissue_fraction`; a partial tile at the
-    right edge is dropped.
+    exceeds SATURATION_THRESHOLD exceeds TISSUE_FRACTION; a partial tile at
+    the right edge is dropped.
     """
     height = strip.shape[0]
     tiles = strip.shape[1] // tile_width
-    saturated = saturation(strip[:, : tiles * tile_width]) > saturation_threshold
+    saturated = saturation(strip[:, : tiles * tile_width]) > SATURATION_THRESHOLD
     counts = np.count_nonzero(saturated.reshape(height, tiles, tile_width), axis=(0, 2))
-    return counts / (height * tile_width) > tissue_fraction
+    return counts / (height * tile_width) > TISSUE_FRACTION
 
 
-def tissue_filter(
-    patch: np.ndarray,
-    saturation_threshold: float = DEFAULT_SATURATION_THRESHOLD,
-    tissue_fraction: float = DEFAULT_TISSUE_FRACTION,
-) -> bool:
-    """True iff the fraction of saturated pixels exceeds `tissue_fraction`."""
-    patch = np.asarray(patch)
-    return bool(_tissue_flags(patch, patch.shape[1], saturation_threshold, tissue_fraction)[0])
-
-
-def tile_slide(
-    raster: Raster,
-    patch_size: int = DEFAULT_PATCH_SIZE,
-    saturation_threshold: float = DEFAULT_SATURATION_THRESHOLD,
-    tissue_fraction: float = DEFAULT_TISSUE_FRACTION,
-) -> PatchGrid:
+def tile_slide(raster: Raster, patch_size: int = DEFAULT_PATCH_SIZE) -> PatchGrid:
     """Cut non-overlapping tiles and flag each tissue/background.
 
     Partial edge tiles are dropped; a raster smaller than one patch yields
@@ -271,7 +246,7 @@ def tile_slide(
     for row in range(raster.height // patch_size):
         y = row * patch_size
         strip = raster.pixels[y : y + patch_size]
-        flags = _tissue_flags(strip, patch_size, saturation_threshold, tissue_fraction)
+        flags = _tissue_flags(strip, patch_size)
         entries.extend(
             GridEntry(row, col, col * patch_size, y, bool(flag)) for col, flag in enumerate(flags)
         )

@@ -115,13 +115,23 @@ def encoder_case(seed):
     enc = SlideEncoder(cfg, seed=seed)
     x = stream(seed, "acceptance", "enc-x").standard_normal((5, 6))
     coords = [(i // 4, i % 4) for i in range(5)]
-    return enc.params(), lambda: (enc(Tensor(x), coords) ** 2.0).mean()
+
+    def loss():
+        y = enc(Tensor(x), coords)
+        return (y * y).mean()
+
+    return enc.params(), loss
 
 
 def projector_case(seed):
     proj = Projector(6, 8, layers=2, seed=seed)
     x = stream(seed, "acceptance", "proj-x").standard_normal((4, 6))
-    return proj.params(), lambda: (proj(Tensor(x)) ** 2.0).mean()
+
+    def loss():
+        y = proj(Tensor(x))
+        return (y * y).mean()
+
+    return proj.params(), loss
 
 
 def lm_case(seed):
@@ -295,7 +305,7 @@ def test_criterion_10_tiling_exactness():
     rng = stream(10, "acceptance", "tiling")
     for _ in range(100):
         w, h = int(rng.integers(1, 1000)), int(rng.integers(1, 1000))
-        grid = tile_slide(Raster.filled(w, h, (255, 255, 255)))
+        grid = tile_slide(Raster.from_pixels(np.full((h, w, 3), 255, dtype=np.uint8)))
         assert len(grid.entries) == (w // 224) * (h // 224)
         assert grid.tissue_entries() == []
     spec = SlideSpec(672, 448, 224, [

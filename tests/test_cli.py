@@ -11,7 +11,8 @@ import pytest
 from slidevlm.cli import main
 from slidevlm.curation import filter_prompt
 from slidevlm.encoders import EmbeddingMatrix, save_embeddings
-from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord, save_records
+from slidevlm import jsonio
+from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord
 from slidevlm.prompts import caption_prompt, qa_prompt, report_clean_prompt
 
 CONFIG = {
@@ -171,7 +172,7 @@ def records_file(path, n=24):
         )
         for i in range(n)
     ]
-    save_records(path, records)
+    jsonio.write_jsonl(path, (rec.__dict__ for rec in records))
     return path
 
 
@@ -429,6 +430,24 @@ def test_bad_config_exits_two(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_zero_jobs_exits_two_naming_jobs(world, tmp_path, capsys):
+    # Both commands with a worker pool, given 0 workers by flag and by config.
+    zero = tmp_path / "jobs0.json"
+    zero.write_text(json.dumps(dict(CONFIG, jobs=0)))
+    judge = write_replay(tmp_path / "judge.json", {})
+    commands = [
+        ["caption-eval", "--pairs", _pairs(world), "--judge-replay", judge],
+        _curate_argv(world),
+    ]
+    for command, *rest in commands:
+        for config in (["--jobs", "0", *world["base"]], ["--config", str(zero)]):
+            run = tmp_path / "run"
+            assert main([command, *config, *rest, "--run-dir", str(run)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage: jobs must be >= 1, got 0"), err
+            assert not (run / "manifest.json").exists()
 
 
 def _curate_argv(world, reports=None, replay=None, filters=None):

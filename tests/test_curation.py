@@ -67,19 +67,28 @@ def test_objective_prompt_worked_example():
         "Definition of Broad Category and its corresponding Narrow Categories. "
         "“ The required broad category is Clinical, which tests the ability of "
         "models to retrieve and apply clinically relevant background knowledge "
-        "about diseases. For the narrow category:  Risk Factors: Questions "
+        "about diseases. For the narrow category:  Treatment Guidance: Questions "
+        "should assess the model's ability to recommend appropriate treatment "
+        "options based on the disease in question, considering factors such as "
+        "disease stage, patient demographics, and any specific clinical "
+        "guidelines. Biomarker Analysis: Questions should evaluate the ability "
+        "to identify and interpret biomarkers relevant to the diagnosis, "
+        "prognosis, or treatment of diseases, emphasizing their role in "
+        "personalized medicine and targeted therapy. Risk Factors: Questions "
         "should test the model's knowledge of risk factors associated with "
         "specific diseases, including genetic, environmental, and lifestyle "
-        "factors that may influence disease development or progression.”"
+        "factors that may influence disease development or progression. "
+        "Prognostic Assessment: Questions should focus on evaluating the "
+        "model's ability to predict the likely course and outcome of a disease, "
+        "including survival rates, potential complications, and long-term "
+        "outcomes based on clinical and pathological data.”"
     )
-    assert objective_prompt("Clinical", ["Risk Factors"]) == want
+    assert objective_prompt("Clinical") == want
 
 
 def test_objective_prompt_validation():
     with pytest.raises(UsageError):
         objective_prompt("Astrology")
-    with pytest.raises(UsageError):
-        objective_prompt("Clinical", ["Grading"])  # Grading sits under Diagnosis
     full = objective_prompt("Diagnosis")
     for narrow in ("Disease Detection", "Differential Diagnosis"):
         assert narrow + ":" in full

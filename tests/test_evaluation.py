@@ -9,6 +9,7 @@ import pytest
 from slidevlm.curation import MockChatClient
 from slidevlm.evaluation import (
     BROAD_CATEGORIES,
+    JUDGE_ATTEMPTS,
     NARROW_BY_BROAD,
     NARROW_TO_BROAD,
     CategoryReport,
@@ -24,12 +25,12 @@ from slidevlm.evaluation import (
     plurality,
     random_baseline,
     rouge_l,
-    save_records,
     thumbnail_baseline,
     vqa_eval,
     write_record_csv,
     write_summary_csv,
 )
+from slidevlm.jsonio import write_jsonl
 from slidevlm.numerics import UsageError, stream
 from slidevlm.slide_io import Raster, Region, SlideSpec, synth_slide, tile_slide
 
@@ -173,12 +174,10 @@ def test_judge_parses_first_valid_integer():
 
 def test_judge_retries_then_gives_up():
     client = MockChatClient(replies=["no score", "still none", "8"])
-    assert judge_caption("a", "b", client, attempts=3) == 8
+    assert judge_caption("a", "b", client) == 8
     client = MockChatClient(replies=["x", "y", "z"])
-    assert judge_caption("a", "b", client, attempts=3) is None
-    assert len(client.calls) == 3
-    with pytest.raises(UsageError):
-        judge_caption("a", "b", MockChatClient(replies=["7"]), attempts=0)
+    assert judge_caption("a", "b", client) is None
+    assert len(client.calls) == JUDGE_ATTEMPTS == 3
 
 
 def test_caption_eval_without_judge():
@@ -189,10 +188,8 @@ def test_caption_eval_without_judge():
 
 
 def test_caption_eval_judge_mean_and_missing():
-    client = MockChatClient(replies=["4", "junk", "8"])
-    report = caption_eval(
-        [("a", "b"), ("c", "d"), ("e", "f")], client=client, attempts=1
-    )
+    client = MockChatClient(replies=["4", "junk", "junk", "junk", "8"])
+    report = caption_eval([("a", "b"), ("c", "d"), ("e", "f")], client=client)
     assert report.judge_mean == 6.0
     assert report.judge_missing == 1
     assert report.judge_prompt_sha256 is not None
@@ -309,7 +306,7 @@ def test_record_validation():
 def test_records_round_trip(tmp_path):
     records = [mc_record("r1"), sa_record("r2")]
     path = tmp_path / "records.jsonl"
-    save_records(path, records)
+    write_jsonl(path, (rec.__dict__ for rec in records))
     back = load_records(path)
     assert back == records
 
@@ -477,7 +474,7 @@ def test_majority_vote_unparseable_replies_cast_no_vote():
 
 
 def test_majority_vote_needs_tissue():
-    raster = Raster.filled(448, 448, (255, 255, 255))
+    raster = Raster.from_pixels(np.full((448, 448, 3), 255, dtype=np.uint8))
     grid = tile_slide(raster)
     with pytest.raises(UsageError):
         majority_vote_baseline(raster, grid, lambda p: "A", OPTIONS)

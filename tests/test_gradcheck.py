@@ -18,7 +18,6 @@ from slidevlm.numerics import (
     masked_logsumexp,
     masked_softmax,
     put_rows,
-    softmax,
     stream,
     take_rows,
 )
@@ -26,6 +25,11 @@ from slidevlm.numerics import (
 EPS = 1e-5
 TOL = 1e-4
 SEEDS = range(20)
+ALL_3x3 = np.ones((3, 3), dtype=bool)
+
+
+def square(t):
+    return t * t
 
 
 def check(build, arrays):
@@ -52,7 +56,7 @@ def test_arithmetic_chain(seed):
     rng = stream(seed, "gc", "arith")
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4)) + 3.0  # keep divisor away from zero
-    check(lambda ts: ((ts[0] * ts[1] - ts[0] / ts[1] + ts[0]) ** 2.0).sum(), [a, b])
+    check(lambda ts: square(ts[0] * ts[1] - ts[0] / ts[1] + ts[0]).sum(), [a, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -60,21 +64,22 @@ def test_broadcast_add(seed):
     rng = stream(seed, "gc", "bcast")
     a = rng.normal(size=(4, 5))
     row = rng.normal(size=(5,))
-    check(lambda ts: ((ts[0] + ts[1]) ** 2.0).mean(), [a, row])
+    check(lambda ts: square(ts[0] + ts[1]).mean(), [a, row])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exp_log_sqrt(seed):
     rng = stream(seed, "gc", "explog")
     a = rng.uniform(0.5, 2.0, size=(3, 3))
-    check(lambda ts: (ts[0].exp().log().sqrt()).sum(), [a])
+    # log(sum(exp(row))) > 0.5 + log(3) on these inputs, so its sqrt is smooth.
+    check(lambda ts: masked_logsumexp(ts[0], ALL_3x3, axis=1).sqrt().sum(), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tanh_gelu(seed):
     rng = stream(seed, "gc", "act")
     a = rng.normal(size=(2, 6))
-    check(lambda ts: (ts[0].tanh() + ts[0].gelu()).sum(), [a])
+    check(lambda ts: ts[0].gelu().sum(), [a])  # GELU in its tanh form
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -82,11 +87,11 @@ def test_matmul(seed):
     rng = stream(seed, "gc", "mm")
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    check(lambda ts: ((ts[0] @ ts[1]) ** 2.0).sum(), [a, b])
+    check(lambda ts: square(ts[0] @ ts[1]).sum(), [a, b])
     # Batched: a's size-1 axis and b's missing leading axis both broadcast.
     a = rng.normal(size=(2, 1, 3, 4))
     b = rng.normal(size=(5, 4, 2))
-    check(lambda ts: ((ts[0] @ ts[1]) ** 2.0).sum(), [a, b])
+    check(lambda ts: square(ts[0] @ ts[1]).sum(), [a, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -94,7 +99,7 @@ def test_reshape_transpose_slices(seed):
     rng = stream(seed, "gc", "shape")
     a = rng.normal(size=(4, 6))
     check(
-        lambda ts: (ts[0].reshape(2, 3, 4).transpose(1, 2, 0).rows(1, 3).reshape(8, 2).T ** 2.0).sum(),
+        lambda ts: square(ts[0].reshape(2, 3, 4).transpose(1, 2, 0).rows(1, 3).reshape(8, 2).T).sum(),
         [a],
     )
 
@@ -111,7 +116,8 @@ def test_softmax(seed):
     rng = stream(seed, "gc", "sm")
     a = rng.normal(size=(4, 6))
     w = rng.normal(size=(4, 6))
-    check(lambda ts: (softmax(ts[0], axis=1) * Tensor(w)).sum(), [a])
+    everywhere = np.ones((4, 6), dtype=bool)
+    check(lambda ts: (masked_softmax(ts[0], everywhere, axis=1) * Tensor(w)).sum(), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -153,7 +159,7 @@ def test_take_put_concat(seed):
     def build(ts):
         taken = take_rows(ts[0], take_idx)
         put = put_rows(5, put_idx, ts[1])
-        return ((concat([taken, put], axis=0)) ** 2.0).sum()
+        return square(concat([taken, put], axis=0)).sum()
 
     check(build, [a, b])
 
@@ -169,7 +175,7 @@ def test_composite_attention_like_expression(seed):
 
     def build(ts):
         q = ts[0] @ ts[1]
-        att = softmax(q @ ts[0].T, axis=1)
+        att = masked_softmax(q @ ts[0].T, np.ones((5, 5), dtype=bool), axis=1)
         out = att @ (ts[0] @ ts[2])
         return cross_entropy(out, targets, mask)
 

@@ -208,7 +208,7 @@ def test_visual_perturbation_reaches_first_answer_logits():
     seq_b = assemble(vis_b, "the slide", "tumor", v)
     la, _ = lm.forward(seq_a)
     lb, _ = lm.forward(seq_b)
-    first_answer_input = seq_a.text_start + len(seq_a.prompt_ids)
+    first_answer_input = seq_a.n_prefix + len(seq_a.prompt_ids)
     assert np.abs(la.data[first_answer_input] - lb.data[first_answer_input]).max() > 1e-9
 
 
@@ -326,7 +326,7 @@ def test_trace_shape_and_raw_attention_rows():
         final.ids = final.ids[:-1]
         final.loss_mask = final.loss_mask[:-1]
     _, recorded = lm.forward(final, capture_attention=True)
-    gen_start = final.text_start + 1 + len(seq.prompt_ids)
+    gen_start = final.n_prefix + 1 + len(seq.prompt_ids)
     for gi in range(g):
         for layer in range(2):
             got = trace.values[gi, layer]
@@ -395,7 +395,7 @@ def full_forward_greedy(lm, seq, max_len):
         final.ids = final.ids[:-1]
     _, recorded = lm.forward(final, capture_attention=True)
     n = seq.n_visual
-    gen_start = final.text_start + 1 + len(seq.prompt_ids)
+    gen_start = final.n_prefix + 1 + len(seq.prompt_ids)
     values = np.zeros((len(generated), lm.cfg.layers, lm.cfg.heads, n))
     for g in range(len(generated)):
         for layer, att in enumerate(recorded):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import BENCH_SPEC, oracle_rasters, oracle_saturation
 from slidevlm.numerics import UsageError, stream
 from slidevlm.slide_io import (
+    SATURATION_THRESHOLD,
+    TISSUE_FRACTION,
     GridEntry,
     PatchGrid,
     Raster,
@@ -28,13 +30,17 @@ from slidevlm.slide_io import (
     synth_slide,
     thumbnail,
     tile_slide,
-    tissue_filter,
     write_raster,
 )
 
 
 def solid(width, height, color):
-    return Raster.filled(width, height, color)
+    return Raster.from_pixels(np.full((height, width, 3), color, dtype=np.uint8))
+
+
+def tissue_flag(pixels):
+    """The flag `tile_slide` gives a raster that is exactly one tile."""
+    return tile_slide(Raster.from_pixels(pixels), patch_size=pixels.shape[0]).entries[0].tissue
 
 
 # -- oracles: the per-tile tiling, dense thumbnail and int64 synth they replaced --------
@@ -166,19 +172,22 @@ def test_tissue_filter_white_false_magenta_true():
     magenta = np.zeros((8, 8, 3), dtype=np.uint8)
     magenta[:, :, 0] = 255
     magenta[:, :, 2] = 255
-    for thr in (0.01, 0.25, 0.5, 0.99):
-        assert not tissue_filter(white, saturation_threshold=thr)
-        assert tissue_filter(magenta, saturation_threshold=thr)
+    assert not tissue_flag(white)
+    assert tissue_flag(magenta)
+    # Saturation 20/255 sits just below SATURATION_THRESHOLD, 21/255 just above.
+    assert not tissue_flag(np.full((8, 8, 3), (255, 235, 235), dtype=np.uint8))
+    assert tissue_flag(np.full((8, 8, 3), (255, 234, 234), dtype=np.uint8))
 
 
 def test_tissue_filter_fraction_cut():
-    # Left half magenta (saturation 1), right half white (saturation 0).
+    # Three of eight columns magenta (saturation 1), the rest white.
     patch = np.full((8, 8, 3), 255, dtype=np.uint8)
-    patch[:, :4, 1] = 0
-    assert tissue_filter(patch, tissue_fraction=0.25)
-    assert not tissue_filter(patch, tissue_fraction=0.75)
-    # The cut is strict: exactly at the fraction is background.
-    assert not tissue_filter(patch, tissue_fraction=0.5)
+    patch[:, :3, 1] = 0
+    assert tissue_flag(patch)
+    # The cut is strict: exactly TISSUE_FRACTION (2 of 8 columns) is background.
+    patch[:, 2, 1] = 255
+    assert not tissue_flag(patch)
+    assert SATURATION_THRESHOLD == 0.08 and TISSUE_FRACTION == 0.25
 
 
 def test_saturation_values():
