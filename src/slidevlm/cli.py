@@ -324,6 +324,7 @@ def _cmd_curate(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     save_candidates(run.path("candidates.jsonl"), result.candidates)
     save_candidates(run.path("kept.jsonl"), result.kept)
     write_jsonl(run.path("drops.jsonl"), (d.__dict__ for d in result.drops))
+    write_jsonl(run.path("verdicts.jsonl"), (dict(v.__dict__, id=k) for k, v in sorted(result.verdicts.items())))
     run.json("flagged.json", result.flagged)
     split = split_assign(reports, seed=seed)
     run.json("split.json", {"train": sorted(split.train), "test": sorted(split.test)})

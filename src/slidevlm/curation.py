@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -179,14 +180,16 @@ class MockChatClient:
 class PromptCache:
     """One JSON file per (template hash, input hash, model) triple.
 
-    Writes are serialized behind a lock so parallel stages never interleave
-    a partial file; the entry stores its own key fields for inspection.
+    Each writer goes through a temp file named for its process and thread,
+    then renames it into place, so readers never see a partial entry and
+    writers need no lock. Writers of one key store the same reply, since
+    the key holds the prompt's hash and the model. The entry stores its own
+    key fields for inspection.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     @staticmethod
     def _key(template_h: str, input_h: str, model: str) -> str:
@@ -197,10 +200,10 @@ class PromptCache:
         return self.root / (self._key(template_h, input_h, model) + ".json")
 
     def lookup(self, template_h: str, input_h: str, model: str) -> str | None:
-        path = self._path(template_h, input_h, model)
-        if not path.exists():
+        try:
+            return read_json(self._path(template_h, input_h, model))["reply"]
+        except FileNotFoundError:
             return None
-        return read_json(path)["reply"]
 
     def store(self, template_h: str, input_h: str, model: str, reply: str) -> None:
         entry = {
@@ -210,11 +213,10 @@ class PromptCache:
             "reply": reply,
         }
         path = self._path(template_h, input_h, model)
-        with self._lock:
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
-            tmp.replace(path)
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, sort_keys=True)
+        os.replace(tmp, path)
 
 
 def _input_hash(text: str) -> str:
@@ -485,34 +487,34 @@ def filter_prompt(record: QARecord) -> str:
 def ensemble_filter(
     qa: QACandidate,
     clients: Sequence[ChatClient],
+    pool: Executor,
     cache: PromptCache | None = None,
 ) -> FilterVerdict:
     """Ask 4 models the question without any slide; keep iff < 3 are right.
 
     A question three text-only models can answer needs no image, so it
-    measures nothing about the slide. Client failures count as incorrect
-    and are flagged.
+    measures nothing about the slide. The four calls go to `pool` at once
+    and the verdict waits for all of them. Client failures count as
+    incorrect and are flagged.
     """
     if len(clients) != 4:
         raise UsageError("ensemble filter needs exactly 4 clients")
     if qa.record.qtype != "multi-choice":
         raise UsageError("ensemble filter applies to multi-choice candidates")
     prompt = filter_prompt(qa.record)
-    correct = []
-    failed = []
-    for client in clients:
+
+    def ask(client: ChatClient) -> tuple[bool, bool]:
         try:
             reply = _call(client, cache, FILTER_TEMPLATE_HASH, prompt, prompt)
         except ClientError:
-            correct.append(False)
-            failed.append(True)
-            continue
-        failed.append(False)
-        correct.append(extract_choice(reply, qa.record.options) == qa.record.answer)
+            return False, True
+        return extract_choice(reply, qa.record.options) == qa.record.answer, False
+
+    correct, failed = zip(*pool.map(ask, clients))
     n_right = sum(correct)
     return FilterVerdict(
-        correct=tuple(correct),
-        failed=tuple(failed),
+        correct=correct,
+        failed=failed,
         kept=n_right < 3,
         reason=f"{n_right}/4 text-only models answered correctly",
     )
@@ -641,11 +643,14 @@ def run_curation(
     broads: Sequence[str] = tuple(NARROW_BY_BROAD),
     jobs: int = 4,
 ) -> CurationResult:
-    """Run clean -> caption -> QA (-> filter) over a batch of reports.
+    """Run clean -> caption -> QA -> filter over a batch of reports.
 
-    Reports run on a pool of `jobs` threads; results keep patient-id
-    order. A report whose chat calls die lands in `flagged` and the batch
-    moves on. Short-answer candidates bypass the text-only filter.
+    Each of `jobs` threads takes one report through every stage, ending
+    with the text-only filter of its multi-choice candidates one at a time;
+    the filter asks its four models at once on a run-wide pool. So no chat
+    endpoint ever has more than `jobs` requests in flight. Results keep
+    patient-id order. A report whose chat calls die lands in `flagged` and
+    the batch moves on. Short-answer candidates bypass the filter.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -654,49 +659,40 @@ def run_curation(
         raise UsageError("duplicate patient ids")
     ordered = sorted(reports, key=lambda r: r.patient_id)
 
-    def one(report: ReportRecord):
+    def one(report: ReportRecord) -> CurationResult:
+        pid = report.patient_id
+        part = CurationResult()
         try:
-            cleaned = clean_report(report, client, cache)
-            caption = gen_caption(cleaned, client, cache)
-            cands: list[QACandidate] = []
-            drops: list[DropReason] = []
+            part.cleaned[pid] = cleaned = clean_report(report, client, cache)
+            part.captions[pid] = gen_caption(cleaned, client, cache)
             for broad in broads:
                 got, dropped = gen_qas(
-                    cleaned,
-                    broad,
-                    client,
-                    cache,
-                    source_report=report.patient_id,
-                    slide_id=report.slide_ids[0],
+                    cleaned, broad, client, cache, source_report=pid, slide_id=report.slide_ids[0]
                 )
-                cands.extend(got)
-                drops.extend(dropped)
-            return report.patient_id, cleaned, caption, cands, drops, None
+                part.candidates.extend(got)
+                part.drops.extend(dropped)
         except ClientError as exc:
-            return report.patient_id, None, None, [], [], str(exc)
+            return CurationResult(flagged={pid: str(exc)})
+        for cand in part.candidates:
+            if filter_clients is not None and cand.record.qtype == "multi-choice":
+                verdict = ensemble_filter(cand, filter_clients, asks, cache)
+                part.verdicts[cand.record.id] = verdict
+                if not verdict.kept:
+                    continue
+            part.kept.append(cand)
+        return part
 
     result = CurationResult()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(one, ordered))
-    for patient_id, cleaned, caption, cands, drops, error in outcomes:
-        if error is not None:
-            result.flagged[patient_id] = error
-            continue
-        result.cleaned[patient_id] = cleaned
-        result.captions[patient_id] = caption
-        result.candidates.extend(cands)
-        result.drops.extend(drops)
-    if filter_clients is not None:
-        for cand in result.candidates:
-            if cand.record.qtype != "multi-choice":
-                result.kept.append(cand)
-                continue
-            verdict = ensemble_filter(cand, filter_clients, cache)
-            result.verdicts[cand.record.id] = verdict
-            if verdict.kept:
-                result.kept.append(cand)
-    else:
-        result.kept = list(result.candidates)
+    # One worker per filter model per report thread, so filter calls never queue.
+    with ThreadPoolExecutor(max_workers=jobs) as pool, ThreadPoolExecutor(max_workers=4 * jobs) as asks:
+        for part in pool.map(one, ordered):
+            result.cleaned.update(part.cleaned)
+            result.captions.update(part.captions)
+            result.candidates.extend(part.candidates)
+            result.drops.extend(part.drops)
+            result.verdicts.update(part.verdicts)
+            result.kept.extend(part.kept)
+            result.flagged.update(part.flagged)
     return result
 
 

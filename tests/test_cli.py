@@ -345,9 +345,15 @@ def test_curate_replay_pipeline(world, capsys):
     assert json.loads((run / "flagged.json").read_text()) == {}
     split = json.loads((run / "split.json").read_text())
     assert split == {"train": ["s1"], "test": []}
+    verdicts = [json.loads(l) for l in (run / "verdicts.jsonl").read_text().splitlines()]
+    assert verdicts == [{
+        "id": "p1-diagnosis-000", "correct": [True, True, False, False],
+        "failed": [False, False, False, False], "kept": True,
+        "reason": "2/4 text-only models answered correctly",
+    }]
     assert set(manifest(run)) == {
         "cleaned.jsonl", "captions.jsonl", "candidates.jsonl", "kept.jsonl",
-        "drops.jsonl", "flagged.json", "split.json",
+        "drops.jsonl", "verdicts.jsonl", "flagged.json", "split.json",
     }
 
 
@@ -374,7 +380,7 @@ def test_curate_resumes_from_cache_alone(world):
         argv += ["--filter-replay", f]
     assert main(argv) == 0
     for name in ("cleaned.jsonl", "captions.jsonl", "candidates.jsonl",
-                 "kept.jsonl", "drops.jsonl", "flagged.json"):
+                 "kept.jsonl", "drops.jsonl", "verdicts.jsonl", "flagged.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
@@ -386,6 +392,23 @@ def test_curate_needs_four_filter_replays(world, capsys):
             "--filter-replay", filters[0], "--filter-replay", filters[1]]
     assert main(argv) == 2
     assert "exactly 4 times" in capsys.readouterr().err
+
+
+def test_curate_reports_a_failed_filter_model(world):
+    root = world["root"]
+    reports, replay, filters = curate_world(root)
+    filters[2] = write_replay(root / "filter_empty.json", {})  # no entry for the question
+    run = root / "curate_filter_failed"
+    argv = ["curate", *world["base"], "--run-dir", str(run),
+            "--reports", str(reports), "--replay", replay,
+            "--cache-dir", str(root / "cache_filter_failed")]
+    for f in filters:
+        argv += ["--filter-replay", f]
+    assert main(argv) == 0
+    verdicts = [json.loads(l) for l in (run / "verdicts.jsonl").read_text().splitlines()]
+    assert [v["id"] for v in verdicts] == ["p1-diagnosis-000"]
+    assert verdicts[0]["failed"] == [False, False, True, False]
+    assert verdicts[0]["correct"] == [True, True, False, False]
 
 
 def test_curate_flags_reports_missing_from_replay(world, capsys):

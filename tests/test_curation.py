@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -239,6 +243,27 @@ def test_cache_round_trip_and_key_sensitivity(tmp_path):
     assert entry == {"template_hash": "t", "input_hash": "i", "model": "m", "reply": "reply"}
 
 
+def test_cache_survives_concurrent_writers(tmp_path):
+    # Even keys are shared by all eight threads, odd keys belong to one.
+    cache = PromptCache(tmp_path)
+
+    def work(t):
+        for k in range(200):
+            key = f"k{k}" if k % 2 == 0 else f"k{k}-t{t}"
+            cache.store("t", key, "m", f"reply {key}")
+            assert cache.lookup("t", key, "m") == f"reply {key}"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as threads:
+            list(threads.map(work, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(list(tmp_path.glob("*.json"))) == 100 + 8 * 100
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_cache_short_circuits_the_client(tmp_path):
     cache = PromptCache(tmp_path)
     record = ReportRecord("p1", "raw report", ["s1"])
@@ -370,6 +395,48 @@ def mc_candidate():
     return QACandidate(record=record, reasoning=None, source_report="p1", prompt_hash="h")
 
 
+@pytest.fixture
+def pool():
+    with ThreadPoolExecutor(max_workers=4) as executor:
+        yield executor
+
+
+class BarrierClient:
+    """Answers "A", but only once every party of `barrier` is calling at the same time."""
+
+    def __init__(self, barrier, model):
+        self.barrier = barrier
+        self.model = model
+
+    def complete(self, prompt, temperature=0.0):
+        try:
+            self.barrier.wait()
+        except threading.BrokenBarrierError:
+            raise ClientError(f"{self.model}: the other callers never came") from None
+        return "A"
+
+
+class InFlightClient:
+    """Wraps a client and records the most calls it ever had open at once."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model = inner.model
+        self.open = self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, temperature=0.0):
+        with self._lock:
+            self.open += 1
+            self.peak = max(self.peak, self.open)
+        try:
+            time.sleep(0.001)  # widen the window in which calls can overlap
+            return self.inner.complete(prompt, temperature)
+        finally:
+            with self._lock:
+                self.open -= 1
+
+
 def test_filter_prompt_layout():
     prompt = filter_prompt(mc_candidate().record)
     lines = prompt.splitlines()
@@ -380,40 +447,49 @@ def test_filter_prompt_layout():
 
 
 @pytest.mark.parametrize("bits", range(16))
-def test_ensemble_truth_table(bits):
+def test_ensemble_truth_table(bits, pool):
     vector = tuple(bool(bits >> i & 1) for i in range(4))
     clients = [
         MockChatClient(default="A" if right else "B", model=f"m{i}")
         for i, right in enumerate(vector)
     ]
-    verdict = ensemble_filter(mc_candidate(), clients)
+    verdict = ensemble_filter(mc_candidate(), clients, pool)
     assert verdict.correct == vector
     assert verdict.failed == (False, False, False, False)
     assert verdict.kept == (sum(vector) < 3)
 
 
-def test_ensemble_failure_counts_as_incorrect():
+def test_ensemble_failure_counts_as_incorrect(pool):
     clients = [
         MockChatClient(default="A", model="m0"),
         MockChatClient(replies=[None], model="m1"),
         MockChatClient(default="A", model="m2"),
         MockChatClient(default="A", model="m3"),
     ]
-    verdict = ensemble_filter(mc_candidate(), clients)
+    verdict = ensemble_filter(mc_candidate(), clients, pool)
     assert verdict.correct == (True, False, True, True)
     assert verdict.failed == (False, True, False, False)
     assert verdict.kept is False  # still 3 right
 
 
-def test_ensemble_validation():
+def test_ensemble_asks_its_four_models_at_once(pool):
+    # Each model's call returns only when all four are waiting together.
+    barrier = threading.Barrier(4, timeout=5)
+    clients = [BarrierClient(barrier, f"m{i}") for i in range(4)]
+    verdict = ensemble_filter(mc_candidate(), clients, pool)
+    assert verdict.failed == (False, False, False, False)
+    assert verdict.correct == (True, True, True, True)
+
+
+def test_ensemble_validation(pool):
     with pytest.raises(UsageError):
-        ensemble_filter(mc_candidate(), [MockChatClient(default="A")] * 3)
+        ensemble_filter(mc_candidate(), [MockChatClient(default="A")] * 3, pool)
     sa = QACandidate(
         record=QARecord("q", "s", "what?", [], "x", "short-answer", "Diagnosis", "Grading"),
         reasoning=None, source_report="p", prompt_hash="h",
     )
     with pytest.raises(UsageError):
-        ensemble_filter(sa, [MockChatClient(default="A", model=f"m{i}") for i in range(4)])
+        ensemble_filter(sa, [MockChatClient(default="A", model=f"m{i}") for i in range(4)], pool)
 
 
 # -- split -----------------------------------------------------------------------------------
@@ -527,6 +603,70 @@ def test_run_curation_parallel_matches_serial():
     serial = run_curation(reports, MockChatClient(table=table), broads=["Diagnosis"], jobs=1)
     threaded = run_curation(reports, MockChatClient(table=table), broads=["Diagnosis"], jobs=4)
     assert serial == threaded
+
+
+MC_B_ITEM = dict(MC_ITEM, question="Which subtype is present?", answer="B")
+
+
+def filtered_world(n):
+    """n reports of two multi-choice items and a short-answer item each."""
+    table = {}
+    for i in range(n):
+        table.update(
+            curation_table(f"p{i}", f"raw {i}", f"clean {i}", f"cap {i}", [MC_ITEM, MC_B_ITEM, SA_ITEM])
+        )
+    return [ReportRecord(f"p{i}", f"raw {i}", [f"s{i}"]) for i in range(n)], table
+
+
+def test_run_curation_filtered_parallel_matches_serial():
+    reports, table = filtered_world(6)
+    b_prompt = filter_prompt(QARecord(
+        "q", "s", MC_B_ITEM["question"], list(MC_ITEM["options"]), "B",
+        "multi-choice", "Diagnosis", "Disease Classification",
+    ))
+
+    def filters():
+        # Three models say A, so MC_ITEM drops and MC_B_ITEM stays; the
+        # fourth answers only MC_B_ITEM and fails on the other prompt.
+        return [MockChatClient(default="A", model=f"m{i}") for i in range(3)] + [
+            MockChatClient(table={b_prompt: "B"}, model="m3")
+        ]
+
+    runs = [
+        run_curation(reports, MockChatClient(table=table), filter_clients=filters(),
+                     broads=["Diagnosis"], jobs=jobs)
+        for jobs in (1, 4)
+    ]
+    assert runs[0] == runs[1]
+    assert list(runs[0].verdicts) == list(runs[1].verdicts)  # dict equality ignores order
+    assert [c.record.id for c in runs[0].kept] == [
+        f"p{i}-diagnosis-{k:03d}" for i in range(6) for k in (1, 2)
+    ]
+    assert runs[0].verdicts["p0-diagnosis-000"].failed == (False, False, False, True)
+
+
+def test_run_curation_overlaps_filter_calls_of_different_reports():
+    # Each model's call returns only when both reports' calls wait on it together.
+    table = {}
+    for i in range(2):
+        table.update(curation_table(f"p{i}", f"raw {i}", f"clean {i}", f"cap {i}", [MC_ITEM]))
+    reports = [ReportRecord(f"p{i}", f"raw {i}", [f"s{i}"]) for i in range(2)]
+    clients = [BarrierClient(threading.Barrier(2, timeout=5), f"m{i}") for i in range(4)]
+    result = run_curation(
+        reports, MockChatClient(table=table), filter_clients=clients, broads=["Diagnosis"], jobs=2
+    )
+    assert len(result.verdicts) == 2
+    for verdict in result.verdicts.values():
+        assert verdict.failed == (False, False, False, False)
+
+
+def test_run_curation_keeps_jobs_requests_per_endpoint():
+    reports, table = filtered_world(6)
+    chat = InFlightClient(MockChatClient(table=table))
+    filters = [InFlightClient(MockChatClient(default="A", model=f"m{i}")) for i in range(4)]
+    result = run_curation(reports, chat, filter_clients=filters, broads=["Diagnosis"], jobs=2)
+    assert len(result.verdicts) == 12 and not result.flagged
+    assert max(c.peak for c in [chat, *filters]) <= 2
 
 
 def test_run_curation_flags_dead_reports():
