@@ -135,13 +135,20 @@ def _print_accuracy(report) -> int:
 
 
 def _cmd_synth(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    for flag, value in (("--width", args.width), ("--height", args.height),
+                        ("--patch-size", args.patch_size)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     regions = []
     for text in args.region or []:
         parts = text.split(":")
-        if len(parts) != 5:
-            raise UsageError(f"--region wants label:x:y:w:h, got {text!r}")
-        label, x, y, w, h = parts[0], *map(int, parts[1:])
-        regions.append(Region(label, x, y, w, h))
+        try:  # a wrong field count, a non-integer or a negative field
+            label, x, y, w, h = parts[0], *map(int, parts[1:])
+            regions.append(Region(label, x, y, w, h))
+        except ValueError as exc:
+            raise UsageError(
+                f"--region wants label:x:y:w:h with integers x, y, w, h >= 0, got {text!r}"
+            ) from exc
     spec = SlideSpec(args.width, args.height, args.patch_size, regions)
     raster, labels = synth_slide(seed, spec)
     write_raster(run.path("slide.ppm"), raster)

@@ -70,8 +70,6 @@ class LiveChatClient:
     """
 
     def __init__(self, config: EndpointConfig):
-        import os
-
         import requests
 
         self._requests = requests
@@ -493,9 +491,10 @@ def ensemble_filter(
     """Ask 4 models the question without any slide; keep iff < 3 are right.
 
     A question three text-only models can answer needs no image, so it
-    measures nothing about the slide. The four calls go to `pool` at once
-    and the verdict waits for all of them. Client failures count as
-    incorrect and are flagged.
+    measures nothing about the slide. Replies already in `cache` are read
+    in the calling thread; the calls that miss go to `pool` at once, and
+    the verdict waits for all of them. Client failures count as incorrect
+    and are flagged.
     """
     if len(clients) != 4:
         raise UsageError("ensemble filter needs exactly 4 clients")
@@ -503,14 +502,25 @@ def ensemble_filter(
         raise UsageError("ensemble filter applies to multi-choice candidates")
     prompt = filter_prompt(qa.record)
 
-    def ask(client: ChatClient) -> tuple[bool, bool]:
+    def ask(client: ChatClient) -> str | None:
         try:
-            reply = _call(client, cache, FILTER_TEMPLATE_HASH, prompt, prompt)
+            return _call(client, cache, FILTER_TEMPLATE_HASH, prompt, prompt)
         except ClientError:
-            return False, True
-        return extract_choice(reply, qa.record.options) == qa.record.answer, False
+            return None
 
-    correct, failed = zip(*pool.map(ask, clients))
+    input_h = _input_hash(prompt)
+    replies = [
+        None if cache is None else cache.lookup(FILTER_TEMPLATE_HASH, input_h, c.model)
+        for c in clients
+    ]
+    misses = [i for i, reply in enumerate(replies) if reply is None]
+    for i, reply in zip(misses, pool.map(ask, [clients[i] for i in misses])):
+        replies[i] = reply
+    failed = tuple(reply is None for reply in replies)
+    correct = tuple(
+        not gone and extract_choice(reply, qa.record.options) == qa.record.answer
+        for reply, gone in zip(replies, failed)
+    )
     n_right = sum(correct)
     return FilterVerdict(
         correct=correct,

@@ -23,9 +23,8 @@ from .numerics import (
     Parameter,
     Tensor,
     UsageError,
+    attention,
     concat,
-    masked_logsumexp,
-    masked_softmax,
     put_rows,
     stream,
     take_rows,
@@ -149,16 +148,6 @@ class PatchEncoder:
         )
         return (stats[:, None, :] @ self.weight.value.data)[:, 0] + self.bias.value.data
 
-    def encode(self, patch: np.ndarray) -> np.ndarray:
-        patch = np.asarray(patch)
-        if patch.ndim != 3 or patch.shape[:2] != (self.patch_size, self.patch_size):
-            raise UsageError(
-                f"patch shape {patch.shape} does not match patch size {self.patch_size}"
-            )
-        if patch.shape[2] not in (1, 3):
-            raise UsageError("patch must have 1 or 3 channels")
-        return self._features(patch[None])[0]
-
     def encode_grid(self, raster: Raster, grid: PatchGrid) -> EmbeddingMatrix:
         """Featurize every tissue tile, row-major order, one strip of tiles at a time."""
         ps = self.patch_size
@@ -189,8 +178,8 @@ def dilated_branch(
 
     q, k and v are [H, N, d]. Each head's sequence is cut into ceil(N/w)
     segments; within each, the rows at that head's offset with stride `r`
-    attend densely among themselves. The final segment is right-padded
-    with zero rows and padded keys are masked out. Returns the [H, N, d]
+    attend densely among themselves; the final segment may run past the
+    sequence, and its missing rows take no part. Returns the [H, N, d]
     output (zero at unselected rows), the [H, N] log of each row's softmax
     denominator (zero at unselected rows), and the boolean [H, N]
     selection mask.
@@ -199,33 +188,24 @@ def dilated_branch(
         raise UsageError("branch needs w >= r >= 1")
     if w % r:
         raise UsageError(f"segment length {w} not divisible by dilation {r}")
-    heads, n, dim = q.shape
+    heads, n, _ = q.shape
     offsets = np.asarray(offsets, dtype=np.int64)
     if offsets.shape != (heads,):
         raise UsageError(f"need one offset per head ({heads}), got {offsets.size}")
     if ((offsets < 0) | (offsets >= r)).any():
         raise UsageError("offsets must lie in [0, r)")
     segments, m = -(-n // w), w // r
-    padded = segments * w
-    # Group g = h * segments + s holds the m dilated rows of segment s of
-    # head h, at sequence positions pos[g]; positions >= n are padding.
-    pos = offsets[:, None, None] + np.arange(0, padded, w)[:, None] + np.arange(0, w, r)
+    # Group g = h * segments + s holds the m dilated rows of segment s of head
+    # h, at positions pos[g]. Positions >= n are padding: they read row n - 1,
+    # are masked as keys and are dropped as queries.
+    pos = offsets[:, None, None] + np.arange(0, segments * w, w)[:, None] + np.arange(0, w, r)
     pos = pos.reshape(-1, m)
-    head = np.repeat(np.arange(heads), segments)[:, None]
     real = pos < n
-    unpadded = (np.arange(heads)[:, None] * padded + np.arange(n)).ravel()
-
-    def gather(t: Tensor) -> Tensor:
-        padded_t = put_rows(heads * padded, unpadded, t.reshape(heads * n, t.shape[-1]))
-        return take_rows(padded_t, head * padded + pos)
-
-    qs, ks, vs = gather(q), gather(k), gather(v)
-    mask = np.broadcast_to(real[:, None, :], (len(pos), m, m))
-    scores = (qs @ ks.transpose(0, 2, 1)) * (1.0 / math.sqrt(dim))
-    out = masked_softmax(scores, mask, axis=-1) @ vs
-    logden = masked_logsumexp(scores, mask, axis=-1)
+    rows = np.repeat(np.arange(heads) * n, segments)[:, None] + np.minimum(pos, n - 1)
+    qs, ks, vs = (take_rows(t.reshape(heads * n, t.shape[-1]), rows) for t in (q, k, v))
+    out, logden = attention(qs, ks, vs, real[:, None, :])
     slots = np.flatnonzero(real)
-    targets = (head * n + pos).ravel()[slots]
+    targets = rows.ravel()[slots]
     out = put_rows(heads * n, targets, take_rows(out.reshape(-1, v.shape[-1]), slots))
     logden = put_rows(heads * n, targets, take_rows(logden.reshape(-1), slots))
     selected = np.zeros(heads * n, dtype=bool)
@@ -296,14 +276,16 @@ class DilatedSelfAttention(HeadProjections):
                 for w, r in self.cfg.effective_branches(n)
             )
         )
-        weights = masked_softmax(
-            concat([ld.reshape(heads * n, 1) for ld in logdens], axis=1),
-            np.stack(sels, axis=-1).reshape(heads * n, len(sels)),
-            axis=1,
+        # The merge is attention of a unit query over the branches: the
+        # log-denominators are the scores, the branch outputs the values.
+        rows = heads * n
+        mixed, _ = attention(
+            Tensor(np.ones((rows, 1, 1))),
+            concat([ld.reshape(rows, 1, 1) for ld in logdens], axis=1),
+            concat([out.reshape(rows, 1, dim) for out in outs], axis=1),
+            np.stack(sels, axis=-1).reshape(rows, 1, len(sels)),
         )
-        stacked = concat([out.reshape(1, heads, n, dim) for out in outs], axis=0)
-        mixed = (weights.T.reshape(len(outs), heads, n, 1) * stacked).sum(axis=0)
-        return self.merge(mixed)
+        return self.merge(mixed.reshape(heads, n, dim))
 
 
 class SlideEncoder:

@@ -444,6 +444,8 @@ def majority_vote_baseline(
     model about each, maps replies to letters, and takes the plurality.
     Replies that map to no option simply cast no vote.
     """
+    if k_patches < 0:
+        raise UsageError(f"majority vote k must be >= 0, got {k_patches}")
     tissue = grid.tissue_entries()
     if not tissue:
         raise UsageError("majority vote needs at least one tissue patch")

@@ -80,6 +80,8 @@ def saliency(trace: AttentionTrace, k: int = 5, renormalize: bool = True) -> Pat
     over the visual positions before averaging, so tokens that put most
     of their mass on text count equally.
     """
+    if k < 0:
+        raise UsageError(f"saliency k must be >= 0, got {k}")
     if trace.values.shape[0] == 0:
         raise UsageError("empty trace: no generated tokens")
     n = trace.n_patches

@@ -30,9 +30,9 @@ from .numerics import (
     Parameter,
     Tensor,
     UsageError,
+    attention,
     concat,
     cross_entropy,
-    masked_softmax,
     no_grad,
     stream,
     take_rows,
@@ -204,11 +204,8 @@ class _MaskedSelfAttention(HeadProjections):
         if past is not None:
             k, v = (concat([Tensor(old), new], axis=1) for old, new in zip(past, (k, v)))
             past[:] = [k.data, v.data]
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(q.shape[-1]))
-        att = masked_softmax(scores, np.broadcast_to(allow, scores.shape), axis=-1)
-        if capture is not None:
-            capture.append(att.data)
-        return self.merge(att @ v)
+        out, _ = attention(q, k, v, allow, capture)
+        return self.merge(out)
 
 
 class DecoderLM:

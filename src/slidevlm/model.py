@@ -134,11 +134,8 @@ class SlideVLM:
         if unknown:
             raise UsageError(f"unknown parameter groups: {sorted(unknown)}")
         for group, params in self.param_groups().items():
-            flag = group in trainable
             for p in params:
-                if group == "patch_encoder":
-                    flag = False
-                p.set_trainable(flag)
+                p.set_trainable(group in trainable)
 
     def visual_tokens(self, inputs: SlideInputs) -> Tensor:
         """Project patch features into LM space, through or around the encoder."""

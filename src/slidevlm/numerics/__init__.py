@@ -6,10 +6,9 @@ from .rng import stream
 from .tensor import (
     Tensor,
     UsageError,
+    attention,
     concat,
     cross_entropy,
-    masked_logsumexp,
-    masked_softmax,
     no_grad,
     put_rows,
     take_rows,
@@ -21,11 +20,10 @@ __all__ = [
     "Parameter",
     "Tensor",
     "UsageError",
+    "attention",
     "concat",
     "cross_entropy",
     "load_checkpoint",
-    "masked_logsumexp",
-    "masked_softmax",
     "no_grad",
     "put_rows",
     "save_checkpoint",

@@ -2,8 +2,9 @@
 
 Just enough array machinery to train every block in this repo at desk
 scale: row-major numpy storage, a taped backward pass, and the handful
-of fused ops (masked softmax, cross entropy, row gather/scatter) that
-the attention stacks need. Every public operation checks that its
+of fused ops (attention, cross entropy, row gather/scatter) that the two
+stacks need. `attention` is their only softmax over scores, and its tape
+keeps just the attention weights. Every public operation checks that its
 output is finite, so numerical blowups surface at the op that caused
 them instead of three modules later. Under `no_grad()` operations keep
 no tape: their results have no parents and need no gradient.
@@ -19,10 +20,9 @@ import numpy as np
 __all__ = [
     "UsageError",
     "Tensor",
+    "attention",
     "concat",
     "cross_entropy",
-    "masked_logsumexp",
-    "masked_softmax",
     "take_rows",
     "put_rows",
     "no_grad",
@@ -55,11 +55,6 @@ def no_grad():
         _grad_mode.enabled = before
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return np.ascontiguousarray(arr)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -77,7 +72,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise UsageError("tensor values must be finite")
         self.grad: np.ndarray | None = None
@@ -90,7 +85,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor.__new__(Tensor)
-        out.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        out.data = np.ascontiguousarray(data, dtype=np.float64)
         if not np.all(np.isfinite(out.data)):
             raise UsageError("operation produced non-finite values")
         out.grad = None
@@ -330,63 +325,62 @@ class Tensor:
 # -- free functions ------------------------------------------------------------
 
 
-def masked_softmax(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over the entries where `mask` is true; zeros elsewhere.
+def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Tensor, Tensor]:
+    """Masked softmax attention and each row's log-denominator, in one pass.
 
-    Rows that are fully masked out come back as all zeros rather than NaN,
-    so padded attention segments stay inert.
+    q is [..., n, d], k [..., m, d], v [..., m, e]; the boolean `allow`
+    broadcasts to [..., n, m] and lets query i see key j where true. Returns
+    `out` [..., n, e], the softmax of the allowed scores q·k / sqrt(d) times
+    v, and `lse` [..., n], the log of each row's softmax denominator; a row
+    with no allowed key gives zeros in both. The scores become the weights
+    in one buffer, the only array the tape keeps; `capture` receives it too.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise UsageError("mask shape must match tensor shape")
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise UsageError(f"axis {axis} invalid for shape {x.shape}")
-    a = x
-    # Work in one buffer: a batch of attention maps can outgrow the cache,
-    # and each full-size temporary costs another pass over memory.
-    masked_out = ~mask
-    data = np.where(mask, a.data, -np.inf)
-    peak = data.max(axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    np.subtract(a.data, peak, out=data)
-    np.copyto(data, 0.0, where=masked_out)
-    np.exp(data, out=data)
-    np.copyto(data, 0.0, where=masked_out)
-    total = data.sum(axis=axis, keepdims=True)
-    data /= np.where(total == 0.0, 1.0, total)
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2 or (
+        q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+    ):
+        raise UsageError("attention needs q [..., n, d], k [..., m, d] and v [..., m, e]")
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    # A contiguous k^T makes the scores equal a plain q @ k^T bit for bit.
+    weights = q.data @ np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    allow = np.asarray(allow, dtype=bool)
+    try:
+        np.broadcast_to(allow, weights.shape)
+    except ValueError:
+        raise UsageError(f"mask of shape {allow.shape} does not fit scores {weights.shape}") from None
+    weights *= scale
+    peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
+    peak[peak == -np.inf] = 0.0
+    weights -= peak
+    np.copyto(weights, -np.inf, where=~allow)
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=-1, keepdims=True)
+    np.copyto(total, 1.0, where=total == 0.0)
+    weights /= total
+    lse = (peak + np.log(total))[..., 0]
+    if capture is not None:
+        capture.append(weights)
 
-    def backward(grad):
-        dot = (grad * data).sum(axis=axis, keepdims=True)
-        a._accumulate(data * (grad - dot))
+    def scores_backward(d_scores):
+        d_scores *= scale
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(d_scores @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(_unbroadcast(np.swapaxes(d_scores, -1, -2) @ q.data, k.shape))
 
-    return Tensor._result(data, (a,), backward)
+    def out_backward(grad):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ grad, v.shape))
+        if q.requires_grad or k.requires_grad:
+            d_weights = grad @ np.swapaxes(v.data, -1, -2)
+            d_weights -= (d_weights * weights).sum(axis=-1, keepdims=True)
+            d_weights *= weights
+            scores_backward(d_weights)
 
+    def lse_backward(grad):
+        scores_backward(weights * grad[..., None])
 
-def masked_logsumexp(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """log(sum(exp(x))) over unmasked entries, stabilized.
-
-    Fully-masked slices yield 0.0; callers are expected to mask those slices
-    out of any downstream combination themselves.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise UsageError("mask shape must match tensor shape")
-    a = x
-    neg = np.where(mask, a.data, -np.inf)
-    peak = neg.max(axis=axis, keepdims=True)
-    alive = np.isfinite(peak)
-    peak = np.where(alive, peak, 0.0)
-    expd = np.where(mask, np.exp(np.where(mask, a.data - peak, 0.0)), 0.0)
-    total = expd.sum(axis=axis, keepdims=True)
-    data = np.where(alive, peak + np.log(np.where(total == 0.0, 1.0, total)), 0.0)
-    data = np.squeeze(data, axis=axis)
-    weights = expd / np.where(total == 0.0, 1.0, total)
-
-    def backward(grad):
-        g = np.expand_dims(grad, axis)
-        a._accumulate(weights * g)
-
-    return Tensor._result(data, (a,), backward)
+    out = Tensor._result(weights @ v.data, (q, k, v), out_backward)
+    return out, Tensor._result(lse, (q, k), lse_backward)
 
 
 def cross_entropy(logits: Tensor, targets, mask) -> Tensor:

@@ -339,6 +339,10 @@ class Region:
     width: int
     height: int
 
+    def __post_init__(self):
+        if min(self.x, self.y, self.width, self.height) < 0:
+            raise UsageError(f"region {self.label!r}: x, y, width and height must be >= 0")
+
 
 @dataclass
 class SlideSpec:
@@ -348,6 +352,11 @@ class SlideSpec:
     height: int = 448
     patch_size: int = DEFAULT_PATCH_SIZE
     regions: list[Region] = field(default_factory=list)
+
+    def __post_init__(self):
+        for name in ("width", "height", "patch_size"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"slide {name} must be >= 1, got {getattr(self, name)}")
 
 
 # Saturated H&E-ish base colors assigned to region labels in order.

@@ -266,6 +266,22 @@ def test_baseline_majority_and_thumbnail(world, capsys):
     assert out == "B\nB\n"
 
 
+def test_negative_k_exits_two(world, capsys):
+    replay = world["root"] / "patch_replay_k.json"
+    replay.write_text(json.dumps({"default": "B"}))
+    slide, grid = str(world["data"] / "slide.ppm"), str(world["data"] / "grid.txt")
+    commands = [
+        ["interpret", "--trace", str(world["infer"] / "trace.ckpt"), "--slide", slide, "--grid", grid],
+        ["baseline", "--kind", "majority", "--slide", slide, "--grid", grid,
+         "--options", "alpha|beta|gamma", "--replay", str(replay)],
+    ]
+    for command in commands:
+        run = world["root"] / f"negative_k_{command[0]}"
+        assert main([command[0], *world["base"], "--run-dir", str(run), *command[1:], "--k", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: usage:")
+        assert not (run / "saliency.csv").exists()
+
+
 def test_baseline_flag_requirements(world, capsys):
     assert main(["baseline", *world["base"], "--run-dir", str(world["root"] / "x"),
                  "--kind", "majority", "--slide", "s.ppm",
@@ -607,9 +623,18 @@ def test_slide_without_tissue_fails_early(world, tmp_path, capsys):
 
 
 def test_bad_region_exits_two(world, capsys):
-    assert main(["synth", *world["base"], "--run-dir", str(world["root"] / "x"),
-                 "--region", "tumor:0:0"]) == 2
-    assert capsys.readouterr().err.startswith("error: usage:")
+    cases = [
+        (["--region", "tumor:0:0"], "--region"),
+        (["--region", "tumor:0:0:x:448"], "--region"),
+        (["--region", "tumor:-224:0:224:224"], "--region"),
+        (["--patch-size", "0"], "--patch-size"),
+        (["--width", "-64"], "--width"),
+        (["--height", "-64"], "--height"),
+    ]
+    for flags, named in cases:
+        assert main(["synth", *world["base"], "--run-dir", str(world["root"] / "x"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and named in err, (flags, err)
 
 
 def test_foreign_checkpoint_exits_two(world, capsys):

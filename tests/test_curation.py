@@ -481,6 +481,32 @@ def test_ensemble_asks_its_four_models_at_once(pool):
     assert verdict.correct == (True, True, True, True)
 
 
+class CountingPool:
+    """An executor that runs `map` inline and counts the tasks handed to it."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def map(self, fn, items):
+        items = list(items)
+        self.tasks += len(items)
+        return map(fn, items)
+
+
+def test_ensemble_reads_cached_replies_without_the_pool(tmp_path, pool):
+    cache = PromptCache(tmp_path)
+    clients = [MockChatClient(default="A" if i else "B", model=f"m{i}") for i in range(4)]
+    cold = ensemble_filter(mc_candidate(), clients, pool, cache)
+    dead = [MockChatClient(replies=[], model=f"m{i}") for i in range(4)]
+    counting = CountingPool()
+    assert ensemble_filter(mc_candidate(), dead, counting, cache) == cold
+    assert counting.tasks == 0 and all(c.calls == [] for c in dead)
+    # A candidate with one reply missing hands only that call to the pool.
+    next(tmp_path.glob("*.json")).unlink()
+    assert ensemble_filter(mc_candidate(), clients, counting, cache) == cold
+    assert counting.tasks == 1
+
+
 def test_ensemble_validation(pool):
     with pytest.raises(UsageError):
         ensemble_filter(mc_candidate(), [MockChatClient(default="A")] * 3, pool)

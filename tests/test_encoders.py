@@ -14,7 +14,7 @@ import pytest
 import slidevlm
 
 from conftest import oracle_rasters, oracle_saturation
-from slidevlm.numerics import Tensor, UsageError, concat, masked_softmax, stream
+from slidevlm.numerics import Tensor, UsageError, attention, concat, stream
 from slidevlm.encoders import (
     EMBEDDINGS_MAGIC,
     DilatedSelfAttention,
@@ -27,7 +27,7 @@ from slidevlm.encoders import (
     load_embeddings,
     save_embeddings,
 )
-from slidevlm.slide_io import PatchGrid, Raster, box_weights, tile_slide
+from slidevlm.slide_io import GridEntry, PatchGrid, Raster, box_weights, tile_slide
 
 
 def dense_attention(q, k, v, allowed=None):
@@ -123,7 +123,8 @@ def test_branch_validation():
 
 def test_branch_mix_weights_sum_to_one_over_selecting_branches():
     # Mixing rule: softmax over per-branch log-denominators, masked to the
-    # branches that selected each row. With all-ones values every branch
+    # branches that selected each row, i.e. `attention` of a unit query with
+    # the log-denominators as scores. With all-ones values every branch
     # output is 1 at selected rows, so the mix must return exactly 1.
     rng = stream(7, "mix")
     heads, n = 3, 6
@@ -133,16 +134,23 @@ def test_branch_mix_weights_sum_to_one_over_selecting_branches():
     outs, logdens, sels = [], [], []
     for w, r in branch_specs:
         out, logden, sel = dilated_branch(q, k, v, w, r, offsets=np.arange(heads) % r)
-        outs.append(out.reshape(heads * n, 1))
+        outs.append(out.reshape(heads * n, 1, 1))
         logdens.append(logden.reshape(heads * n, 1))
         sels.append(sel.reshape(heads * n))
-    weights = masked_softmax(concat(logdens, axis=1), np.stack(sels, axis=1), axis=1)
-    assert (weights.data >= 0.0).all()
+    capture = []
+    mixed, _ = attention(
+        Tensor(np.ones((heads * n, 1, 1))),
+        concat(logdens, axis=1).reshape(heads * n, len(sels), 1),
+        concat(outs, axis=1),
+        np.stack(sels, axis=1)[:, None, :],
+        capture,
+    )
+    weights = capture[0][:, 0]
+    assert (weights >= 0.0).all()
     selected_any = np.stack(sels, axis=1).any(axis=1)
-    sums = weights.data.sum(axis=1)
+    sums = weights.sum(axis=1)
     np.testing.assert_allclose(sums[selected_any], 1.0, atol=1e-12)
-    mixed = (weights * concat(outs, axis=1)).sum(axis=1)
-    np.testing.assert_allclose(mixed.data[selected_any], 1.0, atol=1e-12)
+    np.testing.assert_allclose(mixed.data[selected_any, 0, 0], 1.0, atol=1e-12)
 
 
 def reference_dilated_self_attention(attn, x):
@@ -374,25 +382,24 @@ def test_embedding_matrix_rejects_non_finite():
 # -- patch encoder ----------------------------------------------------------------
 
 
+def encode_one(enc, patch):
+    """Features of one patch, through `encode_grid` on a one-tile grid."""
+    ps = enc.patch_size
+    grid = PatchGrid(ps, ps, ps, [GridEntry(0, 0, 0, 0, True)])
+    return enc.encode_grid(Raster.from_pixels(patch), grid).values[0]
+
+
 def test_patch_encoder_deterministic_and_injective_on_constants():
     enc = PatchEncoder(dim=16, patch_size=8, seed=0)
     zero = np.zeros((8, 8, 3), dtype=np.uint8)
     full = np.full((8, 8, 3), 255, dtype=np.uint8)
-    np.testing.assert_array_equal(enc.encode(zero), enc.encode(zero))
-    assert np.abs(enc.encode(zero) - enc.encode(full)).max() > 1e-9
+    np.testing.assert_array_equal(encode_one(enc, zero), encode_one(enc, zero))
+    assert np.abs(encode_one(enc, zero) - encode_one(enc, full)).max() > 1e-9
 
 
 def test_patch_encoder_is_frozen():
     enc = PatchEncoder(dim=4, patch_size=8, seed=0)
     assert all(not p.trainable for p in enc.params())
-
-
-def test_patch_encoder_rejects_wrong_size():
-    enc = PatchEncoder(dim=4, patch_size=8, seed=0)
-    with pytest.raises(UsageError):
-        enc.encode(np.zeros((9, 8, 3), dtype=np.uint8))
-    with pytest.raises(UsageError):
-        enc.encode(np.zeros((8, 8, 2), dtype=np.uint8))
 
 
 def test_patch_encoder_rejects_grids_that_do_not_fit():
@@ -438,7 +445,7 @@ def test_strip_featurizer_matches_per_patch_oracle():
             if grid.entries:
                 e = grid.entries[-1]
                 patch = raster.pixels[e.y : e.y + ps, e.x : e.x + ps]
-                np.testing.assert_allclose(enc.encode(patch), want[-1], rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(encode_one(enc, patch), got[-1])
 
 
 # -- projector ----------------------------------------------------------------------

@@ -13,10 +13,9 @@ import pytest
 
 from slidevlm.numerics import (
     Tensor,
+    attention,
     concat,
     cross_entropy,
-    masked_logsumexp,
-    masked_softmax,
     put_rows,
     stream,
     take_rows,
@@ -25,11 +24,18 @@ from slidevlm.numerics import (
 EPS = 1e-5
 TOL = 1e-4
 SEEDS = range(20)
-ALL_3x3 = np.ones((3, 3), dtype=bool)
 
 
 def square(t):
     return t * t
+
+
+def unit_query(scores, allow=True):
+    """`attention` of one width-1 query per row over keys scored by the rows
+    of `scores` [r, m], with identity values: `out` [r, 1, m] is the
+    softmax of each row and `lse` [r, 1] its log-sum-exp."""
+    rows, m = scores.shape
+    return attention(Tensor(np.ones((rows, 1, 1))), scores.reshape(rows, m, 1), Tensor(np.eye(m)), allow)
 
 
 def check(build, arrays):
@@ -72,7 +78,7 @@ def test_exp_log_sqrt(seed):
     rng = stream(seed, "gc", "explog")
     a = rng.uniform(0.5, 2.0, size=(3, 3))
     # log(sum(exp(row))) > 0.5 + log(3) on these inputs, so its sqrt is smooth.
-    check(lambda ts: masked_logsumexp(ts[0], ALL_3x3, axis=1).sqrt().sum(), [a])
+    check(lambda ts: unit_query(ts[0])[1].sqrt().sum(), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -115,28 +121,36 @@ def test_sum_mean_axes(seed):
 def test_softmax(seed):
     rng = stream(seed, "gc", "sm")
     a = rng.normal(size=(4, 6))
-    w = rng.normal(size=(4, 6))
-    everywhere = np.ones((4, 6), dtype=bool)
-    check(lambda ts: (masked_softmax(ts[0], everywhere, axis=1) * Tensor(w)).sum(), [a])
+    w = rng.normal(size=(4, 1, 6))
+    check(lambda ts: (unit_query(ts[0])[0] * Tensor(w)).sum(), [a])
+
+
+def attention_case(rng):
+    """q, k, v of two heads and a [4, 5] key mask shared by both; row 3
+    sees no key."""
+    q, k, v = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 2))
+    allow = rng.random(size=(4, 5)) < 0.7
+    allow[:3, 0] = True
+    allow[3] = False
+    return q, k, v, allow
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_masked_softmax(seed):
+    # The masked softmax inside `attention`, seen through its `out`.
     rng = stream(seed, "gc", "msm")
-    a = rng.normal(size=(4, 6))
-    w = rng.normal(size=(4, 6))
-    mask = rng.random(size=(4, 6)) < 0.7
-    mask[:, 0] = True  # no fully-masked rows
-    check(lambda ts: (masked_softmax(ts[0], mask, axis=1) * Tensor(w)).sum(), [a])
+    q, k, v, allow = attention_case(rng)
+    w = rng.normal(size=(2, 4, 2))
+    check(lambda ts: (attention(ts[0], ts[1], ts[2], allow)[0] * Tensor(w)).sum(), [q, k, v])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_masked_logsumexp(seed):
+    # The masked log-sum-exp inside `attention`, seen through its `lse`.
     rng = stream(seed, "gc", "mlse")
-    a = rng.normal(size=(4, 6))
-    mask = rng.random(size=(4, 6)) < 0.7
-    mask[:, 0] = True
-    check(lambda ts: masked_logsumexp(ts[0], mask, axis=1).sum(), [a])
+    q, k, v, allow = attention_case(rng)
+    w = rng.normal(size=(2, 4))
+    check(lambda ts: (attention(ts[0], ts[1], Tensor(v), allow)[1] * Tensor(w)).sum(), [q, k])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -174,9 +188,7 @@ def test_composite_attention_like_expression(seed):
     mask = np.ones(5, dtype=bool)
 
     def build(ts):
-        q = ts[0] @ ts[1]
-        att = masked_softmax(q @ ts[0].T, np.ones((5, 5), dtype=bool), axis=1)
-        out = att @ (ts[0] @ ts[2])
-        return cross_entropy(out, targets, mask)
+        out, lse = attention(ts[0] @ ts[1], ts[0], ts[0] @ ts[2], True)
+        return cross_entropy(out, targets, mask) + (lse * lse).mean()
 
     check(build, [x, wq, wv])

@@ -15,11 +15,10 @@ from slidevlm.numerics import (
     Parameter,
     Tensor,
     UsageError,
+    attention,
     concat,
     cross_entropy,
     load_checkpoint,
-    masked_logsumexp,
-    masked_softmax,
     no_grad,
     put_rows,
     save_checkpoint,
@@ -29,33 +28,35 @@ from slidevlm.numerics import (
 from slidevlm.numerics.optim import EPS
 
 
-# -- softmax -------------------------------------------------------------------
+# -- attention -------------------------------------------------------------------
 
 
-def softmax(x, axis):
-    """Plain softmax: the masked one with every entry in."""
-    return masked_softmax(x, np.ones(x.shape, dtype=bool), axis=axis)
+def unit_query(logits, allow=True):
+    """`attention` of one query of width 1 over keys whose scores are the
+    logits [..., m], with identity values: `out` is then the weights."""
+    x = np.asarray(logits, dtype=np.float64)
+    q = Tensor(np.ones(x.shape[:-1] + (1, 1)))
+    return attention(q, Tensor(x[..., None]), Tensor(np.eye(x.shape[-1])), allow)
+
+
+def softmax(logits):
+    """Plain softmax of a vector: the weights with every key allowed."""
+    return unit_query(logits)[0].data[0]
 
 
 def test_softmax_equal_logits():
-    out = softmax(Tensor([0.0, 0.0]), axis=0)
-    np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
 
 
 def test_softmax_log2_logit():
-    out = softmax(Tensor([math.log(2.0), 0.0]), axis=0)
-    np.testing.assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    out = softmax([math.log(2.0), 0.0])
+    np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
 def test_softmax_extreme_logit_saturates():
-    out = softmax(Tensor([1000.0, 0.0]), axis=0)
-    np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-300)
-    assert np.isfinite(out.data).all()
-
-
-def test_softmax_bad_axis():
-    with pytest.raises(UsageError):
-        softmax(Tensor([[1.0, 2.0]]), axis=2)
+    out = softmax([1000.0, 0.0])
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-300)
+    assert np.isfinite(out).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,44 +68,103 @@ def test_softmax_bad_axis():
     )
 )
 def test_softmax_is_probability_vector(logits):
-    out = softmax(Tensor(logits), axis=0).data
+    out = softmax(logits)
     assert (out >= 0.0).all()
     assert abs(out.sum() - 1.0) <= 1e-12
 
 
 def test_masked_softmax_zeroes_masked_entries():
-    x = Tensor([[1.0, 2.0, 3.0, 4.0]])
-    mask = np.array([[True, False, True, False]])
-    out = masked_softmax(x, mask, axis=1)
+    out, _ = unit_query([1.0, 2.0, 3.0, 4.0], np.array([True, False, True, False]))
     assert out.data[0, 1] == 0.0 and out.data[0, 3] == 0.0
-    # Unmasked entries renormalize among themselves.
+    # Allowed entries renormalize among themselves.
     ref = np.exp([1.0, 3.0])
     np.testing.assert_allclose(out.data[0, [0, 2]], ref / ref.sum(), atol=1e-12)
 
 
 def test_masked_softmax_fully_masked_row_is_zero():
-    x = Tensor([[5.0, 7.0]])
-    out = masked_softmax(x, np.array([[False, False]]), axis=1)
+    out, lse = unit_query([5.0, 7.0], np.array([False, False]))
     np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
+    np.testing.assert_array_equal(lse.data, [0.0])
 
 
 def test_masked_softmax_shape_mismatch():
+    q, k = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
+    with pytest.raises(UsageError, match="mask"):
+        attention(q, k, k, np.ones((3, 4), dtype=bool))
     with pytest.raises(UsageError):
-        masked_softmax(Tensor([1.0, 2.0]), np.array([True]), axis=0)
+        attention(q, Tensor(np.ones((4, 2))), k, True)  # key width != query width
+    with pytest.raises(UsageError):
+        attention(q, k, Tensor(np.ones((3, 3))), True)  # one value row per key
+    with pytest.raises(UsageError):
+        attention(Tensor(np.ones(3)), k, k, True)
 
 
 def test_masked_logsumexp_matches_dense_on_full_mask():
-    rng = stream(3, "lse")
-    x = rng.normal(size=(4, 6))
-    out = masked_logsumexp(Tensor(x), np.ones_like(x, dtype=bool), axis=1)
-    ref = np.log(np.exp(x).sum(axis=1))
-    np.testing.assert_allclose(out.data, ref, atol=1e-12)
+    x = stream(3, "lse").normal(size=(4, 6))
+    _, lse = unit_query(x)
+    np.testing.assert_allclose(lse.data[:, 0], np.log(np.exp(x).sum(axis=1)), atol=1e-12)
 
 
 def test_masked_logsumexp_ignores_masked_entries():
-    x = Tensor([[0.0, 1000.0]])
-    out = masked_logsumexp(x, np.array([[True, False]]), axis=1)
-    np.testing.assert_allclose(out.data, [0.0], atol=1e-12)
+    _, lse = unit_query([0.0, 1000.0], np.array([True, False]))
+    np.testing.assert_allclose(lse.data, [0.0], atol=1e-12)
+
+
+def composed_attention(q, k, v, allow, g_out, g_lse):
+    """The scores, masked softmax and masked log-sum-exp that the two stacks
+    composed before `attention`, in plain numpy, with the gradients of
+    sum(out * g_out) + sum(lse * g_lse) by their chain rule."""
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    mask = np.broadcast_to(allow, scores.shape)
+    peak = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    expd = np.where(mask, np.exp(np.where(mask, scores - peak, 0.0)), 0.0)
+    total = expd.sum(axis=-1, keepdims=True)
+    safe = np.where(total == 0.0, 1.0, total)
+    weights = expd / safe
+    out = weights @ v
+    lse = np.where(total > 0.0, peak + np.log(safe), 0.0)[..., 0]
+    d_weights = g_out @ np.swapaxes(v, -1, -2)
+    d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+    d_scores = (d_scores + weights * g_lse[..., None]) * scale
+    grads = (d_scores @ k, np.swapaxes(d_scores, -1, -2) @ q, np.swapaxes(weights, -1, -2) @ g_out)
+    return out, lse, weights, grads
+
+
+def test_attention_matches_composed_oracle():
+    rng = stream(4, "attention-oracle")
+    heads, t, d, e = 3, 7, 5, 4
+    causal = np.tri(t, dtype=bool)
+    causal[2] = False  # a query row that sees no key
+    sparse = rng.random(size=(heads, t, t)) < 0.5
+    sparse[0, 4] = False
+    for allow in (causal, sparse, np.ones((1, t), dtype=bool)):
+        arrays = [rng.normal(size=(heads, t, d)) for _ in range(2)] + [rng.normal(size=(heads, t, e))]
+        g_out, g_lse = rng.normal(size=(heads, t, e)), rng.normal(size=(heads, t))
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        capture = []
+        out, lse = attention(q, k, v, allow, capture)
+        ((out * Tensor(g_out)).sum() + (lse * Tensor(g_lse)).sum()).backward()
+        want_out, want_lse, want_weights, want_grads = composed_attention(*arrays, allow, g_out, g_lse)
+        np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lse.data, want_lse, rtol=0, atol=1e-12)
+        assert len(capture) == 1 and capture[0].shape == (heads, t, t)
+        np.testing.assert_allclose(capture[0], want_weights, rtol=0, atol=1e-12)
+        for got, want in zip((q.grad, k.grad, v.grad), want_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        blind = ~np.broadcast_to(allow, (heads, t, t)).any(axis=-1)
+        assert (out.data[blind] == 0.0).all() and (lse.data[blind] == 0.0).all()
+
+
+def test_attention_tape_keeps_only_the_weights():
+    q, k, v = (Tensor(np.ones((2, 3, 4)), requires_grad=True) for _ in range(3))
+    capture = []
+    out, lse = attention(q, k, v, True, capture)
+    for t in (out, lse):
+        closure = [c.cell_contents for c in t._backward.__closure__]
+        held = [a for a in closure if isinstance(a, np.ndarray) and a.ndim == 3]
+        assert len(held) == 1 and held[0] is capture[0]
 
 
 # -- cross entropy ---------------------------------------------------------------
@@ -189,8 +249,9 @@ def test_no_grad_results_keep_no_tape():
     x = Tensor(np.ones((4, 3)))
     with no_grad():
         out = concat([take_rows(x @ w.value, [0, 2]).gelu(), x.rows(0, 1) @ w.value], axis=0)
-        loss = masked_softmax(out, np.ones(out.shape, dtype=bool)).sum()
-    for t in (out, loss):
+        att, lse = attention(out, out, out, True)
+        loss = att.sum()
+    for t in (out, att, lse, loss):
         assert not t.requires_grad and t._parents == () and t._backward is None
     with pytest.raises(UsageError):
         loss.backward()

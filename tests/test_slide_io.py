@@ -413,6 +413,11 @@ def test_synth_slide_rejects_overlap_and_misalignment():
         synth_slide(0, SlideSpec(regions=[Region("a", 10, 0, 224, 224)]))
     with pytest.raises(UsageError):
         synth_slide(0, SlideSpec(regions=[Region("a", 448, 0, 224, 224)]))
+    with pytest.raises(UsageError, match="must be >= 0"):
+        Region("a", -224, 0, 224, 224)
+    for bad in ({"patch_size": 0}, {"width": -1}, {"height": 0}):
+        with pytest.raises(UsageError, match="must be >= 1"):
+            SlideSpec(**bad)
 
 
 def test_synth_slide_matches_int64_oracle():
