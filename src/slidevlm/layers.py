@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .numerics import Parameter, Tensor
+from .numerics import Parameter, Tensor, affine, layer_norm
 
 __all__ = ["Linear", "LayerNorm", "FeedForward", "HeadProjections", "PostNormBlock"]
 
@@ -29,8 +29,8 @@ class Linear:
         self.bias = Parameter(f"{prefix}.bias", np.zeros(fan_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.value
-        return out + self.bias.value if self.bias is not None else out
+        w, b = self.weight.value, self.bias
+        return x @ w if b is None else affine(x, w, b.value)
 
     def params(self) -> list[Parameter]:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
@@ -44,11 +44,7 @@ class LayerNorm:
         self.bias = Parameter(f"{prefix}.bias", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.EPS).sqrt()
-        return normed * self.gain.value + self.bias.value
+        return layer_norm(x, self.gain.value, self.bias.value, self.EPS)
 
     def params(self) -> list[Parameter]:
         return [self.gain, self.bias]

@@ -6,9 +6,11 @@ from .rng import stream
 from .tensor import (
     Tensor,
     UsageError,
+    affine,
     attention,
     concat,
     cross_entropy,
+    layer_norm,
     no_grad,
     put_rows,
     take_rows,
@@ -20,9 +22,11 @@ __all__ = [
     "Parameter",
     "Tensor",
     "UsageError",
+    "affine",
     "attention",
     "concat",
     "cross_entropy",
+    "layer_norm",
     "load_checkpoint",
     "no_grad",
     "put_rows",

@@ -1,18 +1,21 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Just enough array machinery to train every block in this repo at desk
-scale: row-major numpy storage, a taped backward pass, and the handful
-of fused ops (attention, cross entropy, row gather/scatter) that the two
-stacks need. `attention` is their only softmax over scores, and its tape
-keeps just the attention weights. Every public operation checks that its
-output is finite, so numerical blowups surface at the op that caused
-them instead of three modules later. Under `no_grad()` operations keep
-no tape: their results have no parents and need no gradient.
+scale: row-major numpy storage, a taped backward pass, and the fused ops
+(affine maps, layer norm, attention, cross entropy, row gather/scatter)
+that the two stacks need. Each keeps on the tape only what its backward
+reads; `attention` is their only softmax over scores. Nothing broadcasts:
+`+` and `*` take equal shapes and `@` two matrices, and a mismatch raises
+`UsageError` instead of summing a gradient down to a wrong shape. Every
+op checks that its output is finite, so numerical blowups surface at the
+op that caused them. `backward` frees each tape node once its grads are
+out. Under `no_grad()` ops keep no tape: their results have no parents.
 """
 
 from __future__ import annotations
 
 import contextlib
+import operator
 import threading
 
 import numpy as np
@@ -20,9 +23,11 @@ import numpy as np
 __all__ = [
     "UsageError",
     "Tensor",
+    "affine",
     "attention",
     "concat",
     "cross_entropy",
+    "layer_norm",
     "take_rows",
     "put_rows",
     "no_grad",
@@ -55,21 +60,21 @@ def no_grad():
         _grad_mode.enabled = before
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+def _operands(need: str, fits, *operands) -> tuple["Tensor", ...]:
+    """Wrap non-tensor operands as constants; raise UsageError with `need`
+    and their shapes unless `fits(*shapes)`. No op broadcasts, so this is
+    the only shape check an op needs."""
+    tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in operands)
+    shapes = [t.shape for t in tensors]
+    if not fits(*shapes):
+        raise UsageError(f"{need}; got shapes {', '.join(map(str, shapes))}")
+    return tensors
 
 
 class Tensor:
     """A dense float64 array plus the tape entry that produced it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
@@ -90,24 +95,15 @@ class Tensor:
             raise UsageError("operation produced non-finite values")
         out.grad = None
         out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
+        out._parents = parents if out.requires_grad else ()
+        out._backward = backward if out.requires_grad else None
         return out
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(other)
-
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, index=...) -> None:
+        """Add `grad` into this tensor's grad at `index` (a basic index)."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        self.grad[index] += grad
 
     # -- introspection ---------------------------------------------------------
 
@@ -127,65 +123,29 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- elementwise arithmetic -------------------------------------------------
+    # -- elementwise ops -----------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        a, b = self, Tensor._coerce(other)
-        data = a.data + b.data
+        a, b = _operands("+ needs equal shapes", operator.eq, self, other)
 
         def backward(grad):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.shape))
+                a._accumulate(grad)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(grad, b.shape))
+                b._accumulate(grad)
 
-        return Tensor._result(data, (a, b), backward)
-
-    def __neg__(self) -> "Tensor":
-        a = self
-
-        def backward(grad):
-            a._accumulate(-grad)
-
-        return Tensor._result(-a.data, (a,), backward)
-
-    def __sub__(self, other) -> "Tensor":
-        return self.__add__(Tensor._coerce(other).__neg__())
+        return Tensor._result(a.data + b.data, (a, b), backward)
 
     def __mul__(self, other) -> "Tensor":
-        a, b = self, Tensor._coerce(other)
-        data = a.data * b.data
+        a, b = _operands("* needs equal shapes", operator.eq, self, other)
 
         def backward(grad):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * b.data, a.shape))
+                a._accumulate(grad * b.data)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * a.data, b.shape))
+                b._accumulate(grad * a.data)
 
-        return Tensor._result(data, (a, b), backward)
-
-    def __truediv__(self, other) -> "Tensor":
-        a, b = self, Tensor._coerce(other)
-        data = a.data / b.data
-
-        def backward(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.shape))
-
-        return Tensor._result(data, (a, b), backward)
-
-    # -- transcendental --------------------------------------------------------
-
-    def sqrt(self) -> "Tensor":
-        a = self
-        data = np.sqrt(a.data)
-
-        def backward(grad):
-            a._accumulate(grad * 0.5 / data)
-
-        return Tensor._result(data, (a,), backward)
+        return Tensor._result(a.data * b.data, (a, b), backward)
 
     def gelu(self) -> "Tensor":
         # tanh-form GELU; smooth everywhere, which keeps finite-difference
@@ -239,50 +199,37 @@ class Tensor:
     def rows(self, start: int, stop: int) -> "Tensor":
         """Contiguous row slice along the first axis."""
         a = self
-        data = a.data[start:stop]
 
         def backward(grad):
-            full = np.zeros_like(a.data)
-            full[start:stop] = grad
-            a._accumulate(full)
+            a._accumulate(grad, index=slice(start, stop))
 
-        return Tensor._result(data, (a,), backward)
+        return Tensor._result(a.data[start:stop], (a,), backward)
 
     # -- reductions ---------------------------------------------------------------
 
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
+    def sum(self) -> "Tensor":
+        """The sum of every element."""
         a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad):
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
+            a._accumulate(np.broadcast_to(grad, a.shape))
 
-        return Tensor._result(data, (a,), backward)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        a = self
-        count = a.data.size if axis is None else a.data.shape[axis]
-        return a.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return Tensor._result(a.data.sum(), (a,), backward)
 
     # -- linear algebra -------------------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
-        """Matrix product over the last two axes; leading axes broadcast."""
-        a, b = self, Tensor._coerce(other)
-        if a.data.ndim < 2 or b.data.ndim < 2:
-            raise UsageError("matmul needs tensors of at least 2 dimensions")
-        data = a.data @ b.data
+        """Product of two matrices."""
+        need = "@ needs [n, d] and [d, e] matrices"
+        a, b = _operands(need, lambda a, b: len(a) == len(b) == 2 and a[1] == b[0], self, other)
 
         def backward(grad):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape))
+                a._accumulate(grad @ b.data.T)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape))
+                b._accumulate(a.data.T @ grad)
 
-        return Tensor._result(data, (a, b), backward)
+        return Tensor._result(a.data @ b.data, (a, b), backward)
 
     # -- backward pass -----------------------------------------------------------------
 
@@ -309,14 +256,16 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
+        # `topo` lists each node after all it was computed from, so a node is
+        # popped once every consumer has passed it its grad. Having passed
+        # that on, it drops its grad, parents and closure: the tape lets go.
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-        # Intermediate grads are no longer needed; drop the tape so repeated
-        # forwards on long-lived tensors do not leak graph memory.
-        for node in topo:
-            if node is not self and node._parents:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its grad
+            node._backward(node.grad)
+            if node is not self:
                 node.grad = None
             node._parents = ()
             node._backward = None
@@ -325,20 +274,69 @@ class Tensor:
 # -- free functions ------------------------------------------------------------
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [n, d], w [d, e] and b [e], as one op: the bias row
+    is added to every row of the product. The tape keeps only the inputs."""
+    need = "affine needs x [n, d], w [d, e] and b [e]"
+    x, w, b = _operands(need, lambda x, w, b: len(x) == 2 and x[1:] + b == w, x, w, b)
+    data = x.data @ w.data
+    data += b.data
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ grad)
+        if b.requires_grad:
+            b._accumulate(grad.sum(axis=0))
+
+    return Tensor._result(data, (x, w, b), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Each row of x [n, d] normalized to mean 0 and variance 1 (with `eps`
+    added to the variance), times `gain` [d] plus `bias` [d]. The tape keeps
+    the normalized rows and each row's std; the backward is closed-form."""
+    need = "layer_norm needs x [n, d], gain [d] and bias [d]"
+    x, gain, bias = _operands(need, lambda x, g, b: len(x) == 2 and g == b == x[1:], x, gain, bias)
+    inv_d = 1.0 / x.shape[1]
+    normed = x.data - x.data.sum(axis=1, keepdims=True) * inv_d
+    std = np.sqrt((normed * normed).sum(axis=1, keepdims=True) * inv_d + eps)
+    normed /= std
+
+    def backward(grad):
+        if gain.requires_grad:
+            gain._accumulate((grad * normed).sum(axis=0))
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=0))
+        if x.requires_grad:
+            d_normed = grad * gain.data
+            mean_dn = (d_normed * normed).sum(axis=1, keepdims=True) * inv_d
+            d_normed -= d_normed.sum(axis=1, keepdims=True) * inv_d
+            d_normed -= normed * mean_dn
+            d_normed /= std
+            x._accumulate(d_normed)
+
+    return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), backward)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Tensor, Tensor]:
     """Masked softmax attention and each row's log-denominator, in one pass.
 
-    q is [..., n, d], k [..., m, d], v [..., m, e]; the boolean `allow`
-    broadcasts to [..., n, m] and lets query i see key j where true. Returns
-    `out` [..., n, e], the softmax of the allowed scores q·k / sqrt(d) times
-    v, and `lse` [..., n], the log of each row's softmax denominator; a row
-    with no allowed key gives zeros in both. The scores become the weights
+    q is [..., n, d], k [..., m, d], v [..., m, e] with equal leading axes;
+    the boolean `allow` broadcasts to [..., n, m] and lets query i see key j
+    where true. Returns `out` [..., n, e], the softmax of the allowed scores
+    q·k / sqrt(d) times v, and `lse` [..., n], the log of each row's softmax
+    denominator; a row with no allowed key gives zeros in both. The scores become the weights
     in one buffer, the only array the tape keeps; `capture` receives it too.
     """
-    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2 or (
-        q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
-    ):
-        raise UsageError("attention needs q [..., n, d], k [..., m, d] and v [..., m, e]")
+    q, k, v = _operands(
+        "attention needs q [..., n, d], k [..., m, d] and v [..., m, e]",
+        lambda q, k, v: min(map(len, (q, k, v))) >= 2
+        and q[:-2] + q[-1:] == k[:-2] + k[-1:]
+        and k[:-1] == v[:-1],
+        q, k, v,
+    )
     scale = 1.0 / np.sqrt(q.shape[-1])
     # A contiguous k^T makes the scores equal a plain q @ k^T bit for bit.
     weights = q.data @ np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
@@ -363,13 +361,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Ten
     def scores_backward(d_scores):
         d_scores *= scale
         if q.requires_grad:
-            q._accumulate(_unbroadcast(d_scores @ k.data, q.shape))
+            q._accumulate(d_scores @ k.data)
         if k.requires_grad:
-            k._accumulate(_unbroadcast(np.swapaxes(d_scores, -1, -2) @ q.data, k.shape))
+            k._accumulate(np.swapaxes(d_scores, -1, -2) @ q.data)
 
     def out_backward(grad):
         if v.requires_grad:
-            v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ grad, v.shape))
+            v._accumulate(np.swapaxes(weights, -1, -2) @ grad)
         if q.requires_grad or k.requires_grad:
             d_weights = grad @ np.swapaxes(v.data, -1, -2)
             d_weights -= (d_weights * weights).sum(axis=-1, keepdims=True)

@@ -119,7 +119,7 @@ def encoder_case(seed):
 
     def loss():
         y = enc(Tensor(x), coords)
-        return (y * y).mean()
+        return (y * y).sum() * (1.0 / y.size)
 
     return enc.params(), loss
 
@@ -130,7 +130,7 @@ def projector_case(seed):
 
     def loss():
         y = proj(Tensor(x))
-        return (y * y).mean()
+        return (y * y).sum() * (1.0 / y.size)
 
     return proj.params(), loss
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,32 @@ def test_generation_keeps_no_tape():
     assert all(p.trainable for p in model.params() if not p.name.startswith("patch_encoder"))
     assert not model._prefix.visual.requires_grad
     assert not model._prefix.visual._parents
+
+
+def test_backward_releases_the_tape():
+    # Once backward has run and the loss is dropped, no tape node survives,
+    # and watching them does not change a single gradient.
+    slide = one_slide()
+
+    def run(watch):
+        model = tiny_model(seed=6)
+        loss = model.loss(slide, PROMPTS[0], PROMPTS[1])
+        refs, stack, node = {}, [loss] if watch else [], None
+        while stack:
+            node = stack.pop()
+            if node._parents and id(node) not in refs:
+                refs[id(node)] = weakref.ref(node)
+                stack.extend(node._parents)
+        node = None
+        loss.backward()
+        del loss
+        return model, list(refs.values())
+
+    model, refs = run(watch=True)
+    assert len(refs) > 50 and all(r() is None for r in refs)
+    plain, _ = run(watch=False)
+    for p, q in zip(model.params(), plain.params()):
+        np.testing.assert_array_equal(p.grad, q.grad)
 
 
 def test_generate_memory_at_2048_patches():
