@@ -82,13 +82,15 @@ class HeadProjections:
     def params(self) -> list[Parameter]:
         return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
 
-    def split(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    def split(self, x: Tensor) -> tuple[Tensor, ...]:
+        return self.project(x, self.wq, self.wk, self.wv)
+
+    def project(self, x: Tensor, *maps: Linear) -> tuple[Tensor, ...]:
+        """[N, D] rows through each of `maps`, as [H, N, D/H] heads."""
         n, dim = x.shape
-        q, k, v = (
-            w(x).reshape(n, self.heads, dim // self.heads).transpose(1, 0, 2)
-            for w in (self.wq, self.wk, self.wv)
+        return tuple(
+            w(x).reshape(n, self.heads, dim // self.heads).transpose(1, 0, 2) for w in maps
         )
-        return q, k, v
 
     def merge(self, heads: Tensor) -> Tensor:
         h, n, dh = heads.shape

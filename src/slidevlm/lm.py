@@ -8,6 +8,11 @@ themselves unless the fully-causal flag is set, so the prefix rows
 (IMG_START, visual tokens, IMG_END) never see text: their keys and values
 depend only on the visual tokens and the weights.
 
+Training and decoding share one path. A prefix pass runs the prefix rows
+through the blocks and keeps each block's keys and values; in the last
+block, whose prefix outputs nothing reads, it computes only those. The
+text rows then run against that cache. Only text rows have logits.
+
 Generation is greedy with ties broken by the lowest token id, and keeps
 no autodiff tape. It starts from a snapshot of the prefix rows' key/value
 cache, one prefill forward over BOS and the prompt extends it, then each
@@ -180,30 +185,30 @@ class DecoderConfig:
 @dataclass
 class KVCache:
     """Keys and values of the first `length` positions, one [k, v] pair of
-    [H, length, dh] arrays per decoder block."""
+    [H, length, dh] tensors per decoder block. A cache built with grad on
+    is on the tape, so a loss over later rows trains the prefix through it."""
 
     length: int
-    kv: list[list[np.ndarray]]
+    kv: list[list[Tensor]]
 
     def snapshot(self) -> "KVCache":
         return KVCache(self.length, [list(pair) for pair in self.kv])
 
 
 class _MaskedSelfAttention(HeadProjections):
-    """Dense multi-head attention under an arbitrary boolean layout mask.
+    """Dense multi-head attention under a boolean layout mask.
 
-    With `past` (this block's [k, v] cache entry) the rows of `x` come
-    after the cached positions: they attend to those too, and `past`
-    then holds the keys and values of all of them.
+    With `past` (this block's [k, v] cache entry, empty before the first
+    rows) the rows of `x` come after the cached positions: they attend to
+    those too, and `past` then holds the keys and values of all of them.
     """
 
-    def __call__(
-        self, x: Tensor, allow: np.ndarray, capture: list | None, past: list | None = None
-    ) -> Tensor:
+    def __call__(self, x: Tensor, allow, capture: list | None, past: list | None = None) -> Tensor:
         q, k, v = self.split(x)
+        if past:
+            k, v = (concat([old, new], axis=1) for old, new in zip(past, (k, v)))
         if past is not None:
-            k, v = (concat([Tensor(old), new], axis=1) for old, new in zip(past, (k, v)))
-            past[:] = [k.data, v.data]
+            past[:] = [k, v]
         out, _ = attention(q, k, v, allow, capture)
         return self.merge(out)
 
@@ -250,18 +255,6 @@ class DecoderLM:
             out.extend(self.head.params())
         return out
 
-    def empty_cache(self) -> KVCache:
-        none = np.zeros((self.cfg.heads, 0, self.cfg.head_dim))
-        return KVCache(0, [[none, none] for _ in self.blocks])
-
-    def _layout_mask(self, t: int, p: int, start: int = 0) -> np.ndarray:
-        """Rows start..t-1 of the [t, t] mask of which positions each may
-        see, for a sequence whose first p positions are the visual prefix."""
-        allow = np.tri(t - start, t, start, dtype=bool)
-        if not self.cfg.causal_visual:
-            allow[: max(p - start, 0), :p] = True
-        return allow
-
     def _visual_rows(self, visual) -> Tensor:
         """Input rows 0..N+1: IMG_START, the visual tokens, IMG_END."""
         if not isinstance(visual, Tensor):
@@ -273,61 +266,59 @@ class DecoderLM:
         marks = take_rows(self.tok_embed.value, [IMG_START, IMG_END])
         return concat([marks.rows(0, 1), visual, marks.rows(1, 2)], axis=0)
 
-    def _embed(self, seq: MultimodalSequence, start: int = 0) -> Tensor:
-        """Input rows start..T-1."""
-        n_text = seq.total_len - seq.n_prefix
-        if n_text > self.cfg.max_positions:
-            raise UsageError(
-                f"text span {n_text} exceeds max positions {self.cfg.max_positions}"
-            )
-        # Text rows carry a token plus a position counted from BOS.
-        first = max(start, seq.n_prefix)
-        text = take_rows(self.tok_embed.value, seq.ids[first:]) + take_rows(
-            self.pos_embed.value, range(first - seq.n_prefix, n_text)
-        )
-        if start >= seq.n_prefix:
-            return text
-        x = concat([self._visual_rows(seq.visual), text], axis=0)
-        return x.rows(start, seq.total_len) if start else x
+    def _prefix_pass(self, visual) -> KVCache:
+        """The cache of rows 0..N+1 (IMG_START, the visual tokens, IMG_END),
+        on the tape when grad is on.
 
-    @no_grad()
-    def prefix_cache(self, visual) -> KVCache:
-        """The cache of rows 0..N+1: IMG_START, the visual tokens, IMG_END.
-
-        Those rows never attend to text, so their keys and values depend
-        only on the visual tokens and the weights, and every prompt about
-        one slide can start from the same cache.
+        Those rows attend only among themselves. Nothing reads their
+        outputs of the last block, so there they get only keys and values.
         """
         x = self._visual_rows(visual)
         p = x.shape[0]
-        allow = self._layout_mask(p, p)
-        cache = self.empty_cache()
-        for block, past in zip(self.blocks, cache.kv):
+        allow = np.tri(p, p, dtype=bool) if self.cfg.causal_visual else True
+        kv: list[list[Tensor]] = [[] for _ in self.blocks]
+        for block, past in zip(self.blocks[:-1], kv):
             x = block(x, allow, None, past)
-        cache.length = p
-        return cache
+        if self.blocks:
+            attn = self.blocks[-1].attn
+            kv[-1][:] = attn.project(x, attn.wk, attn.wv)
+        return KVCache(p, kv)
+
+    @no_grad()
+    def prefix_cache(self, visual) -> KVCache:
+        """The prefix pass without a tape. The prefix rows never attend to
+        text, so every prompt about one slide can start from this cache."""
+        return self._prefix_pass(visual)
 
     def forward(
         self, seq: MultimodalSequence, capture_attention: bool = False, cache: KVCache | None = None
     ) -> tuple[Tensor, list[np.ndarray] | None]:
         """Logits [T - m, V] for rows m..T-1 and, when asked, per-layer
-        [H, T - m, T] attention; m is the cache's length, 0 without one.
+        [H, T - m, T] attention; m is the cache's length, at least the
+        prefix's. Without a cache the prefix pass makes one, so the rows
+        are the text rows, BOS onward.
 
         The rows attend to the m cached positions, and the cache then
         holds all T.
         """
-        start = 0 if cache is None else cache.length
-        x = self._embed(seq, start)
-        allow = self._layout_mask(seq.total_len, seq.n_prefix, start)
+        p, t = seq.n_prefix, seq.total_len
+        if t - p > self.cfg.max_positions:
+            raise UsageError(f"text span {t - p} exceeds max positions {self.cfg.max_positions}")
+        if cache is None:
+            cache = self._prefix_pass(seq.visual)
+        start = cache.length
+        if start < p:
+            raise UsageError(f"cache holds {start} rows, fewer than the prefix's {p}")
+        # Text rows carry a token plus a position counted from BOS.
+        x = take_rows(self.tok_embed.value, seq.ids[start:]) + take_rows(
+            self.pos_embed.value, range(start - p, t - p)
+        )
+        allow = np.tri(t - start, t, start, dtype=bool)
         capture: list | None = [] if capture_attention else None
-        for i, block in enumerate(self.blocks):
-            x = block(x, allow, capture, None if cache is None else cache.kv[i])
-        if cache is not None:
-            cache.length = seq.total_len
-        if self.head is not None:
-            logits = self.head(x)
-        else:
-            logits = x @ self.tok_embed.value.T
+        for block, past in zip(self.blocks, cache.kv):
+            x = block(x, allow, capture, past)
+        cache.length = t
+        logits = x @ self.tok_embed.value.T if self.head is None else self.head(x)
         return logits, capture
 
     def loss(self, seq: MultimodalSequence) -> Tensor:
@@ -335,9 +326,9 @@ class DecoderLM:
         if seq.answer_ids is None:
             raise UsageError("loss needs a sequence with an answer")
         logits, _ = self.forward(seq)
-        t = seq.total_len
+        p = seq.n_prefix
         return cross_entropy(
-            logits.rows(0, t - 1), seq.ids[1:], seq.loss_mask[1:]
+            logits.rows(0, seq.total_len - p - 1), seq.ids[p + 1 :], seq.loss_mask[p + 1 :]
         )
 
     @no_grad()

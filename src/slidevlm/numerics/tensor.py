@@ -100,7 +100,12 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray, index=...) -> None:
-        """Add `grad` into this tensor's grad at `index` (a basic index)."""
+        """Add `grad` into this tensor's grad at `index` (a basic index). A first
+        whole grad is copied, for an op may pass one array to two parents."""
+        if self.grad is None and index is ...:
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad[index] += grad
@@ -425,9 +430,9 @@ def take_rows(x: Tensor, indices) -> Tensor:
     data = a.data[indices]
 
     def backward(grad):
-        full = np.zeros_like(a.data)
-        np.add.at(full, indices, grad)
-        a._accumulate(full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, indices, grad)
 
     return Tensor._result(data, (a,), backward)
 

@@ -226,6 +226,30 @@ def test_encoder_tape_budget_at_1024_patches():
     assert peak / n <= 128 * 1024, f"{peak / n / 1024:.0f} KiB per patch"
 
 
+def test_full_model_loss_budget_at_1024_patches():
+    # The traced peak of one full-model loss forward and backward, default
+    # dims with grid positions. A decoder that ran every block over all rows
+    # kept the last block's prefix rows on the tape and took 268 KiB per
+    # patch; the prefix pass and text rows take 207.
+    from slidevlm.lm import Vocab
+    from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
+
+    n, side = 1024, 32
+    vocab = Vocab.build(["the slide shows tumor tissue with stroma margin"])
+    model = SlideVLM(ModelConfig(encoder=SlideEncoderConfig(positional="grid")), vocab, seed=0)
+    model.set_trainable_groups({"slide_encoder", "projector", "lm"})
+    emb = stream(0, "loss-budget").normal(size=(n, 32))
+    coords = [(i // side, i % side) for i in range(n)]
+    inputs = SlideInputs(EmbeddingMatrix(n, 32, emb), coords)
+    tracemalloc.start()
+    try:
+        model.loss(inputs, "the slide shows", "tumor tissue with stroma margin").backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 224 * 1024, f"{peak / n / 1024:.0f} KiB per patch"
+
+
 def test_encoder_memory_is_linear_at_4096_patches():
     # Forward and backward at default dims under a 3 GiB address-space cap.
     # A per-segment scatter into fresh N-row tensors needs O(N^2 / w) memory

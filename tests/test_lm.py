@@ -1,5 +1,6 @@
 """Tokenizer, sequence assembly, decoder masking, loss, and greedy decoding."""
 
+import copy
 import math
 
 import numpy as np
@@ -22,7 +23,8 @@ from slidevlm.lm import (
     _MaskedSelfAttention,
     assemble,
 )
-from slidevlm.numerics import UsageError, cross_entropy, Tensor, stream
+from slidevlm import lm as lm_module
+from slidevlm.numerics import UsageError, Tensor, concat, cross_entropy, stream, take_rows
 
 WORDS = ["tumor", "stroma", "slide", "shows", "the", "a", "tissue", "margin"]
 
@@ -146,34 +148,81 @@ def test_empty_visual_rejected():
 # -- masking -----------------------------------------------------------------
 
 
-def test_prefix_block_is_bidirectional_by_default():
+def spy_on_attention(monkeypatch) -> list:
+    """Record (query rows, key rows, mask broadcast to [rows, keys]) per
+    attention call of the decoder."""
+    calls = []
+    real = lm_module.attention
+
+    def spy(q, k, v, allow, capture=None):
+        shape = (q.shape[-2], k.shape[-2])
+        calls.append((*shape, np.broadcast_to(allow, shape)))
+        return real(q, k, v, allow, capture)
+
+    monkeypatch.setattr(lm_module, "attention", spy)
+    return calls
+
+
+def layout(monkeypatch, lm, seq) -> np.ndarray:
+    """The [T, T] mask one forward attends under: the prefix pass's rows
+    from the first block, then the text rows, which every block shares."""
+    calls = spy_on_attention(monkeypatch)
+    lm.forward(seq)
+    t, p = seq.total_len, seq.n_prefix
+    (_, _, prefix), (_, _, text), *rest = calls
+    assert all(np.array_equal(allow, text) for *_, allow in rest)
+    return np.vstack([np.hstack([prefix, np.zeros((p, t - p), dtype=bool)]), text])
+
+
+def test_prefix_block_is_bidirectional_by_default(monkeypatch):
     lm = tiny_lm()
     seq = assemble(visual(3), "the slide", "tumor", vocab())
-    allow = lm._layout_mask(seq.total_len, seq.n_prefix)
+    allow = layout(monkeypatch, lm, seq)
     p = seq.n_prefix
     assert allow[:p, :p].all()  # visual block sees itself fully
+    assert not allow[:p, p:].any()  # and no text
     assert not allow[p, p + 1]  # text stays causal
     assert allow[p + 1, :p].all()  # text sees all visual positions
 
 
-def test_causal_visual_flag_drops_the_block():
+def test_causal_visual_flag_drops_the_block(monkeypatch):
     lm = tiny_lm(causal_visual=True)
     seq = assemble(visual(3), "the slide", "tumor", vocab())
-    allow = lm._layout_mask(seq.total_len, seq.n_prefix)
+    allow = layout(monkeypatch, lm, seq)
     assert not allow[1, 2]  # earlier visual position cannot see a later one
     np.testing.assert_array_equal(allow, np.tril(allow))
 
 
 @pytest.mark.parametrize("causal_visual", [False, True])
-def test_layout_mask_rows_from_any_start(causal_visual):
+def test_layout_mask_rows_from_any_start(monkeypatch, causal_visual):
+    # A forward from a cache of any length past the prefix attends under
+    # the rows of the full layout from that length on.
     lm = tiny_lm(causal_visual=causal_visual)
     seq = assemble(visual(3), "the slide", "tumor", vocab())
     t, p = seq.total_len, seq.n_prefix
     want = np.tril(np.ones((t, t), dtype=bool))
     if not causal_visual:
         want[:p, :p] = True
-    for start in range(t + 1):
-        np.testing.assert_array_equal(lm._layout_mask(t, p, start), want[start:])
+    np.testing.assert_array_equal(layout(monkeypatch, lm, seq), want)
+    calls = spy_on_attention(monkeypatch)
+    for start in range(p, t + 1):
+        cache = lm.prefix_cache(seq.visual)
+        head = copy.copy(seq)
+        head.ids = seq.ids[:start]
+        lm.forward(head, cache=cache)
+        calls.clear()
+        lm.forward(seq, cache=cache)
+        assert cache.length == t
+        for *_, allow in calls:
+            np.testing.assert_array_equal(allow, want[start:])
+
+
+def test_forward_rejects_a_cache_shorter_than_the_prefix():
+    lm = tiny_lm()
+    seq = assemble(visual(3), "the slide", None, vocab())
+    cache = lm.prefix_cache(visual(2))
+    with pytest.raises(UsageError):
+        lm.forward(seq, cache=cache)
 
 
 def test_visual_attention_flag_changes_forward():
@@ -194,8 +243,9 @@ def test_causality_future_perturbation():
     poked.ids[pos] = v.encode("stroma")[0]
     la, _ = lm.forward(base)
     lb, _ = lm.forward(poked)
-    np.testing.assert_allclose(la.data[:pos], lb.data[:pos], atol=1e-12)
-    assert np.abs(la.data[pos:] - lb.data[pos:]).max() > 1e-12
+    row = pos - base.n_prefix  # logits are the text rows'
+    np.testing.assert_allclose(la.data[:row], lb.data[:row], atol=1e-12)
+    assert np.abs(la.data[row:] - lb.data[row:]).max() > 1e-12
 
 
 def test_visual_perturbation_reaches_first_answer_logits():
@@ -208,7 +258,7 @@ def test_visual_perturbation_reaches_first_answer_logits():
     seq_b = assemble(vis_b, "the slide", "tumor", v)
     la, _ = lm.forward(seq_a)
     lb, _ = lm.forward(seq_b)
-    first_answer_input = seq_a.n_prefix + len(seq_a.prompt_ids)
+    first_answer_input = len(seq_a.prompt_ids)  # text row of the last prompt token
     assert np.abs(la.data[first_answer_input] - lb.data[first_answer_input]).max() > 1e-9
 
 
@@ -220,8 +270,9 @@ def test_loss_equals_masked_next_token_cross_entropy():
     seq = assemble(visual(2), "the slide shows", "tumor tissue", vocab())
     loss = lm.loss(seq)
     logits, _ = lm.forward(seq)
+    p = seq.n_prefix
     want = cross_entropy(
-        Tensor(logits.data[:-1]), seq.ids[1:], seq.loss_mask[1:]
+        Tensor(logits.data[:-1]), seq.ids[p + 1 :], seq.loss_mask[p + 1 :]
     ).item()
     assert abs(loss.item() - want) < 1e-12
 
@@ -232,9 +283,10 @@ def test_loss_ignores_prompt_logit_content():
     seq = assemble(visual(2), "the slide shows", "tumor tissue", vocab())
     logits, _ = lm.forward(seq)
     data = logits.data[:-1].copy()
-    ref = cross_entropy(Tensor(data), seq.ids[1:], seq.loss_mask[1:]).item()
-    data[~seq.loss_mask[1:]] = 0.0
-    zeroed = cross_entropy(Tensor(data), seq.ids[1:], seq.loss_mask[1:]).item()
+    targets, mask = seq.ids[seq.n_prefix + 1 :], seq.loss_mask[seq.n_prefix + 1 :]
+    ref = cross_entropy(Tensor(data), targets, mask).item()
+    data[~mask] = 0.0
+    zeroed = cross_entropy(Tensor(data), targets, mask).item()
     assert abs(ref - zeroed) < 1e-15
 
 
@@ -326,7 +378,7 @@ def test_trace_shape_and_raw_attention_rows():
         final.ids = final.ids[:-1]
         final.loss_mask = final.loss_mask[:-1]
     _, recorded = lm.forward(final, capture_attention=True)
-    gen_start = final.n_prefix + 1 + len(seq.prompt_ids)
+    gen_start = 1 + len(seq.prompt_ids)  # text row of the first generated token
     for gi in range(g):
         for layer in range(2):
             got = trace.values[gi, layer]
@@ -340,7 +392,7 @@ def test_tied_head_shares_embedding():
     assert not any(p.name.startswith("lm.head") for p in lm.params())
     seq = assemble(visual(2), "the slide", None, vocab())
     logits, _ = lm.forward(seq)
-    assert logits.shape == (seq.total_len, len(SPECIALS) + len(WORDS))
+    assert logits.shape == (seq.total_len - seq.n_prefix, len(SPECIALS) + len(WORDS))
 
 
 def test_batched_masked_attention_matches_per_head_oracle():
@@ -371,19 +423,92 @@ def test_batched_masked_attention_matches_per_head_oracle():
     np.testing.assert_allclose(capture[0], np.stack(weights), rtol=0, atol=1e-12)
 
 
-# -- cached decoding against the full-forward oracle ------------------------------------
+# -- the prefix split against the dense oracle ------------------------------------------
+
+
+def dense_forward(lm, seq, capture=None):
+    """The decoder without its prefix split, as the oracle of that split:
+    every block over all T rows under the [T, T] layout mask. Returns the
+    logits of all T rows; `capture` receives each block's [H, T, T]
+    attention."""
+    t, p = seq.total_len, seq.n_prefix
+    tok = lm.tok_embed.value
+    vis = seq.visual if isinstance(seq.visual, Tensor) else Tensor(seq.visual)
+    text = take_rows(tok, seq.ids[p:]) + take_rows(lm.pos_embed.value, range(t - p))
+    x = concat([take_rows(tok, [IMG_START]), vis, take_rows(tok, [IMG_END]), text], axis=0)
+    allow = np.tri(t, t, dtype=bool)
+    if not lm.cfg.causal_visual:
+        allow[:p, :p] = True
+    for block in lm.blocks:
+        x = block(x, allow, capture)
+    return lm.head(x) if lm.head is not None else x @ tok.T
+
+
+def dense_loss(lm, seq):
+    logits = dense_forward(lm, seq)
+    return cross_entropy(logits.rows(0, seq.total_len - 1), seq.ids[1:], seq.loss_mask[1:])
+
+
+def grads_of(loss, tensors):
+    """Each tensor's grad of `loss`; one that `loss` does not reach gets zeros."""
+    for t in tensors:
+        t.grad = None
+    loss.backward()
+    return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+
+
+SPLIT_CASES = [{}, {"causal_visual": True}, {"tied_head": True}, {"layers": 0}, {"layers": 1}]
+SPLIT_IDS = ["default", "causal-visual", "tied-head", "no-layers", "one-layer"]
+
+
+@pytest.mark.parametrize("kw", SPLIT_CASES, ids=SPLIT_IDS)
+def test_prefix_split_matches_dense_oracle(kw):
+    # In the last two cases the only block, or no block, is the last one.
+    lm = tiny_lm(**kw)
+    vis = Tensor(visual(5), requires_grad=True)
+    seq = assemble(vis, "the slide shows", "tumor tissue margin", vocab())
+    p = seq.n_prefix
+    want_att = []
+    want_logits = dense_forward(lm, seq, want_att).data[p:]
+    got_logits, got_att = lm.forward(seq, capture_attention=True)
+    np.testing.assert_allclose(got_logits.data, want_logits, rtol=0, atol=1e-12)
+    assert len(got_att) == len(want_att) == lm.cfg.layers
+    for got, want in zip(got_att, want_att):
+        np.testing.assert_allclose(got, want[:, p:], rtol=0, atol=1e-12)
+    tensors = [prm.value for prm in lm.params()] + [vis]
+    want_loss = dense_loss(lm, seq)
+    want_grads = grads_of(want_loss, tensors)
+    got_loss = lm.loss(seq)
+    got_grads = grads_of(got_loss, tensors)
+    assert abs(got_loss.item() - want_loss.item()) <= 1e-12
+    for prm, got, want in zip(lm.params() + [None], got_grads, want_grads):
+        name = "visual" if prm is None else prm.name
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_last_block_attends_from_text_rows_only(monkeypatch):
+    lm = tiny_lm(layers=3)
+    seq = assemble(visual(5), "the slide shows", "tumor tissue", vocab())
+    calls = spy_on_attention(monkeypatch)
+    lm.loss(seq).backward()
+    t, p = seq.total_len, seq.n_prefix
+    # The prefix pass runs every block but the last, then the text rows run all.
+    assert [(rows, keys) for rows, keys, _ in calls] == [(p, p)] * 2 + [(t - p, t)] * 3
+
+
+# -- cached decoding against the dense oracle ---------------------------------------------
 
 
 def full_forward_greedy(lm, seq, max_len):
-    """Greedy decoding without a cache: one full forward per token, then one
-    more over the whole sequence for the trace. Returns the ids, the trace
-    values and the last-row logits of every step."""
+    """Greedy decoding without a cache: one dense forward per token, then
+    one more over the whole sequence for the trace. Returns the ids, the
+    trace values and the last-row logits of every step."""
     generated, last_logits = [], []
     hit_eos = False
     for _ in range(max_len):
         probe = MultimodalSequence(seq.visual, seq.prompt_ids, generated)
         probe.ids = probe.ids[:-1]  # the EOS the assembly appends is not input yet
-        logits, _ = lm.forward(probe)
+        logits = dense_forward(lm, probe)
         last_logits.append(logits.data[-1])
         next_id = int(np.argmax(logits.data[-1]))
         if next_id == EOS:
@@ -393,7 +518,8 @@ def full_forward_greedy(lm, seq, max_len):
     final = MultimodalSequence(seq.visual, seq.prompt_ids, generated)
     if not hit_eos:
         final.ids = final.ids[:-1]
-    _, recorded = lm.forward(final, capture_attention=True)
+    recorded = []
+    dense_forward(lm, final, recorded)
     n = seq.n_visual
     gen_start = final.n_prefix + 1 + len(seq.prompt_ids)
     values = np.zeros((len(generated), lm.cfg.layers, lm.cfg.heads, n))
@@ -466,14 +592,15 @@ def test_cached_forward_row_matches_full_forward():
     v = vocab()
     prompt = assemble(visual(3), "the slide", None, v)
     longer = assemble(visual(3), "the slide shows", None, v)
-    cache = lm.empty_cache()
+    cache = lm.prefix_cache(prompt.visual)
     lm.forward(prompt, cache=cache)
     m = prompt.total_len
     logits, att = lm.forward(longer, capture_attention=True, cache=cache)
     full_logits, full_att = lm.forward(longer, capture_attention=True)
     assert cache.length == m + 1
     assert logits.shape == (1, len(SPECIALS) + len(WORDS))
-    np.testing.assert_allclose(logits.data[0], full_logits.data[m], rtol=0, atol=1e-12)
+    row = m - longer.n_prefix  # the full forward's logits are the text rows'
+    np.testing.assert_allclose(logits.data[0], full_logits.data[row], rtol=0, atol=1e-12)
     for got, want in zip(att, full_att, strict=True):
         assert got.shape == (2, 1, m + 1)
-        np.testing.assert_allclose(got[:, 0], want[:, m], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[:, 0], want[:, row], rtol=0, atol=1e-12)

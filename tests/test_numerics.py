@@ -356,6 +356,39 @@ def test_rows_backward_adds_into_the_slice():
     assert peak < x.data.nbytes / 8  # no parent-sized array on the way
 
 
+def test_take_rows_backward_scatters_into_the_grad():
+    x = Tensor(stream(8, "take").normal(size=(4096, 64)), requires_grad=True)
+    x.grad = np.ones_like(x.data)
+    taken = take_rows(x, [7, 3, 7])
+    loss = (taken * taken).sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.ones_like(x.data)
+    want[3] += 2.0 * x.data[3]
+    want[7] += 4.0 * x.data[7]  # a duplicated row gathers both grads
+    np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12)
+    assert peak < x.data.nbytes / 8  # no parent-sized array on the way
+
+
+def test_first_grad_is_a_buffer_of_its_own():
+    # `+` hands one array to both parents and `sum` a read-only broadcast
+    # view; each parent's grad must be its own writable array all the same.
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    (a + b).sum().backward()
+    for t in (a, b):
+        np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
+        assert t.grad.flags.c_contiguous and t.grad.flags.writeable
+    assert not np.shares_memory(a.grad, b.grad)
+    (a * a).sum().backward()  # a second pass adds into the first grad
+    np.testing.assert_array_equal(a.grad, 1.0 + 2.0 * a.data)
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
 def test_frozen_tensor_accumulates_no_gradient():
     x = Tensor([1.0, 2.0], requires_grad=True)
     frozen = Tensor([3.0, 4.0], requires_grad=False)
