@@ -432,7 +432,13 @@ def take_rows(x: Tensor, indices) -> Tensor:
     def backward(grad):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, indices, grad)
+        # A fancy-index += adds each row's first occurrence and np.add.at the
+        # repeats in order: the same adds, in the same order, as np.add.at alone.
+        flat, grad = indices.ravel(), grad.reshape((indices.size,) + a.shape[1:])
+        first = np.zeros(flat.size, dtype=bool)
+        first[np.unique(flat, return_index=True)[1]] = True
+        a.grad[flat[first]] += grad[first]
+        np.add.at(a.grad, flat[~first], grad[~first])
 
     return Tensor._result(data, (a,), backward)
 

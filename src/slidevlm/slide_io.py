@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import stat
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +33,8 @@ __all__ = [
     "read_raster",
     "write_raster",
     "tile_slide",
-    "saturation",
+    "channel_range",
+    "stained",
     "thumbnail",
     "letterbox",
     "box_band",
@@ -197,58 +199,48 @@ def read_raster(path) -> Raster:
 # -- tiling ----------------------------------------------------------------------
 
 
-def saturation(pixels: np.ndarray) -> np.ndarray:
-    """Per-pixel HSV saturation (max - min) / max in [0, 1], zero where max
-    is zero; zero for grayscale input.
-
-    Max and min come from the channel slices, not from a reduction over
-    the length-3 channel axis, which numpy runs an order of magnitude
-    slower. Integer max, min and difference are exact, so the float64
-    quotient is too.
-    """
-    pixels = np.asarray(pixels)
-    if pixels.ndim != 3:
-        raise UsageError("expected [h, w, channels] pixels")
-    if pixels.shape[2] == 1:
-        return np.zeros(pixels.shape[:2], dtype=np.float64)
-    r, g, b = pixels[:, :, 0], pixels[:, :, 1], pixels[:, :, 2]
+def channel_range(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel max and max - min over the leading channel axis of uint8
+    planes; gray repeats its one plane, so its spread is zero. On planes
+    made contiguous first, numpy's elementwise max and min run several
+    times faster than on the interleaved channel slices of a raster."""
+    r, g, b = (planes[c % len(planes)] for c in range(3))
     high = np.maximum(np.maximum(r, g), b)
-    spread = high - np.minimum(np.minimum(r, g), b)
-    return np.true_divide(spread, np.maximum(high, 1), dtype=np.float64)
+    return high, high - np.minimum(np.minimum(r, g), b)
 
 
-def _tissue_flags(strip: np.ndarray, tile_width: int) -> np.ndarray:
-    """Tissue flag of each `tile_width`-wide tile across a strip of pixel rows.
-
-    A tile is tissue iff the fraction of its pixels whose saturation
-    exceeds SATURATION_THRESHOLD exceeds TISSUE_FRACTION; a partial tile at
-    the right edge is dropped.
-    """
-    height = strip.shape[0]
-    tiles = strip.shape[1] // tile_width
-    saturated = saturation(strip[:, : tiles * tile_width]) > SATURATION_THRESHOLD
-    counts = np.count_nonzero(saturated.reshape(height, tiles, tile_width), axis=(0, 2))
-    return counts / (height * tile_width) > TISSUE_FRACTION
+def stained(high: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Whether HSV saturation spread / high exceeds SATURATION_THRESHOLD, in
+    exact integer arithmetic: q * spread > p * high, where p / q (2 / 25) is
+    the fraction nearest the threshold with a denominator up to 255. Any
+    8-bit saturation other than p / q lies at least 1 / 255**2 away from it,
+    far beyond float rounding, so the float64 test agrees on every pixel."""
+    p, q = Fraction(SATURATION_THRESHOLD).limit_denominator(255).as_integer_ratio()
+    return np.multiply(spread, q, dtype=np.uint16) > np.multiply(high, p, dtype=np.uint16)
 
 
 def tile_slide(raster: Raster, patch_size: int = DEFAULT_PATCH_SIZE) -> PatchGrid:
     """Cut non-overlapping tiles and flag each tissue/background.
 
-    Partial edge tiles are dropped; a raster smaller than one patch yields
-    an empty grid. Flags are computed one strip of `patch_size` pixel rows
-    at a time.
+    A tile is tissue iff the fraction of its `stained` pixels exceeds
+    TISSUE_FRACTION. Partial edge tiles are dropped; a raster smaller than
+    one patch yields an empty grid. Flags are computed one strip of
+    `patch_size` pixel rows at a time.
     """
     if patch_size < 1:
         raise UsageError("patch_size must be >= 1")
     if raster.width < 1 or raster.height < 1:
         raise UsageError("raster must be non-empty")
-    entries = []
+    cols, entries = raster.width // patch_size, []
     for row in range(raster.height // patch_size):
         y = row * patch_size
-        strip = raster.pixels[y : y + patch_size]
-        flags = _tissue_flags(strip, patch_size)
+        strip = raster.pixels[y : y + patch_size, : cols * patch_size]
+        planes = np.ascontiguousarray(strip.transpose(2, 0, 1))
+        saturated = stained(*channel_range(planes)).reshape(patch_size, cols, patch_size)
+        counts = np.count_nonzero(saturated, axis=(0, 2))
         entries.extend(
-            GridEntry(row, col, col * patch_size, y, bool(flag)) for col, flag in enumerate(flags)
+            GridEntry(row, col, col * patch_size, y, bool(flag))
+            for col, flag in enumerate(counts / patch_size**2 > TISSUE_FRACTION)
         )
     return PatchGrid(patch_size, raster.width, raster.height, entries)
 

@@ -622,6 +622,20 @@ def test_slide_without_tissue_fails_early(world, tmp_path, capsys):
     assert err.startswith("error: usage:") and "blank7" in err
 
 
+def test_encode_rejects_a_grid_of_another_slide(world, tmp_path, capsys):
+    base = world["base"]
+    assert main(["synth", *base, "--run-dir", str(tmp_path), "--width", "32",
+                 "--height", "32", "--patch-size", "16", "--region", "tumor:0:0:16:16"]) == 0
+    assert main(["tile", *base, "--run-dir", str(tmp_path), "--slide", str(tmp_path / "slide.ppm")]) == 0
+    capsys.readouterr()
+    # The 32x32 grid's tissue tile fits inside the 64x64 slide, yet it is not that slide's grid.
+    assert main(["encode", *base, "--run-dir", str(tmp_path / "enc"), "--slide",
+                 str(world["data"] / "slide.ppm"), "--grid", str(tmp_path / "grid.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "32x32" in err and "64x64" in err
+    assert not (tmp_path / "enc" / "embeddings.bin").exists()
+
+
 def test_bad_region_exits_two(world, capsys):
     cases = [
         (["--region", "tumor:0:0"], "--region"),

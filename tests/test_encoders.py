@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,34 @@ def test_patch_encoder_rejects_grids_that_do_not_fit():
     outside = tile_slide(magenta, patch_size=16)
     with pytest.raises(UsageError, match="exceeds"):
         enc.encode_grid(raster, outside)
+    # A grid whose tiles all fit, but cut from a raster of another size.
+    other = tile_slide(Raster.from_pixels(magenta.pixels[:48, :48]), patch_size=16)
+    with pytest.raises(UsageError, match="from a 48x48 raster, not from this 60x100 one"):
+        enc.encode_grid(raster, other)
+
+
+def test_patch_statistics_equal_exact_rationals():
+    """Channel means and variances are the correctly rounded exact fractions."""
+    ps = 224
+    enc = PatchEncoder(dim=PatchEncoder.N_STATS, patch_size=ps, seed=0)
+    enc.weight.value.data[...] = np.eye(PatchEncoder.N_STATS)  # the features are the statistics
+    rng = stream(3, "exact-stats")
+    checker = np.where((np.arange(ps)[:, None] + np.arange(ps)) % 2, 255, 0)
+    tiles = [
+        np.zeros((ps, ps, 3)),
+        np.full((ps, ps, 3), 255),
+        np.repeat(checker[:, :, None], 3, axis=2),
+        rng.integers(0, 256, size=(ps, ps, 3)),
+        rng.integers(0, 256, size=(ps, ps, 1)),
+    ]
+    for tile in tiles:
+        stats = encode_one(enc, tile.astype(np.uint8))
+        for c in range(3):
+            levels = [int(v) for v in tile[:, :, c % tile.shape[2]].ravel()]
+            mean = Fraction(sum(levels), 255 * len(levels))
+            var = Fraction(sum(v * v for v in levels), 255**2 * len(levels)) - mean**2
+            assert stats[c] == float(mean)
+            assert stats[3 + c] == math.sqrt(float(var))
 
 
 def oracle_features(enc, patch):
@@ -483,10 +512,9 @@ def test_strip_featurizer_matches_per_patch_oracle():
             ).reshape(len(grid.entries), 32)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             assert got.astype("<f4").tobytes() == want.astype("<f4").tobytes()
-            if grid.entries:
-                e = grid.entries[-1]
+            for e, row in zip(grid.entries, got):
                 patch = raster.pixels[e.y : e.y + ps, e.x : e.x + ps]
-                np.testing.assert_array_equal(encode_one(enc, patch), got[-1])
+                np.testing.assert_array_equal(encode_one(enc, patch), row)
 
 
 # -- projector ----------------------------------------------------------------------

@@ -356,6 +356,26 @@ def test_rows_backward_adds_into_the_slice():
     assert peak < x.data.nbytes / 8  # no parent-sized array on the way
 
 
+def test_take_rows_backward_equals_add_at_bit_for_bit():
+    rng = stream(12, "take-oracle")
+    # dilated_branch's gathers: 4 heads, n = 1000, w = 64, r = 4; every
+    # position past the end reads the clipped padding row n - 1.
+    heads, n, w, r = 4, 1000, 64, 4
+    pos = np.arange(heads)[:, None, None] + np.arange(0, 16 * w, w)[:, None] + np.arange(0, w, r)
+    dilated = np.repeat(np.arange(heads) * n, 16)[:, None] + np.minimum(pos.reshape(-1, w // r), n - 1)
+    # The grid positional lookups: one row index per patch, mostly repeats.
+    positional = rng.integers(0, 8, size=700)
+    for rows, indices in ((heads * n, dilated), (8, positional)):
+        x = Tensor(rng.normal(size=(rows, 5)), requires_grad=True)
+        x.grad = rng.normal(size=x.shape)
+        want = x.grad.copy()
+        upstream = rng.normal(size=indices.shape + (5,))
+        (take_rows(x, indices) * Tensor(upstream)).sum().backward()
+        np.add.at(want, indices, upstream)
+        assert np.unique(indices).size < indices.size
+        np.testing.assert_array_equal(x.grad, want)
+
+
 def test_take_rows_backward_scatters_into_the_grad():
     x = Tensor(stream(8, "take").normal(size=(4096, 64)), requires_grad=True)
     x.grad = np.ones_like(x.data)

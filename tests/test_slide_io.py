@@ -24,9 +24,10 @@ from slidevlm.slide_io import (
     SlideSpec,
     box_band,
     box_weights,
+    channel_range,
     letterbox,
     read_raster,
-    saturation,
+    stained,
     synth_slide,
     thumbnail,
     tile_slide,
@@ -190,14 +191,28 @@ def test_tissue_filter_fraction_cut():
     assert SATURATION_THRESHOLD == 0.08 and TISSUE_FRACTION == 0.25
 
 
-def test_saturation_values():
-    px = np.zeros((1, 2, 3), dtype=np.uint8)
+def test_channel_range_values():
+    px = np.zeros((1, 3, 3), dtype=np.uint8)
     px[0, 0] = (255, 255, 255)
     px[0, 1] = (255, 0, 0)
-    sat = saturation(px)
-    assert sat[0, 0] == 0.0 and sat[0, 1] == 1.0
-    gray = saturation(np.full((2, 2, 1), 77, dtype=np.uint8))
-    assert gray.max() == 0.0
+    px[0, 2] = (30, 90, 60)
+    high, spread = channel_range(px.transpose(2, 0, 1))
+    assert high.dtype == spread.dtype == np.uint8
+    assert high.tolist() == [[255, 255, 90]] and spread.tolist() == [[0, 255, 60]]
+    gray_high, gray_spread = channel_range(np.full((1, 2, 2), 77, dtype=np.uint8))
+    assert (gray_high == 77).all() and (gray_spread == 0).all()
+
+
+def test_integer_tissue_rule_matches_float_saturation_on_every_8bit_pair():
+    # One pixel (max, min, min) for every 8-bit pair with min <= max.
+    high, low = np.triu_indices(256)[::-1]
+    px = np.stack([high, low, low], axis=1).astype(np.uint8)[None]
+    assert px.shape == (1, 32896, 3)
+    got = stained(*channel_range(px.transpose(2, 0, 1)))
+    np.testing.assert_array_equal(got, oracle_saturation(px) > SATURATION_THRESHOLD)
+    assert got.any() and not got.all()
+    # The channel order does not matter.
+    np.testing.assert_array_equal(stained(*channel_range(px.transpose(2, 0, 1)[::-1])), got)
 
 
 # -- grid persistence ---------------------------------------------------------------
