@@ -9,19 +9,21 @@ a finished pipeline touches the cache only.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import re
 import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Generic, Protocol, Sequence, TypeVar
 
 from .evaluation import NARROW_BY_BROAD, NARROW_TO_BROAD, QARecord, extract_choice, option_letters
-from .jsonio import read_json, write_jsonl
+from .jsonio import read_json, read_jsonl, write_jsonl
 from .numerics import UsageError, stream
 from .prompts import (
     GENERAL_PROMPT,
@@ -145,6 +147,7 @@ class MockChatClient:
         self.model = model
         self.by_hash = by_hash
         self.calls: list[str] = []
+        self._lock = threading.Lock()
 
     @classmethod
     def from_replay(cls, path, model: str = "replay") -> "MockChatClient":
@@ -161,9 +164,11 @@ class MockChatClient:
         if self.table is not None and prompt in self.table:
             return self.table[prompt]
         if self.replies is not None:
-            if not self.replies:
+            with self._lock:  # concurrent callers must not both take the last reply
+                exhausted = not self.replies
+                reply = None if exhausted else self.replies.pop(0)
+            if exhausted:
                 raise ClientError("mock reply sequence exhausted")
-            reply = self.replies.pop(0)
             if reply is None:
                 raise ClientError("mock scripted failure")
             return reply
@@ -174,70 +179,122 @@ class MockChatClient:
 
 # -- reply cache --------------------------------------------------------------------
 
+_ENTRY = {"template_hash": str, "input_hash": str, "model": str, "reply": str}
+
 
 class PromptCache:
-    """One JSON file per (template hash, input hash, model) triple.
+    """Replies by (template hash, input hash, model), in one append-only log.
 
-    Each writer goes through a temp file named for its process and thread,
-    then renames it into place, so readers never see a partial entry and
-    writers need no lock. Writers of one key store the same reply, since
-    the key holds the prompt's hash and the model. The entry stores its own
-    key fields for inspection.
+    `cache.jsonl` under `root` holds one entry per line: the three key
+    fields and the reply. Opening the cache reads the log into a dict that
+    lookups use. Each store appends its line with a single `os.write` on an
+    `O_APPEND` descriptor, under an instance lock and an exclusive `flock`,
+    and updates the dict; so threads and processes may store at once, and
+    lines never mix. A final line without its newline is a store cut short:
+    opening the cache drops it, and the next store starts a fresh line. Any
+    other malformed line is a UsageError naming `path:line`.
     """
 
     def __init__(self, root):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def _key(template_h: str, input_h: str, model: str) -> str:
-        raw = f"{template_h}\n{input_h}\n{model}".encode("utf-8")
-        return hashlib.sha256(raw).hexdigest()
-
-    def _path(self, template_h: str, input_h: str, model: str) -> Path:
-        return self.root / (self._key(template_h, input_h, model) + ".json")
+        root = Path(root)
+        root.mkdir(parents=True, exist_ok=True)
+        self.path = root / "cache.jsonl"
+        self._lock = threading.Lock()
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # no store of another process is half written
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+            rows = read_jsonl(self.path, _ENTRY)
+        finally:
+            os.close(fd)
+        self._replies = {(r["template_hash"], r["input_hash"], r["model"]): r["reply"] for r in rows}
 
     def lookup(self, template_h: str, input_h: str, model: str) -> str | None:
-        try:
-            return read_json(self._path(template_h, input_h, model))["reply"]
-        except FileNotFoundError:
-            return None
+        return self._replies.get((template_h, input_h, model))
 
     def store(self, template_h: str, input_h: str, model: str, reply: str) -> None:
-        entry = {
-            "template_hash": template_h,
-            "input_hash": input_h,
-            "model": model,
-            "reply": reply,
-        }
-        path = self._path(template_h, input_h, model)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
+        entry = {"template_hash": template_h, "input_hash": input_h, "model": model, "reply": reply}
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        with self._lock:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                written = os.write(fd, line)
+            finally:
+                os.close(fd)
+            if written != len(line):
+                raise OSError(f"{self.path}: wrote {written} of {len(line)} bytes")
+            self._replies[(template_h, input_h, model)] = reply
 
 
 def _input_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _call(
-    client: ChatClient,
+# -- call lanes ---------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+class Lane(ThreadPoolExecutor):
+    """A chat client with `jobs` worker threads of its own.
+
+    Calls handed to a lane run on its workers, so its endpoint never has
+    more than `jobs` requests in flight, however many threads ask.
+    """
+
+    def __init__(self, client: ChatClient, jobs: int):
+        super().__init__(max_workers=jobs, thread_name_prefix=f"lane-{client.model}")
+        self.client = client
+        self.model = client.model
+
+
+class Pending(Generic[T]):
+    """A stage result whose chat replies may still be on their way.
+
+    `result()` waits for them and finishes the stage in the calling thread.
+    """
+
+    def __init__(self, finish: Callable[[], T]):
+        self._finish = finish
+
+    def result(self) -> T:
+        return self._finish()
+
+
+def _ask(
+    client: ChatClient | Lane,
     cache: PromptCache | None,
     template_h: str,
     input_text: str,
     prompt: str,
-    temperature: float = 0.0,
-) -> str:
+) -> Future:
+    """The reply to `prompt`, as a future.
+
+    The cache is read in the calling thread. A miss is asked of the
+    endpoint and stored: on the client's workers if it is a `Lane`, else
+    here and now.
+    """
     input_h = _input_hash(input_text)
-    if cache is not None:
-        hit = cache.lookup(template_h, input_h, client.model)
-        if hit is not None:
-            return hit
-    reply = client.complete(prompt, temperature=temperature)
-    if cache is not None:
-        cache.store(template_h, input_h, client.model, reply)
-    return reply
+    hit = None if cache is None else cache.lookup(template_h, input_h, client.model)
+    endpoint = client.client if isinstance(client, Lane) else client
+
+    def fetch() -> str:
+        reply = endpoint.complete(prompt)
+        if cache is not None:
+            cache.store(template_h, input_h, client.model, reply)
+        return reply
+
+    if hit is None and isinstance(client, Lane):
+        return client.submit(fetch)
+    done = Future()
+    try:
+        done.set_result(fetch() if hit is None else hit)
+    except ClientError as exc:
+        done.set_exception(exc)
+    return done
 
 
 # -- pipeline records ---------------------------------------------------------------
@@ -287,18 +344,20 @@ class FilterVerdict:
 # -- chat stages --------------------------------------------------------------------
 
 
-def clean_report(record: ReportRecord, client: ChatClient, cache: PromptCache | None = None) -> str:
+def clean_report(
+    record: ReportRecord, client: ChatClient | Lane, cache: PromptCache | None = None
+) -> str:
     """Strip boilerplate from one report via the pinned cleaning template."""
     if not record.report_text.strip():
         raise UsageError(f"report {record.patient_id!r} is empty")
-    reply = _call(
+    reply = _ask(
         client,
         cache,
         TEMPLATE_HASHES["report_clean"],
         record.report_text,
         report_clean_prompt(record.report_text),
     )
-    return reply.strip()
+    return reply.result().strip()
 
 
 def _one_paragraph(text: str) -> str:
@@ -306,14 +365,14 @@ def _one_paragraph(text: str) -> str:
     return " ".join(ln for ln in lines if ln)
 
 
-def gen_caption(cleaned: str, client: ChatClient, cache: PromptCache | None = None) -> str:
+def gen_caption(
+    cleaned: str, client: ChatClient | Lane, cache: PromptCache | None = None
+) -> Pending[str]:
     """Summarize a cleaned report; multi-paragraph replies collapse to one."""
     if not cleaned.strip():
         raise UsageError("cannot caption an empty report")
-    reply = _call(
-        client, cache, TEMPLATE_HASHES["caption"], cleaned, caption_prompt(cleaned)
-    )
-    return _one_paragraph(reply)
+    reply = _ask(client, cache, TEMPLATE_HASHES["caption"], cleaned, caption_prompt(cleaned))
+    return Pending(lambda: _one_paragraph(reply.result()))
 
 
 QA_TEMPLATE_HASH = template_hash(
@@ -422,11 +481,11 @@ def _candidate_from_item(
 def gen_qas(
     cleaned: str,
     broad: str,
-    client: ChatClient,
+    client: ChatClient | Lane,
     cache: PromptCache | None = None,
     source_report: str = "report",
     slide_id: str = "",
-) -> tuple[list[QACandidate], list[DropReason]]:
+) -> Pending[tuple[list[QACandidate], list[DropReason]]]:
     """Generate QA candidates for one broad category of one cleaned report.
 
     Every JSON object in the reply is validated independently; malformed
@@ -436,13 +495,13 @@ def gen_qas(
         raise UsageError(f"unknown broad category {broad!r}")
     if not cleaned.strip():
         raise UsageError("cannot generate questions from an empty report")
-    reply = _call(
-        client,
-        cache,
-        QA_TEMPLATE_HASH,
-        cleaned + "\n" + broad,
-        qa_prompt(cleaned, broad),
-    )
+    reply = _ask(client, cache, QA_TEMPLATE_HASH, cleaned + "\n" + broad, qa_prompt(cleaned, broad))
+    return Pending(lambda: _parse_qas(reply.result(), broad, source_report, slide_id))
+
+
+def _parse_qas(
+    reply: str, broad: str, source_report: str, slide_id: str
+) -> tuple[list[QACandidate], list[DropReason]]:
     candidates: list[QACandidate] = []
     drops: list[DropReason] = []
     spans = _json_objects(reply)
@@ -484,50 +543,46 @@ def filter_prompt(record: QARecord) -> str:
 
 def ensemble_filter(
     qa: QACandidate,
-    clients: Sequence[ChatClient],
-    pool: Executor,
+    clients: Sequence[ChatClient | Lane],
     cache: PromptCache | None = None,
-) -> FilterVerdict:
+) -> Pending[FilterVerdict]:
     """Ask 4 models the question without any slide; keep iff < 3 are right.
 
     A question three text-only models can answer needs no image, so it
-    measures nothing about the slide. Replies already in `cache` are read
-    in the calling thread; the calls that miss go to `pool` at once, and
-    the verdict waits for all of them. Client failures count as incorrect
-    and are flagged.
+    measures nothing about the slide. All four are asked before this
+    returns: replies already in `cache` are read here, and each miss goes
+    to its client's lane. The verdict waits for the replies. Client
+    failures count as incorrect and are flagged.
     """
     if len(clients) != 4:
         raise UsageError("ensemble filter needs exactly 4 clients")
     if qa.record.qtype != "multi-choice":
         raise UsageError("ensemble filter applies to multi-choice candidates")
     prompt = filter_prompt(qa.record)
+    asked = [_ask(c, cache, FILTER_TEMPLATE_HASH, prompt, prompt) for c in clients]
 
-    def ask(client: ChatClient) -> str | None:
+    def answer(reply: Future) -> str | None:
         try:
-            return _call(client, cache, FILTER_TEMPLATE_HASH, prompt, prompt)
+            return reply.result()
         except ClientError:
             return None
 
-    input_h = _input_hash(prompt)
-    replies = [
-        None if cache is None else cache.lookup(FILTER_TEMPLATE_HASH, input_h, c.model)
-        for c in clients
-    ]
-    misses = [i for i, reply in enumerate(replies) if reply is None]
-    for i, reply in zip(misses, pool.map(ask, [clients[i] for i in misses])):
-        replies[i] = reply
-    failed = tuple(reply is None for reply in replies)
-    correct = tuple(
-        not gone and extract_choice(reply, qa.record.options) == qa.record.answer
-        for reply, gone in zip(replies, failed)
-    )
-    n_right = sum(correct)
-    return FilterVerdict(
-        correct=correct,
-        failed=failed,
-        kept=n_right < 3,
-        reason=f"{n_right}/4 text-only models answered correctly",
-    )
+    def verdict() -> FilterVerdict:
+        replies = [answer(reply) for reply in asked]
+        failed = tuple(reply is None for reply in replies)
+        correct = tuple(
+            not gone and extract_choice(reply, qa.record.options) == qa.record.answer
+            for reply, gone in zip(replies, failed)
+        )
+        n_right = sum(correct)
+        return FilterVerdict(
+            correct=correct,
+            failed=failed,
+            kept=n_right < 3,
+            reason=f"{n_right}/4 text-only models answered correctly",
+        )
+
+    return Pending(verdict)
 
 
 # -- train/test split ---------------------------------------------------------------
@@ -655,12 +710,15 @@ def run_curation(
 ) -> CurationResult:
     """Run clean -> caption -> QA -> filter over a batch of reports.
 
-    Each of `jobs` threads takes one report through every stage, ending
-    with the text-only filter of its multi-choice candidates one at a time;
-    the filter asks its four models at once on a run-wide pool. So no chat
-    endpoint ever has more than `jobs` requests in flight. Results keep
-    patient-id order. A report whose chat calls die lands in `flagged` and
-    the batch moves on. Short-answer candidates bypass the filter.
+    The chat client and each filter client get a lane of `jobs` workers,
+    so no chat endpoint ever has more than `jobs` requests in flight. Each
+    of `jobs` report threads cleans its report, then asks for the caption
+    and the questions of every broad at once, then asks the filter about
+    all its multi-choice candidates at once. Cache hits are read in the
+    report thread; only misses go to a lane. At `jobs = 1` each endpoint
+    takes its calls one at a time, in this order. Results keep patient-id
+    order. A report whose chat calls die lands in `flagged` and the batch
+    moves on. Short-answer candidates bypass the filter.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -673,36 +731,47 @@ def run_curation(
         pid = report.patient_id
         part = CurationResult()
         try:
-            part.cleaned[pid] = cleaned = clean_report(report, client, cache)
-            part.captions[pid] = gen_caption(cleaned, client, cache)
-            for broad in broads:
-                got, dropped = gen_qas(
-                    cleaned, broad, client, cache, source_report=pid, slide_id=report.slide_ids[0]
-                )
+            part.cleaned[pid] = cleaned = clean_report(report, chat, cache)
+            caption = gen_caption(cleaned, chat, cache)
+            qas = [
+                gen_qas(cleaned, broad, chat, cache, source_report=pid, slide_id=report.slide_ids[0])
+                for broad in broads
+            ]
+            part.captions[pid] = caption.result()
+            for pending in qas:
+                got, dropped = pending.result()
                 part.candidates.extend(got)
                 part.drops.extend(dropped)
         except ClientError as exc:
             return CurationResult(flagged={pid: str(exc)})
+        verdicts = {
+            cand.record.id: ensemble_filter(cand, filters, cache)
+            for cand in part.candidates
+            if filters is not None and cand.record.qtype == "multi-choice"
+        }
         for cand in part.candidates:
-            if filter_clients is not None and cand.record.qtype == "multi-choice":
-                verdict = ensemble_filter(cand, filter_clients, asks, cache)
-                part.verdicts[cand.record.id] = verdict
+            if cand.record.id in verdicts:
+                verdict = part.verdicts[cand.record.id] = verdicts[cand.record.id].result()
                 if not verdict.kept:
                     continue
             part.kept.append(cand)
         return part
 
     result = CurationResult()
-    # One worker per filter model per report thread, so filter calls never queue.
-    with ThreadPoolExecutor(max_workers=jobs) as pool, ThreadPoolExecutor(max_workers=4 * jobs) as asks:
-        for part in pool.map(one, ordered):
-            result.cleaned.update(part.cleaned)
-            result.captions.update(part.captions)
-            result.candidates.extend(part.candidates)
-            result.drops.extend(part.drops)
-            result.verdicts.update(part.verdicts)
-            result.kept.extend(part.kept)
-            result.flagged.update(part.flagged)
+    with ExitStack() as lanes:
+        chat = lanes.enter_context(Lane(client, jobs))
+        filters = None if filter_clients is None else [
+            lanes.enter_context(Lane(c, jobs)) for c in filter_clients
+        ]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            for part in pool.map(one, ordered):
+                result.cleaned.update(part.cleaned)
+                result.captions.update(part.captions)
+                result.candidates.extend(part.candidates)
+                result.drops.extend(part.drops)
+                result.verdicts.update(part.verdicts)
+                result.kept.extend(part.kept)
+                result.flagged.update(part.flagged)
     return result
 
 

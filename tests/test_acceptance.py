@@ -8,7 +8,6 @@ runtime budget. Run with -s to see the PASS lines.
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -263,16 +262,15 @@ def test_criterion_08_filter_truth_table():
     candidate = QACandidate(
         record=mc_record(0), reasoning=None, source_report="p", prompt_hash="h"
     )
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for bits in range(16):
-            vector = tuple(bool(bits >> i & 1) for i in range(4))
-            clients = [
-                MockChatClient(default="A" if right else "B", model=f"m{i}")
-                for i, right in enumerate(vector)
-            ]
-            verdict = ensemble_filter(candidate, clients, pool)
-            assert verdict.correct == vector
-            assert verdict.kept == (sum(vector) <= 2)
+    for bits in range(16):
+        vector = tuple(bool(bits >> i & 1) for i in range(4))
+        clients = [
+            MockChatClient(default="A" if right else "B", model=f"m{i}")
+            for i, right in enumerate(vector)
+        ]
+        verdict = ensemble_filter(candidate, clients).result()
+        assert verdict.correct == vector
+        assert verdict.kept == (sum(vector) <= 2)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"PASS criterion 8: all 16 ensemble vectors keep iff <=2 correct ({elapsed:.2f}s)")

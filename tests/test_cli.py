@@ -427,6 +427,18 @@ def test_curate_reports_a_failed_filter_model(world):
     assert verdicts[0]["correct"] == [True, True, False, False]
 
 
+def test_curate_names_a_malformed_cache_line(world, tmp_path, capsys):
+    entry = json.dumps({"input_hash": "i", "model": "m", "reply": "r", "template_hash": "t"})
+    log = tmp_path / "cache" / "cache.jsonl"
+    log.parent.mkdir()
+    log.write_text(entry + "\n{not json\n" + entry + "\n")
+    argv = [*_curate_argv(world), *world["base"], "--run-dir", str(tmp_path / "run"),
+            "--cache-dir", str(log.parent)]
+    assert main(argv) == 2
+    assert f"{log}:2:" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 def test_curate_flags_reports_missing_from_replay(world, capsys):
     root = world["root"]
     reports = root / "reports_two.jsonl"

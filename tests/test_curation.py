@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import pytest
 import requests
@@ -15,6 +17,7 @@ from slidevlm.curation import (
     BCNB_TASKS,
     ClientError,
     EndpointConfig,
+    Lane,
     LiveChatClient,
     MockChatClient,
     PromptCache,
@@ -117,6 +120,33 @@ def test_mock_client_reply_sequence():
     assert client.calls == ["p", "q"]
     with pytest.raises(ClientError):
         client.complete("r")
+
+
+class SlowChecks(list):
+    """A list that sleeps after reading its length, so a check-then-pop race shows every time."""
+
+    def __len__(self):
+        n = super().__len__()
+        time.sleep(0.01)
+        return n
+
+
+def test_mock_client_reply_sequence_under_concurrent_callers():
+    # Four callers race for the one reply left: one gets it, the others a ClientError.
+    client = MockChatClient(replies=[])
+    client.replies = SlowChecks(["last"])
+    start = threading.Barrier(4, timeout=5)
+
+    def call(_):
+        start.wait()
+        try:
+            return client.complete("p")
+        except ClientError:
+            return None
+
+    with ThreadPoolExecutor(max_workers=4) as threads:
+        got = list(threads.map(call, range(4)))
+    assert got.count("last") == 1 and got.count(None) == 3
 
 
 def test_mock_client_scripted_failure_and_fallbacks():
@@ -239,7 +269,7 @@ def test_cache_round_trip_and_key_sensitivity(tmp_path):
     assert cache.lookup("t2", "i", "m") is None
     assert cache.lookup("t", "i2", "m") is None
     assert cache.lookup("t", "i", "m2") is None
-    entry = json.loads(next(tmp_path.glob("*.json")).read_text())
+    entry = json.loads((tmp_path / "cache.jsonl").read_text())
     assert entry == {"template_hash": "t", "input_hash": "i", "model": "m", "reply": "reply"}
 
 
@@ -260,8 +290,49 @@ def test_cache_survives_concurrent_writers(tmp_path):
             list(threads.map(work, range(8)))
     finally:
         sys.setswitchinterval(interval)
-    assert len(list(tmp_path.glob("*.json"))) == 100 + 8 * 100
-    assert list(tmp_path.glob("*.tmp")) == []
+    lines = (tmp_path / "cache.jsonl").read_text().splitlines()
+    assert len(lines) == 8 * 200  # one whole line per store
+    assert list(tmp_path.iterdir()) == [tmp_path / "cache.jsonl"]  # no temp files
+    keys = {f"k{k}" if k % 2 == 0 else f"k{k}-t{t}" for t in range(8) for k in range(200)}
+    assert len(keys) == 100 + 8 * 100
+    reopened = PromptCache(tmp_path)
+    assert all(reopened.lookup("t", key, "m") == f"reply {key}" for key in keys)
+
+
+def test_cache_seen_by_a_second_instance(tmp_path):
+    first = PromptCache(tmp_path)
+    first.store("t", "i", "m", "one")
+    first.store("t", "i2", "m", "two\nlines")
+    second = PromptCache(tmp_path)
+    assert second.lookup("t", "i", "m") == "one"
+    assert second.lookup("t", "i2", "m") == "two\nlines"
+    # Old file-per-entry caches are not read.
+    (tmp_path / "0123abcd.json").write_text(json.dumps(
+        {"template_hash": "t", "input_hash": "old", "model": "m", "reply": "stale"}
+    ))
+    assert PromptCache(tmp_path).lookup("t", "old", "m") is None
+
+
+def test_cache_drops_a_torn_final_line(tmp_path):
+    PromptCache(tmp_path).store("t", "i", "m", "kept")
+    log = tmp_path / "cache.jsonl"
+    whole = log.read_bytes()
+    log.write_bytes(whole + whole[: len(whole) // 2])  # a store cut short
+    cache = PromptCache(tmp_path)
+    assert cache.lookup("t", "i", "m") == "kept"
+    cache.store("t", "i2", "m", "after")
+    assert [json.loads(line)["reply"] for line in log.read_text().splitlines()] == ["kept", "after"]
+    assert PromptCache(tmp_path).lookup("t", "i2", "m") == "after"
+
+
+def test_cache_names_a_malformed_line(tmp_path):
+    PromptCache(tmp_path).store("t", "i", "m", "kept")
+    log = tmp_path / "cache.jsonl"
+    good = log.read_text()
+    for bad in ('{"template_hash": "t"}\n', "not json\n", '["a list"]\n'):
+        log.write_text(good + bad + good)
+        with pytest.raises(UsageError, match=re.escape(f"{log}:2:")):
+            PromptCache(tmp_path)
 
 
 def test_cache_short_circuits_the_client(tmp_path):
@@ -286,7 +357,7 @@ def test_clean_report_rejects_empty():
 
 def test_gen_caption_collapses_paragraphs():
     client = MockChatClient(replies=["First part.\n\nSecond part.\n"])
-    assert gen_caption("cleaned", client) == "First part. Second part."
+    assert gen_caption("cleaned", client).result() == "First part. Second part."
     assert client.calls == [caption_prompt("cleaned")]
     with pytest.raises(UsageError):
         gen_caption("", client)
@@ -325,7 +396,7 @@ def test_gen_qas_parses_fenced_items():
     client = MockChatClient(replies=[qa_reply(MC_ITEM, SA_ITEM)])
     candidates, drops = gen_qas(
         "cleaned", "Diagnosis", client, source_report="p1", slide_id="s1"
-    )
+    ).result()
     assert drops == []
     assert [c.record.id for c in candidates] == ["p1-diagnosis-000", "p1-diagnosis-001"]
     mc, sa = candidates
@@ -353,7 +424,7 @@ def test_gen_qas_drop_reasons():
     ]
     reply = qa_reply(*bad_items) + "\n{ broken json }"
     client = MockChatClient(replies=[reply])
-    candidates, drops = gen_qas("cleaned", "Diagnosis", client)
+    candidates, drops = gen_qas("cleaned", "Diagnosis", client).result()
     assert candidates == []
     reasons = [d.reason for d in drops]
     assert len(reasons) == 9
@@ -369,7 +440,7 @@ def test_gen_qas_drop_reasons():
 
 
 def test_gen_qas_no_json_and_validation():
-    candidates, drops = gen_qas("cleaned", "Diagnosis", MockChatClient(replies=["plain prose"]))
+    candidates, drops = gen_qas("cleaned", "Diagnosis", MockChatClient(replies=["plain prose"])).result()
     assert candidates == [] and len(drops) == 1
     assert "no JSON objects" in drops[0].reason
     with pytest.raises(UsageError):
@@ -393,12 +464,6 @@ def mc_candidate():
         narrow="Disease Classification",
     )
     return QACandidate(record=record, reasoning=None, source_report="p1", prompt_hash="h")
-
-
-@pytest.fixture
-def pool():
-    with ThreadPoolExecutor(max_workers=4) as executor:
-        yield executor
 
 
 class BarrierClient:
@@ -447,75 +512,80 @@ def test_filter_prompt_layout():
 
 
 @pytest.mark.parametrize("bits", range(16))
-def test_ensemble_truth_table(bits, pool):
+def test_ensemble_truth_table(bits):
     vector = tuple(bool(bits >> i & 1) for i in range(4))
     clients = [
         MockChatClient(default="A" if right else "B", model=f"m{i}")
         for i, right in enumerate(vector)
     ]
-    verdict = ensemble_filter(mc_candidate(), clients, pool)
+    verdict = ensemble_filter(mc_candidate(), clients).result()
     assert verdict.correct == vector
     assert verdict.failed == (False, False, False, False)
     assert verdict.kept == (sum(vector) < 3)
 
 
-def test_ensemble_failure_counts_as_incorrect(pool):
+def test_ensemble_failure_counts_as_incorrect():
     clients = [
         MockChatClient(default="A", model="m0"),
         MockChatClient(replies=[None], model="m1"),
         MockChatClient(default="A", model="m2"),
         MockChatClient(default="A", model="m3"),
     ]
-    verdict = ensemble_filter(mc_candidate(), clients, pool)
+    verdict = ensemble_filter(mc_candidate(), clients).result()
     assert verdict.correct == (True, False, True, True)
     assert verdict.failed == (False, True, False, False)
     assert verdict.kept is False  # still 3 right
 
 
-def test_ensemble_asks_its_four_models_at_once(pool):
+def test_ensemble_asks_its_four_models_at_once():
     # Each model's call returns only when all four are waiting together.
     barrier = threading.Barrier(4, timeout=5)
-    clients = [BarrierClient(barrier, f"m{i}") for i in range(4)]
-    verdict = ensemble_filter(mc_candidate(), clients, pool)
+    with ExitStack() as stack:
+        lanes = [stack.enter_context(Lane(BarrierClient(barrier, f"m{i}"), 1)) for i in range(4)]
+        verdict = ensemble_filter(mc_candidate(), lanes).result()
     assert verdict.failed == (False, False, False, False)
     assert verdict.correct == (True, True, True, True)
 
 
-class CountingPool:
-    """An executor that runs `map` inline and counts the tasks handed to it."""
+class CountingLane(Lane):
+    """A one-worker lane that counts the calls handed to it."""
 
-    def __init__(self):
+    def __init__(self, client):
+        super().__init__(client, 1)
         self.tasks = 0
 
-    def map(self, fn, items):
-        items = list(items)
-        self.tasks += len(items)
-        return map(fn, items)
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(fn, *args, **kwargs)
 
 
-def test_ensemble_reads_cached_replies_without_the_pool(tmp_path, pool):
+def test_ensemble_reads_cached_replies_without_the_pool(tmp_path):
     cache = PromptCache(tmp_path)
     clients = [MockChatClient(default="A" if i else "B", model=f"m{i}") for i in range(4)]
-    cold = ensemble_filter(mc_candidate(), clients, pool, cache)
-    dead = [MockChatClient(replies=[], model=f"m{i}") for i in range(4)]
-    counting = CountingPool()
-    assert ensemble_filter(mc_candidate(), dead, counting, cache) == cold
-    assert counting.tasks == 0 and all(c.calls == [] for c in dead)
-    # A candidate with one reply missing hands only that call to the pool.
-    next(tmp_path.glob("*.json")).unlink()
-    assert ensemble_filter(mc_candidate(), clients, counting, cache) == cold
-    assert counting.tasks == 1
+    cold = ensemble_filter(mc_candidate(), clients, cache).result()
+    with ExitStack() as stack:
+        dead = [stack.enter_context(CountingLane(MockChatClient(replies=[], model=f"m{i}"))) for i in range(4)]
+        assert ensemble_filter(mc_candidate(), dead, cache).result() == cold
+        assert [lane.tasks for lane in dead] == [0] * 4 and all(lane.client.calls == [] for lane in dead)
+        # A candidate with one reply missing hands only that call to its lane.
+        log = tmp_path / "cache.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        assert json.loads(lines[0])["model"] == "m0"
+        log.write_text("".join(lines[1:]))
+        lanes = [stack.enter_context(CountingLane(c)) for c in clients]
+        assert ensemble_filter(mc_candidate(), lanes, PromptCache(tmp_path)).result() == cold
+        assert [lane.tasks for lane in lanes] == [1, 0, 0, 0]
 
 
-def test_ensemble_validation(pool):
+def test_ensemble_validation():
     with pytest.raises(UsageError):
-        ensemble_filter(mc_candidate(), [MockChatClient(default="A")] * 3, pool)
+        ensemble_filter(mc_candidate(), [MockChatClient(default="A")] * 3)
     sa = QACandidate(
         record=QARecord("q", "s", "what?", [], "x", "short-answer", "Diagnosis", "Grading"),
         reasoning=None, source_report="p", prompt_hash="h",
     )
     with pytest.raises(UsageError):
-        ensemble_filter(sa, [MockChatClient(default="A", model=f"m{i}") for i in range(4)], pool)
+        ensemble_filter(sa, [MockChatClient(default="A", model=f"m{i}") for i in range(4)])
 
 
 # -- split -----------------------------------------------------------------------------------
@@ -686,6 +756,44 @@ def test_run_curation_overlaps_filter_calls_of_different_reports():
         assert verdict.failed == (False, False, False, False)
 
 
+def test_run_curation_asks_the_filter_about_all_candidates_at_once():
+    # One report: each model's call returns only when both candidates' calls wait on it together.
+    reports, table = filtered_world(1)
+    clients = [BarrierClient(threading.Barrier(2, timeout=5), f"m{i}") for i in range(4)]
+    result = run_curation(
+        reports, MockChatClient(table=table), filter_clients=clients, broads=["Diagnosis"], jobs=2
+    )
+    assert list(result.verdicts) == ["p0-diagnosis-000", "p0-diagnosis-001"]
+    for verdict in result.verdicts.values():
+        assert verdict.failed == (False, False, False, False)
+
+
+class GenerationBarrier:
+    """Replies from `table`, but a caption or QA call returns only once `barrier` is full."""
+
+    def __init__(self, barrier, table):
+        self.barrier = barrier
+        self.table = table
+        self.model = "chat"
+
+    def complete(self, prompt, temperature=0.0):
+        if not prompt.startswith(REPORT_CLEAN_PROMPT):
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                raise ClientError("the other generation call never came") from None
+        return self.table[prompt]
+
+
+def test_run_curation_asks_caption_and_questions_at_once():
+    table = curation_table("p1", "raw one", "clean one", "cap one", [SA_ITEM])
+    chat = GenerationBarrier(threading.Barrier(2, timeout=5), table)
+    result = run_curation([ReportRecord("p1", "raw one", ["s1"])], chat, broads=["Diagnosis"], jobs=2)
+    assert result.flagged == {}
+    assert result.captions == {"p1": "cap one"}
+    assert [c.record.id for c in result.candidates] == ["p1-diagnosis-000"]
+
+
 def test_run_curation_keeps_jobs_requests_per_endpoint():
     reports, table = filtered_world(6)
     chat = InFlightClient(MockChatClient(table=table))
@@ -736,7 +844,7 @@ def test_run_curation_resumes_from_cache(tmp_path):
     second = run_curation(reports, dead, cache, broads=["Diagnosis"], jobs=1)
     assert dead.calls == []
     assert first == second
-    assert len(list(tmp_path.glob("*.json"))) == 3
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 3
 
 
 def test_save_candidates_jsonl(tmp_path):
