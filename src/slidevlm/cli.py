@@ -17,7 +17,6 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, load_config
 from .curation import (
     ClientError,
-    EndpointConfig,
     LiveChatClient,
     MockChatClient,
     PromptCache,
@@ -40,7 +39,7 @@ from .evaluation import (
 )
 from .interpret import load_trace, render_overlay, saliency, saliency_csv, save_trace
 from .jsonio import read_json, read_jsonl, write_json, write_jsonl
-from .lm import Vocab
+from .lm import Vocab, text_positions
 from .model import SlideInputs, SlideVLM
 from .numerics import CheckpointError, UsageError, load_checkpoint, save_checkpoint
 from .slide_io import (
@@ -104,10 +103,9 @@ def _chat_client(cfg: RunConfig, replay: str | None, live: bool, who: str):
         return MockChatClient.from_replay(replay)
     if not live:
         return None
-    chat = cfg.tree["clients"]["chat"]
-    if not chat["base_url"]:
+    if not cfg.chat.base_url:
         raise UsageError(f"{who} needs clients.chat.base_url in the config")
-    return LiveChatClient(EndpointConfig(**chat))
+    return LiveChatClient(cfg.chat)
 
 
 def _replay_model(path):
@@ -159,7 +157,7 @@ def _cmd_synth(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 def _cmd_tile(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     raster = read_raster(args.slide)
-    grid = tile_slide(raster, patch_size=cfg.tree["model"]["patch_size"])
+    grid = tile_slide(raster, patch_size=cfg.model.patch_size)
     grid.save(run.path("grid.txt"))
     print(f"tiles={len(grid.entries)} tissue={len(grid.tissue_entries())}")
     return 0
@@ -170,11 +168,7 @@ def _cmd_encode(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     grid = PatchGrid.load(args.grid)
     if not grid.tissue_entries():
         raise UsageError(f"{args.slide}: {args.grid} has no tissue tile to encode")
-    encoder = PatchEncoder(
-        dim=cfg.tree["model"]["patch_dim"],
-        patch_size=cfg.tree["model"]["patch_size"],
-        seed=seed,
-    )
+    encoder = PatchEncoder(dim=cfg.model.patch_dim, patch_size=cfg.model.patch_size, seed=seed)
     emb = encoder.encode_grid(raster, grid)
     save_embeddings(run.path("embeddings.bin"), emb)
     print(f"embeddings n={emb.n_patches} dim={emb.dim}")
@@ -182,15 +176,24 @@ def _cmd_encode(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    limit = cfg.model.max_positions
+
+    def sample(**row) -> TrainSample:
+        s = TrainSample(**row)
+        if (span := text_positions(s.prompt, s.target)) > limit:
+            raise UsageError(f"prompt and target take {span} positions, over max_positions {limit}")
+        return s
+
     samples = read_jsonl(
-        args.samples, dict.fromkeys(("slide_id", "kind", "prompt", "target"), str), TrainSample
+        args.samples, dict.fromkeys(("slide_id", "kind", "prompt", "target"), str), sample
     )
     slides_dir = Path(args.slides_dir)
     slides = {}
     for s in samples:
         grid = slides_dir / f"{s.slide_id}.grid"
         slides[s.slide_id] = _slide_inputs(
-            slides_dir / f"{s.slide_id}.emb", grid if grid.exists() else None
+            slides_dir / f"{s.slide_id}.emb",
+            grid if grid.exists() or cfg.model.needs_coords else None,
         )
 
     vocab_path = run.path("vocab.txt")
@@ -200,7 +203,7 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
         vocab = Vocab.build([s.prompt for s in samples] + [s.target for s in samples])
         vocab.save(vocab_path)
 
-    model = SlideVLM(cfg.model_config(), vocab, seed=seed)
+    model = SlideVLM(cfg.model, vocab, seed=seed)
     if args.init is not None:
         tensors, _ = load_checkpoint(args.init)
         model.load_tensors(tensors)
@@ -210,15 +213,9 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
         {"kind": "init", "stage": args.stage, "seed": seed},
     )
 
-    overrides = cfg.stage_overrides(args.stage)
-    stage_cfg = StageConfig(
-        stage=args.stage,
-        lr=args.lr if args.lr is not None else overrides["lr"],
-        epochs=args.epochs if args.epochs is not None else overrides["epochs"],
-        seed=seed,
-        accum_steps=overrides["accum_steps"],
-        weight_decay=overrides["weight_decay"],
-    )
+    overrides = dict(cfg.tree["stages"][str(args.stage)])
+    overrides.update((k, v) for k, v in (("lr", args.lr), ("epochs", args.epochs)) if v is not None)
+    stage_cfg = StageConfig(stage=args.stage, seed=seed, **overrides)
     result = run_stage(stage_cfg, samples, model, slides, out_dir=run.root)
     # run_stage writes these itself; record them for the manifest.
     for written in [*result.checkpoints, result.best_checkpoint, "loss.csv"]:
@@ -230,10 +227,12 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 def _cmd_infer(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     vocab = Vocab.load(args.vocab)
-    model = SlideVLM(cfg.model_config(), vocab, seed=seed)
+    model = SlideVLM(cfg.model, vocab, seed=seed)
     tensors, _ = load_checkpoint(args.checkpoint)
     model.load_tensors(tensors)
     slide = _slide_inputs(args.emb, args.grid)
+    if slide.coords is None and cfg.model.needs_coords:
+        raise UsageError("infer needs --grid: the grid positional encoding reads patch coordinates")
     text, trace = model.generate(slide, args.prompt, max_len=args.max_len)
     run.text("answer.txt", text + "\n")
     if trace is not None:
@@ -391,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--emb", required=True)
-    p.add_argument("--grid", default=None, help="grid file supplying patch coordinates")
+    p.add_argument("--grid", default=None,
+                   help="grid file supplying patch coordinates (grid positional encoding needs it)")
     p.add_argument("--prompt", required=True)
     p.add_argument("--max-len", type=int, default=48)
     p.set_defaults(func=_cmd_infer)
@@ -450,9 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.tree["seed"] = args.seed
+            cfg.seed = args.seed
         if args.jobs is not None:
-            cfg.tree["jobs"] = args.jobs
+            cfg.jobs = args.jobs
         run = RunDir(args.run_dir)
         code = args.func(args, cfg, run, cfg.seed)
         run.write_manifest()

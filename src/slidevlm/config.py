@@ -1,65 +1,56 @@
-"""Declarative run configuration: one JSON tree, schema-checked at load.
+"""Declarative run configuration: one JSON tree, checked at load.
 
+The tree's defaults are those of the dataclasses it configures
+(`ModelConfig`, `StageConfig`, `EndpointConfig`), so each is written once.
 Unknown keys are rejected with their dotted path instead of being ignored,
 because a typo like "epoches" silently falling back to a default is the
-worst failure mode a config system can have.
+worst failure mode a config system can have. Loading builds the typed
+configs too, so a value they reject fails at load in every command, with
+its section named.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from typing import Any
 
+from .curation import EndpointConfig
 from .encoders import SlideEncoderConfig
 from .jsonio import read_json
+from .lm import SPECIALS, DecoderConfig
+from .model import LM_FIELDS, ModelConfig
 from .numerics import UsageError
+from .training import STAGE_DEFAULTS, StageConfig
 
 
 class ConfigError(UsageError):
     """Bad config tree; the message starts with the failing dotted path."""
 
 
+def _tree(obj, *drop: str) -> dict[str, Any]:
+    """A dataclass as a JSON tree without the fields `drop`: nested
+    dataclasses as objects, tuples as lists."""
+    tree = json.loads(json.dumps(asdict(obj)))
+    for name in drop:
+        del tree[name]
+    return tree
+
+
+def _model_tree() -> dict[str, Any]:
+    tree = _tree(ModelConfig())
+    del tree["encoder"]["in_dim"]  # always model.patch_dim
+    tree["lm"] = {key: tree.pop(name) for key, name in LM_FIELDS.items()}
+    return tree
+
+
 # Every key a config may set, with its default; the schema is derived from it.
 _DEFAULTS: dict[str, Any] = {
-    "model": {
-        "patch_dim": 32,
-        "patch_size": 224,
-        "projector_layers": 1,
-        "bypass_slide_encoder": False,
-        "encoder": {
-            "heads": 4,
-            "head_dim": 32,
-            "layers": 2,
-            "ffn_mult": 4,
-            "branches": [[16, 1], [32, 2], [64, 4]],
-            "positional": "grid",
-            "grid_rows": 64,
-            "grid_cols": 64,
-        },
-        "lm": {
-            "heads": 4,
-            "head_dim": 32,
-            "layers": 2,
-            "ffn_mult": 4,
-            "max_positions": 256,
-            "tied_head": False,
-            "causal_visual": False,
-        },
-    },
-    "stages": {
-        "1": {"lr": 0.001, "epochs": 3, "accum_steps": 1, "weight_decay": 0.01},
-        "2": {"lr": 0.00002, "epochs": 1, "accum_steps": 1, "weight_decay": 0.01},
-    },
-    "clients": {
-        "chat": {
-            "base_url": "",
-            "model": "",
-            "auth_env": "CHAT_API_TOKEN",
-            "timeout": 60.0,
-            "max_retries": 3,
-        },
-    },
+    "model": _model_tree(),
+    # A stage's number names its section, and its seed is the run's.
+    "stages": {str(n): _tree(StageConfig(n), "stage", "seed") for n in STAGE_DEFAULTS},
+    "clients": {"chat": _tree(EndpointConfig())},
     "seed": 0,
     "jobs": 1,
 }
@@ -112,71 +103,57 @@ def _merge(base: Any, override: Any) -> Any:
     return override
 
 
+def _build(cls, section: str, node: dict[str, Any], **fixed):
+    """`cls` from the tree section `node` plus `fixed`, lists as tuples; a
+    value `cls` rejects fails as a ConfigError naming `section`."""
+
+    def tuples(value):
+        return tuple(map(tuples, value)) if isinstance(value, list) else value
+
+    try:
+        return cls(**{key: tuples(value) for key, value in node.items()}, **fixed)
+    except UsageError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
-    """The validated tree plus typed views over its pieces."""
+    """The checked tree and the typed configs built from it."""
 
     tree: dict[str, Any]
-
-    @property
-    def seed(self) -> int:
-        return self.tree["seed"]
-
-    @property
-    def jobs(self) -> int:
-        return self.tree["jobs"]
-
-    def encoder_config(self) -> SlideEncoderConfig:
-        m = self.tree["model"]
-        e = m["encoder"]
-        return SlideEncoderConfig(
-            in_dim=m["patch_dim"],
-            heads=e["heads"],
-            head_dim=e["head_dim"],
-            layers=e["layers"],
-            ffn_mult=e["ffn_mult"],
-            branches=tuple(tuple(b) for b in e["branches"]),
-            positional=e["positional"],
-            grid_rows=e["grid_rows"],
-            grid_cols=e["grid_cols"],
-        )
-
-    def model_config(self):
-        from .model import ModelConfig
-
-        m = self.tree["model"]
-        lm = m["lm"]
-        return ModelConfig(
-            patch_dim=m["patch_dim"],
-            patch_size=m["patch_size"],
-            projector_layers=m["projector_layers"],
-            bypass_slide_encoder=m["bypass_slide_encoder"],
-            encoder=self.encoder_config(),
-            lm_heads=lm["heads"],
-            lm_head_dim=lm["head_dim"],
-            lm_layers=lm["layers"],
-            lm_ffn_mult=lm["ffn_mult"],
-            max_positions=lm["max_positions"],
-            tied_head=lm["tied_head"],
-            causal_visual=lm["causal_visual"],
-        )
-
-    def stage_overrides(self, stage: int) -> dict[str, Any]:
-        return self.tree["stages"][str(stage)]
+    model: ModelConfig
+    chat: EndpointConfig
+    seed: int
+    jobs: int
 
 
 def validate_tree(tree: dict[str, Any]) -> dict[str, Any]:
     """Check `tree` against the schema and fill defaults for absent keys."""
     checked = _check(tree, _SCHEMA, "")
-    return _merge(_DEFAULTS, checked)
+    return _merge(copy.deepcopy(_DEFAULTS), checked)
+
+
+def build_config(tree: dict[str, Any]) -> RunConfig:
+    """The typed configs of a validated tree; a stage is checked here and
+    built by the command that runs it, under the run's seed."""
+    m = tree["model"]
+    encoder = _build(SlideEncoderConfig, "model.encoder", m["encoder"], in_dim=m["patch_dim"])
+    _build(DecoderConfig, "model.lm", m["lm"], vocab_size=len(SPECIALS))
+    fields = {key: value for key, value in m.items() if key not in ("encoder", "lm")}
+    fields.update((LM_FIELDS[key], value) for key, value in m["lm"].items())
+    model = _build(ModelConfig, "model", fields, encoder=encoder)
+    for stage, node in tree["stages"].items():
+        _build(StageConfig, f"stages.{stage}", node, stage=int(stage))
+    chat = _build(EndpointConfig, "clients.chat", tree["clients"]["chat"])
+    return RunConfig(tree, model, chat, tree["seed"], tree["jobs"])
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Load and validate a config file; None means all defaults."""
-    if path is None:
-        return RunConfig(tree=copy.deepcopy(_DEFAULTS))
-    try:
-        raw = read_json(path)
-    except UsageError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RunConfig(tree=validate_tree(raw))
+    """Load, check and build a config file; None means all defaults."""
+    raw: dict[str, Any] = {}
+    if path is not None:
+        try:
+            raw = read_json(path)
+        except UsageError as exc:
+            raise ConfigError(str(exc)) from exc
+    return build_config(validate_tree(raw))

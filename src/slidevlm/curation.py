@@ -51,22 +51,25 @@ class ChatClient(Protocol):
 # -- clients ------------------------------------------------------------------------
 
 
+# Retry k + 1 waits BACKOFF_BASE * 2**k seconds, at most BACKOFF_CAP.
+BACKOFF_BASE = 1.0
+BACKOFF_CAP = 30.0
+
+
 @dataclass
 class EndpointConfig:
-    base_url: str
-    model: str
+    base_url: str = ""
+    model: str = ""
     auth_env: str = "CHAT_API_TOKEN"
     timeout: float = 60.0
     max_retries: int = 3
-    backoff_base: float = 1.0
-    backoff_cap: float = 30.0
 
 
 class LiveChatClient:
     """Chat-completion endpoint speaking the usual JSON contract.
 
     Timeouts, dropped connections, HTTP 429 and 5xx retry with exponential
-    backoff up to the configured cap, then raise ClientError. Any other
+    backoff up to BACKOFF_CAP, then raise ClientError. Any other
     HTTP error or a malformed reply body cannot pass on a retry and raises
     ClientError at once.
     """
@@ -93,8 +96,7 @@ class LiveChatClient:
         last = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                delay = min(self.config.backoff_cap, self.config.backoff_base * 2 ** (attempt - 1))
-                time.sleep(delay)
+                time.sleep(min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1)))
             try:
                 resp = self._requests.post(
                     url, json=payload, headers=self._headers, timeout=self.config.timeout

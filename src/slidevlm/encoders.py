@@ -231,7 +231,7 @@ class SlideEncoderConfig:
     layers: int = 2
     ffn_mult: int = 4
     branches: tuple[tuple[int, int], ...] = ((16, 1), (32, 2), (64, 4))
-    positional: str = "none"   # "none" | "grid"
+    positional: str = "grid"   # "none" | "grid"
     grid_rows: int = 64
     grid_cols: int = 64
 
@@ -240,9 +240,14 @@ class SlideEncoderConfig:
             raise UsageError("heads and head_dim must be >= 1")
         if self.layers < 0 or self.ffn_mult < 1:
             raise UsageError("layers must be >= 0 and ffn_mult >= 1")
+        if self.grid_rows < 1 or self.grid_cols < 1:
+            raise UsageError("grid_rows and grid_cols must be >= 1")
         if not self.branches:
             raise UsageError("at least one branch required")
-        for w, r in self.branches:
+        for branch in self.branches:
+            if len(branch) != 2:
+                raise UsageError(f"branch {list(branch)} is not a [w, r] pair")
+            w, r = branch
             if r < 1 or w < r:
                 raise UsageError(f"branch ({w},{r}) needs w >= r >= 1")
             if w % r:

@@ -160,22 +160,29 @@ def assemble(visual, prompt: str, answer: str | None, vocab: Vocab) -> Multimoda
     return MultimodalSequence(visual, vocab.encode(prompt), answer_ids)
 
 
+def text_positions(prompt: str, answer: str) -> int:
+    """Learned positions of a training sequence: BOS, each word, EOS."""
+    return len(prompt.split()) + len(answer.split()) + 2
+
+
 @dataclass
 class DecoderConfig:
+    """Decoder shape; `ModelConfig` holds the defaults."""
+
     vocab_size: int
-    heads: int = 4
-    head_dim: int = 32
-    layers: int = 2
-    ffn_mult: int = 4
-    max_positions: int = 256
-    tied_head: bool = False
-    causal_visual: bool = False   # True drops the bidirectional visual block
+    heads: int
+    head_dim: int
+    layers: int
+    ffn_mult: int
+    max_positions: int
+    tied_head: bool
+    causal_visual: bool   # True drops the bidirectional visual block
 
     def __post_init__(self):
         if self.vocab_size < len(SPECIALS):
             raise UsageError("vocab must at least hold the special tokens")
-        if self.heads < 1 or self.head_dim < 1 or self.layers < 0:
-            raise UsageError("bad decoder shape")
+        if min(self.heads, self.head_dim, self.ffn_mult, self.max_positions) < 1 or self.layers < 0:
+            raise UsageError("heads, head_dim, ffn_mult, max_positions must be >= 1, layers >= 0")
 
     @property
     def dim(self) -> int:

@@ -40,8 +40,18 @@ __all__ = ["ModelConfig", "SlideVLM", "SlideInputs"]
 GROUPS = ("patch_encoder", "slide_encoder", "projector", "lm")
 
 
+# The decoder's settings: DecoderConfig field -> ModelConfig field.
+LM_FIELDS = {
+    "heads": "lm_heads", "head_dim": "lm_head_dim", "layers": "lm_layers",
+    "ffn_mult": "lm_ffn_mult", "max_positions": "max_positions",
+    "tied_head": "tied_head", "causal_visual": "causal_visual",
+}
+
+
 @dataclass
 class ModelConfig:
+    """Every model setting and its default; the run config is built from it."""
+
     patch_dim: int = 32
     patch_size: int = 224
     projector_layers: int = 1
@@ -64,6 +74,15 @@ class ModelConfig:
     @property
     def lm_dim(self) -> int:
         return self.lm_heads * self.lm_head_dim
+
+    @property
+    def needs_coords(self) -> bool:
+        """Whether the slide encoder reads each patch's grid coordinates."""
+        return not self.bypass_slide_encoder and self.encoder.positional == "grid"
+
+    def decoder_config(self, vocab_size: int) -> DecoderConfig:
+        lm = {key: getattr(self, name) for key, name in LM_FIELDS.items()}
+        return DecoderConfig(vocab_size, **lm)
 
 
 @dataclass
@@ -98,19 +117,7 @@ class SlideVLM:
             self.slide_encoder = SlideEncoder(cfg.encoder, seed=seed)
             proj_in = cfg.encoder.model_dim
         self.projector = Projector(proj_in, cfg.lm_dim, layers=cfg.projector_layers, seed=seed)
-        self.lm = DecoderLM(
-            DecoderConfig(
-                vocab_size=len(vocab),
-                heads=cfg.lm_heads,
-                head_dim=cfg.lm_head_dim,
-                layers=cfg.lm_layers,
-                ffn_mult=cfg.lm_ffn_mult,
-                max_positions=cfg.max_positions,
-                tied_head=cfg.tied_head,
-                causal_visual=cfg.causal_visual,
-            ),
-            seed=seed,
-        )
+        self.lm = DecoderLM(cfg.decoder_config(len(vocab)), seed=seed)
         self._prefix: _Prefix | None = None
 
     def params(self) -> list[Parameter]:

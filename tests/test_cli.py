@@ -483,6 +483,31 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+# Values of the right type that no model can be built with: each once ended
+# in a traceback when train built the model.
+BAD_VALUES = {
+    "branch-not-a-pair": ("model.encoder", {"encoder": {"branches": [[16]]}}),
+    "negative-grid-rows": ("model.encoder", {"encoder": {"grid_rows": -1}}),
+    "negative-max-positions": ("model.lm", {"lm": {"max_positions": -2}}),
+    "zero-ffn-mult": ("model.lm", {"lm": {"ffn_mult": 0}}),
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("section,model", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_bad_config_value_exits_two_naming_its_section(world, tmp_path, capsys, command, section, model):
+    # Every command builds the typed configs at load, so even synth rejects them.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model": model}))
+    rest = {"synth": [], "train": ["--stage", "1", "--samples", str(world["root"] / "samples.jsonl"),
+                                   "--slides-dir", str(world["slides"])]}[command]
+    run = tmp_path / "run"
+    assert main([command, "--config", str(bad), "--run-dir", str(run), *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {section}: "), err
+    assert not (run / "manifest.json").exists()
+
+
 def test_zero_jobs_exits_two_naming_jobs(world, tmp_path, capsys):
     # Both commands with a worker pool, given 0 workers by flag and by config.
     zero = tmp_path / "jobs0.json"
@@ -632,6 +657,43 @@ def test_slide_without_tissue_fails_early(world, tmp_path, capsys):
                  "--samples", str(samples), "--slides-dir", str(slides)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: usage:") and "blank7" in err
+
+
+def _train_argv(world, run, samples, slides):
+    return ["train", *world["base"], "--run-dir", str(run), "--stage", "1",
+            "--samples", str(samples), "--slides-dir", str(slides)]
+
+
+def test_overlong_sample_exits_two_before_training(world, tmp_path, capsys):
+    # "is tumor present" plus 60 words, BOS and EOS take 65 of CONFIG's 64 positions.
+    samples = tmp_path / "samples.jsonl"
+    write_jsonl(samples, [SAMPLES[0], dict(SAMPLES[1], target=" ".join(["tumor"] * 60))])
+    run = tmp_path / "run"
+    assert main(_train_argv(world, run, samples, world["slides"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: usage: {samples}:2: ") and "max_positions 64" in err, err
+    assert list(run.iterdir()) == []
+    # 59 words fill the 64 positions exactly.
+    write_jsonl(samples, [dict(SAMPLES[1], target=" ".join(["tumor"] * 59))])
+    assert main([*_train_argv(world, run, samples, world["slides"]), "--epochs", "1"]) == 0
+
+
+def test_grid_positions_need_a_grid(world, tmp_path, capsys):
+    slides = tmp_path / "slides"
+    slides.mkdir()
+    (slides / "s1.emb").write_bytes((world["slides"] / "s1.emb").read_bytes())
+    samples = tmp_path / "samples.jsonl"
+    write_jsonl(samples, SAMPLES)
+    assert main(_train_argv(world, tmp_path / "train", samples, slides)) == 3
+    assert capsys.readouterr().err == f"error: missing-input: {slides / 's1.grid'}\n"
+
+    assert main(["infer", *world["base"], "--run-dir", str(tmp_path / "infer"),
+                 "--checkpoint", str(world["train2"] / "stage2_best.ckpt"),
+                 "--vocab", str(world["train2"] / "vocab.txt"),
+                 "--emb", str(slides / "s1.emb"), "--prompt", "is tumor present"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage: infer needs --grid"), err
+    assert not (tmp_path / "infer" / "answer.txt").exists()
 
 
 def test_encode_rejects_a_grid_of_another_slide(world, tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Config schema rules and the defaults the config shares with the dataclasses."""
+"""Config schema rules, load-time value checks, and the tree built from the dataclasses."""
+
+import json
+from dataclasses import asdict
 
 import pytest
 
-from slidevlm.config import ConfigError, load_config, validate_tree
+from slidevlm.config import ConfigError, build_config, load_config, validate_tree
 from slidevlm.curation import EndpointConfig
-from slidevlm.encoders import SlideEncoderConfig
 from slidevlm.model import ModelConfig
 from slidevlm.training import StageConfig
 
@@ -32,20 +34,94 @@ def test_schema_rejects_wrong_types_by_path(tree, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("tree,message", [
+    ({"model": {"encoder": {"branches": [[16]]}}}, "model.encoder: branch [16] is not a [w, r] pair"),
+    ({"model": {"encoder": {"grid_cols": 0}}}, "model.encoder: grid_rows and grid_cols must be >= 1"),
+    ({"model": {"lm": {"ffn_mult": 0}}},
+     "model.lm: heads, head_dim, ffn_mult, max_positions must be >= 1, layers >= 0"),
+    ({"model": {"lm": {"layers": -1}}},
+     "model.lm: heads, head_dim, ffn_mult, max_positions must be >= 1, layers >= 0"),
+    ({"stages": {"1": {"epochs": 0}}}, "stages.1: lr must be >= 0, epochs and accum_steps >= 1"),
+])
+def test_build_rejects_bad_values_by_section(tree, message):
+    with pytest.raises(ConfigError) as info:
+        build_config(validate_tree(tree))
+    assert str(info.value) == message
+
+
+# The config tree is built from these dataclasses, so its defaults are theirs.
+
+
 def test_model_defaults_agree():
-    want = ModelConfig(encoder=SlideEncoderConfig(positional="grid"))
-    assert load_config(None).model_config() == want
+    assert load_config(None).model == ModelConfig()
 
 
 @pytest.mark.parametrize("stage", [1, 2])
 def test_stage_defaults_agree(stage):
-    overrides = load_config(None).stage_overrides(stage)
-    defaults = StageConfig(stage=stage)
-    assert {key: getattr(defaults, key) for key in overrides} == overrides
+    overrides = load_config(None).tree["stages"][str(stage)]
+    assert StageConfig(stage=stage, **overrides) == StageConfig(stage=stage)
 
 
 def test_endpoint_defaults_agree():
-    chat = load_config(None).tree["clients"]["chat"]
-    defaults = EndpointConfig(base_url="", model="")
-    for key in ("timeout", "max_retries", "auth_env"):
-        assert getattr(defaults, key) == chat[key], key
+    assert load_config(None).chat == EndpointConfig()
+
+
+def leaves(node, path=""):
+    """(dotted path, value) of every leaf of a tree; a list is one leaf."""
+    if not isinstance(node, dict):
+        yield path, node
+        return
+    for key, value in node.items():
+        yield from leaves(value, f"{path}.{key}" if path else key)
+
+
+def nest(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def other(value):
+    """A different value of the same type that its setting accepts."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2
+    if isinstance(value, str):
+        return "none" if value == "grid" else value + "x"
+    return value + [[128, 8]]  # encoder branches
+
+
+def typed(cfg):
+    """Every setting of the typed configs, by dotted name, as JSON values."""
+    stages = {f"stages.{n}": StageConfig(stage=n, **cfg.tree["stages"][str(n)]) for n in (1, 2)}
+    configs = {"model": cfg.model, "clients.chat": cfg.chat, **stages}
+    view = {"seed": cfg.seed, "jobs": cfg.jobs}
+    for name, config in configs.items():
+        view.update(leaves(json.loads(json.dumps(asdict(config))), name))
+    return view
+
+
+# Tree leaves that set a field of another name, or more than one field.
+FIELDS = {
+    "model.patch_dim": {"model.patch_dim", "model.encoder.in_dim"},
+    "model.lm.heads": {"model.lm_heads"},
+    "model.lm.head_dim": {"model.lm_head_dim"},
+    "model.lm.layers": {"model.lm_layers"},
+    "model.lm.ffn_mult": {"model.lm_ffn_mult"},
+    "model.lm.max_positions": {"model.max_positions"},
+    "model.lm.tied_head": {"model.tied_head"},
+    "model.lm.causal_visual": {"model.causal_visual"},
+}
+
+
+@pytest.mark.parametrize("path,default", list(leaves(load_config(None).tree)))
+def test_each_leaf_sets_exactly_its_field(path, default):
+    base = typed(load_config(None))
+    value = other(default)
+    changed = typed(build_config(validate_tree(nest(path, value))))
+    diff = {name for name in base if changed[name] != base[name]}
+    assert diff == FIELDS.get(path, {path})
+    assert all(changed[name] == value for name in diff)

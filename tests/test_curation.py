@@ -12,6 +12,7 @@ from contextlib import ExitStack
 import pytest
 import requests
 
+from slidevlm import curation
 from slidevlm.curation import (
     BCNB_TASK_CATEGORIES,
     BCNB_TASKS,
@@ -207,17 +208,22 @@ class _Transport:
         return _Resp(self.reply)
 
 
-def live_client(fail_first, max_retries, **transport_args):
-    config = EndpointConfig(
-        base_url="http://endpoint/v1/", model="m", max_retries=max_retries, backoff_base=0.0
-    )
-    client = LiveChatClient(config)
-    transport = _Transport(fail_first, **transport_args)
-    client._requests = transport
-    return client, transport
+@pytest.fixture
+def live_client(monkeypatch):
+    """Builds a live client on a scripted transport; its retries do not wait."""
+    monkeypatch.setattr(curation, "BACKOFF_BASE", 0.0)
+
+    def build(fail_first, max_retries, **transport_args):
+        config = EndpointConfig(base_url="http://endpoint/v1/", model="m", max_retries=max_retries)
+        client = LiveChatClient(config)
+        transport = _Transport(fail_first, **transport_args)
+        client._requests = transport
+        return client, transport
+
+    return build
 
 
-def test_live_client_retries_then_succeeds():
+def test_live_client_retries_then_succeeds(live_client):
     client, transport = live_client(fail_first=1, max_retries=2)
     assert client.complete("ask", temperature=0.5) == "live reply"
     assert len(transport.posts) == 2
@@ -230,20 +236,20 @@ def test_live_client_retries_then_succeeds():
     }
 
 
-def test_live_client_exhausts_retries():
+def test_live_client_exhausts_retries(live_client):
     client, transport = live_client(fail_first=99, max_retries=2)
     with pytest.raises(ClientError, match="after 3 attempts"):
         client.complete("ask")
     assert len(transport.posts) == 3
 
 
-def test_live_client_retries_server_errors():
+def test_live_client_retries_server_errors(live_client):
     client, transport = live_client(fail_first=1, max_retries=2, status=503)
     assert client.complete("ask") == "live reply"
     assert len(transport.posts) == 2
 
 
-def test_live_client_does_not_retry_client_errors():
+def test_live_client_does_not_retry_client_errors(live_client):
     client, transport = live_client(fail_first=99, max_retries=2, status=401)
     with pytest.raises(ClientError, match="HTTP 401"):
         client.complete("ask")
@@ -251,7 +257,7 @@ def test_live_client_does_not_retry_client_errors():
 
 
 @pytest.mark.parametrize("reply", [None, {"choices": []}, {"choices": [{"message": {"content": 3}}]}])
-def test_live_client_does_not_retry_malformed_replies(reply):
+def test_live_client_does_not_retry_malformed_replies(reply, live_client):
     client, transport = live_client(fail_first=0, max_retries=2, reply=reply)
     with pytest.raises(ClientError, match="malformed|not text"):
         client.complete("ask")

@@ -216,7 +216,7 @@ def test_encoder_tape_budget_at_1024_patches():
     # what the tape keeps per patch. Composed norms and bias adds, with a
     # backward that held every node to the end, took 276 KiB per patch.
     n = 1024
-    enc = SlideEncoder(SlideEncoderConfig(), seed=0)
+    enc = SlideEncoder(SlideEncoderConfig(positional="none"), seed=0)
     x = Tensor(stream(0, "tape-budget").normal(size=(n, 32)))
     tracemalloc.start()
     try:
@@ -262,7 +262,7 @@ def test_encoder_memory_is_linear_at_4096_patches():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         from slidevlm.encoders import SlideEncoder, SlideEncoderConfig
         from slidevlm.numerics import Tensor, stream
-        enc = SlideEncoder(SlideEncoderConfig(), seed=0)
+        enc = SlideEncoder(SlideEncoderConfig(positional="none"), seed=0)
         x = Tensor(stream(0, "memory-guard").normal(size=(4096, 32)))
         y = enc(x)
         ((y * y).sum() * (1.0 / y.size)).backward()
@@ -290,13 +290,18 @@ def test_config_validation():
         SlideEncoderConfig(branches=())
     with pytest.raises(UsageError):
         SlideEncoderConfig(positional="spiral")
+    with pytest.raises(UsageError, match="not a"):
+        SlideEncoderConfig(branches=((16,),))
+    with pytest.raises(UsageError, match="grid_rows"):
+        SlideEncoderConfig(grid_rows=0)
 
 
 # -- slide encoder ---------------------------------------------------------------
 
 
 def small_cfg(**kw):
-    base = dict(in_dim=6, heads=2, head_dim=4, layers=1, ffn_mult=2, branches=((8, 1),))
+    base = dict(in_dim=6, heads=2, head_dim=4, layers=1, ffn_mult=2, branches=((8, 1),),
+                positional="none")
     base.update(kw)
     return SlideEncoderConfig(**base)
 

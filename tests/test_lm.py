@@ -22,6 +22,7 @@ from slidevlm.lm import (
     Vocab,
     _MaskedSelfAttention,
     assemble,
+    text_positions,
 )
 from slidevlm import lm as lm_module
 from slidevlm.numerics import UsageError, Tensor, concat, cross_entropy, stream, take_rows
@@ -35,7 +36,7 @@ def vocab():
 
 def tiny_lm(**kw):
     cfg = dict(vocab_size=len(SPECIALS) + len(WORDS), heads=2, head_dim=4,
-               layers=2, ffn_mult=2, max_positions=32)
+               layers=2, ffn_mult=2, max_positions=32, tied_head=False, causal_visual=False)
     cfg.update(kw)
     return DecoderLM(DecoderConfig(**cfg), seed=0)
 
@@ -306,6 +307,15 @@ def test_max_positions_enforced():
     lm = tiny_lm(max_positions=4)
     with pytest.raises(UsageError):
         lm.forward(assemble(visual(2), "the slide shows tumor tissue", None, vocab()))
+
+
+def test_text_positions_is_the_span_forward_checks():
+    prompt, answer = "the slide shows", "tumor tissue"
+    seq = assemble(visual(2), prompt, answer, vocab())
+    assert text_positions(prompt, answer) == seq.total_len - seq.n_prefix == 7
+    tiny_lm(max_positions=7).loss(seq)
+    with pytest.raises(UsageError, match="exceeds max positions 6"):
+        tiny_lm(max_positions=6).loss(seq)
 
 
 # -- generation ---------------------------------------------------------------------

@@ -180,11 +180,15 @@ def test_generate_memory_at_2048_patches():
         import resource
         cap = 2**30
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-        from slidevlm.encoders import EmbeddingMatrix
+        from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
         from slidevlm.lm import Vocab
         from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
         from slidevlm.numerics import stream
-        model = SlideVLM(ModelConfig(), Vocab(["tumor", "stroma"]), seed=0)
+        model = SlideVLM(
+            ModelConfig(encoder=SlideEncoderConfig(positional="none")),
+            Vocab(["tumor", "stroma"]),
+            seed=0,
+        )
         values = stream(0, "memory-guard").normal(size=(2048, 32))
         text, trace = model.generate(SlideInputs(EmbeddingMatrix(2048, 32, values)), "tumor", max_len=4)
         assert trace.values.shape[-1] == 2048
