@@ -40,7 +40,7 @@ from .evaluation import (
 from .interpret import load_trace, render_overlay, saliency, saliency_csv, save_trace
 from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .lm import Vocab, text_positions
-from .model import SlideInputs, SlideVLM
+from .model import ModelConfig, SlideInputs, SlideVLM
 from .numerics import CheckpointError, UsageError, load_checkpoint, save_checkpoint
 from .slide_io import (
     PatchGrid,
@@ -86,14 +86,26 @@ class RunDir:
         write_json(manifest_path, manifest)
 
 
-def _slide_inputs(emb_path, grid_path) -> SlideInputs:
-    """Embeddings plus the grid's tissue coordinates when a grid is given."""
+def _slide_inputs(emb_path, grid_path, model: ModelConfig) -> SlideInputs:
+    """Embeddings plus the grid's tissue coordinates when a grid is given.
+
+    When the model reads the coordinates, each must lie inside its
+    positional grid.
+    """
     emb = load_embeddings(emb_path)
     if emb.n_patches == 0:
         raise UsageError(f"{emb_path}: no embedding rows (the slide has no tissue tile)")
     coords = None
     if grid_path is not None:
         coords = [(e.row, e.col) for e in PatchGrid.load(grid_path).tissue_entries()]
+        for axis, key in enumerate(("grid_rows", "grid_cols")):
+            size = getattr(model.encoder, key)
+            outside = next((c for c in coords if c[axis] >= size), None)
+            if model.needs_coords and outside is not None:
+                raise UsageError(
+                    f"{grid_path}: tissue tile at row {outside[0]}, col {outside[1]} "
+                    f"is outside model.encoder.{key} {size}"
+                )
     return SlideInputs(emb, coords)
 
 
@@ -194,6 +206,7 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
         slides[s.slide_id] = _slide_inputs(
             slides_dir / f"{s.slide_id}.emb",
             grid if grid.exists() or cfg.model.needs_coords else None,
+            cfg.model,
         )
 
     vocab_path = run.path("vocab.txt")
@@ -226,13 +239,13 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_infer(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
+    slide = _slide_inputs(args.emb, args.grid, cfg.model)
+    if slide.coords is None and cfg.model.needs_coords:
+        raise UsageError("infer needs --grid: the grid positional encoding reads patch coordinates")
     vocab = Vocab.load(args.vocab)
     model = SlideVLM(cfg.model, vocab, seed=seed)
     tensors, _ = load_checkpoint(args.checkpoint)
     model.load_tensors(tensors)
-    slide = _slide_inputs(args.emb, args.grid)
-    if slide.coords is None and cfg.model.needs_coords:
-        raise UsageError("infer needs --grid: the grid positional encoding reads patch coordinates")
     text, trace = model.generate(slide, args.prompt, max_len=args.max_len)
     run.text("answer.txt", text + "\n")
     if trace is not None:

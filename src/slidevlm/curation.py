@@ -1,10 +1,10 @@
 """Instruction-data pipeline: clean reports, generate captions and QA pairs,
 filter text-answerable questions, split slides, and turn labels into VQA.
 
-All chat traffic goes through a tiny client interface so every stage runs
-against scripted mocks in tests and against a JSON-over-HTTP endpoint in
-anger. Replies are cached by (template hash, input hash, model); re-running
-a finished pipeline touches the cache only.
+Every stage asks its endpoint through a `Lane`, which holds a client of a
+tiny interface (scripted mocks in tests, JSON over HTTP in anger), its
+worker threads and the reply cache. Replies are cached by (template hash,
+input hash, model); re-running a finished pipeline touches the cache only.
 """
 
 from __future__ import annotations
@@ -241,16 +241,36 @@ T = TypeVar("T")
 
 
 class Lane(ThreadPoolExecutor):
-    """A chat client with `jobs` worker threads of its own.
+    """A chat endpoint: its client, `jobs` worker threads and the reply cache.
 
-    Calls handed to a lane run on its workers, so its endpoint never has
-    more than `jobs` requests in flight, however many threads ask.
+    `ask` reads the cache in the calling thread and only hands a miss to
+    the lane's workers, so the endpoint never has more than `jobs` requests
+    in flight, however many threads ask.
     """
 
-    def __init__(self, client: ChatClient, jobs: int):
+    def __init__(self, client: ChatClient, jobs: int, cache: PromptCache | None = None):
         super().__init__(max_workers=jobs, thread_name_prefix=f"lane-{client.model}")
         self.client = client
-        self.model = client.model
+        self.cache = cache
+
+    def ask(self, template_h: str, input_text: str, prompt: str) -> Future:
+        """The reply to `prompt`, as a future: settled at once on a cache hit,
+        else asked of the endpoint on a worker, which stores the reply."""
+        input_h = _input_hash(input_text)
+        model = self.client.model
+        hit = None if self.cache is None else self.cache.lookup(template_h, input_h, model)
+        if hit is not None:
+            done = Future()
+            done.set_result(hit)
+            return done
+
+        def fetch() -> str:
+            reply = self.client.complete(prompt)
+            if self.cache is not None:
+                self.cache.store(template_h, input_h, model, reply)
+            return reply
+
+        return self.submit(fetch)
 
 
 class Pending(Generic[T]):
@@ -264,39 +284,6 @@ class Pending(Generic[T]):
 
     def result(self) -> T:
         return self._finish()
-
-
-def _ask(
-    client: ChatClient | Lane,
-    cache: PromptCache | None,
-    template_h: str,
-    input_text: str,
-    prompt: str,
-) -> Future:
-    """The reply to `prompt`, as a future.
-
-    The cache is read in the calling thread. A miss is asked of the
-    endpoint and stored: on the client's workers if it is a `Lane`, else
-    here and now.
-    """
-    input_h = _input_hash(input_text)
-    hit = None if cache is None else cache.lookup(template_h, input_h, client.model)
-    endpoint = client.client if isinstance(client, Lane) else client
-
-    def fetch() -> str:
-        reply = endpoint.complete(prompt)
-        if cache is not None:
-            cache.store(template_h, input_h, client.model, reply)
-        return reply
-
-    if hit is None and isinstance(client, Lane):
-        return client.submit(fetch)
-    done = Future()
-    try:
-        done.set_result(fetch() if hit is None else hit)
-    except ClientError as exc:
-        done.set_exception(exc)
-    return done
 
 
 # -- pipeline records ---------------------------------------------------------------
@@ -346,18 +333,12 @@ class FilterVerdict:
 # -- chat stages --------------------------------------------------------------------
 
 
-def clean_report(
-    record: ReportRecord, client: ChatClient | Lane, cache: PromptCache | None = None
-) -> str:
+def clean_report(record: ReportRecord, lane: Lane) -> str:
     """Strip boilerplate from one report via the pinned cleaning template."""
     if not record.report_text.strip():
         raise UsageError(f"report {record.patient_id!r} is empty")
-    reply = _ask(
-        client,
-        cache,
-        TEMPLATE_HASHES["report_clean"],
-        record.report_text,
-        report_clean_prompt(record.report_text),
+    reply = lane.ask(
+        TEMPLATE_HASHES["report_clean"], record.report_text, report_clean_prompt(record.report_text)
     )
     return reply.result().strip()
 
@@ -367,13 +348,11 @@ def _one_paragraph(text: str) -> str:
     return " ".join(ln for ln in lines if ln)
 
 
-def gen_caption(
-    cleaned: str, client: ChatClient | Lane, cache: PromptCache | None = None
-) -> Pending[str]:
+def gen_caption(cleaned: str, lane: Lane) -> Pending[str]:
     """Summarize a cleaned report; multi-paragraph replies collapse to one."""
     if not cleaned.strip():
         raise UsageError("cannot caption an empty report")
-    reply = _ask(client, cache, TEMPLATE_HASHES["caption"], cleaned, caption_prompt(cleaned))
+    reply = lane.ask(TEMPLATE_HASHES["caption"], cleaned, caption_prompt(cleaned))
     return Pending(lambda: _one_paragraph(reply.result()))
 
 
@@ -483,8 +462,7 @@ def _candidate_from_item(
 def gen_qas(
     cleaned: str,
     broad: str,
-    client: ChatClient | Lane,
-    cache: PromptCache | None = None,
+    lane: Lane,
     source_report: str = "report",
     slide_id: str = "",
 ) -> Pending[tuple[list[QACandidate], list[DropReason]]]:
@@ -497,7 +475,7 @@ def gen_qas(
         raise UsageError(f"unknown broad category {broad!r}")
     if not cleaned.strip():
         raise UsageError("cannot generate questions from an empty report")
-    reply = _ask(client, cache, QA_TEMPLATE_HASH, cleaned + "\n" + broad, qa_prompt(cleaned, broad))
+    reply = lane.ask(QA_TEMPLATE_HASH, cleaned + "\n" + broad, qa_prompt(cleaned, broad))
     return Pending(lambda: _parse_qas(reply.result(), broad, source_report, slide_id))
 
 
@@ -543,25 +521,21 @@ def filter_prompt(record: QARecord) -> str:
     return FILTER_PROMPT_TEMPLATE.format(question=record.question, options=lines)
 
 
-def ensemble_filter(
-    qa: QACandidate,
-    clients: Sequence[ChatClient | Lane],
-    cache: PromptCache | None = None,
-) -> Pending[FilterVerdict]:
+def ensemble_filter(qa: QACandidate, lanes: Sequence[Lane]) -> Pending[FilterVerdict]:
     """Ask 4 models the question without any slide; keep iff < 3 are right.
 
     A question three text-only models can answer needs no image, so it
     measures nothing about the slide. All four are asked before this
-    returns: replies already in `cache` are read here, and each miss goes
-    to its client's lane. The verdict waits for the replies. Client
-    failures count as incorrect and are flagged.
+    returns: cached replies are read here, and each miss goes to its
+    model's lane. The verdict waits for the replies. Client failures count
+    as incorrect and are flagged.
     """
-    if len(clients) != 4:
-        raise UsageError("ensemble filter needs exactly 4 clients")
+    if len(lanes) != 4:
+        raise UsageError("ensemble filter needs exactly 4 lanes")
     if qa.record.qtype != "multi-choice":
         raise UsageError("ensemble filter applies to multi-choice candidates")
     prompt = filter_prompt(qa.record)
-    asked = [_ask(c, cache, FILTER_TEMPLATE_HASH, prompt, prompt) for c in clients]
+    asked = [lane.ask(FILTER_TEMPLATE_HASH, prompt, prompt) for lane in lanes]
 
     def answer(reply: Future) -> str | None:
         try:
@@ -712,14 +686,14 @@ def run_curation(
 ) -> CurationResult:
     """Run clean -> caption -> QA -> filter over a batch of reports.
 
-    The chat client and each filter client get a lane of `jobs` workers,
-    so no chat endpoint ever has more than `jobs` requests in flight. Each
-    of `jobs` report threads cleans its report, then asks for the caption
-    and the questions of every broad at once, then asks the filter about
-    all its multi-choice candidates at once. Cache hits are read in the
-    report thread; only misses go to a lane. At `jobs = 1` each endpoint
-    takes its calls one at a time, in this order. Results keep patient-id
-    order. A report whose chat calls die lands in `flagged` and the batch
+    The chat client and each filter client get a lane of `jobs` workers
+    over `cache`, so no chat endpoint ever has more than `jobs` requests
+    in flight. Each of `jobs` report threads cleans its report, then asks
+    for the caption and the questions of every broad at once, then asks
+    the filter about all its multi-choice candidates at once. Cache hits
+    are read in the report thread; only misses go to a lane. At `jobs = 1`
+    each endpoint takes its calls one at a time, in this order. Results
+    keep patient-id order. A report whose chat calls die lands in `flagged` and the batch
     moves on. Short-answer candidates bypass the filter.
     """
     if jobs < 1:
@@ -733,10 +707,10 @@ def run_curation(
         pid = report.patient_id
         part = CurationResult()
         try:
-            part.cleaned[pid] = cleaned = clean_report(report, chat, cache)
-            caption = gen_caption(cleaned, chat, cache)
+            part.cleaned[pid] = cleaned = clean_report(report, chat)
+            caption = gen_caption(cleaned, chat)
             qas = [
-                gen_qas(cleaned, broad, chat, cache, source_report=pid, slide_id=report.slide_ids[0])
+                gen_qas(cleaned, broad, chat, source_report=pid, slide_id=report.slide_ids[0])
                 for broad in broads
             ]
             part.captions[pid] = caption.result()
@@ -747,7 +721,7 @@ def run_curation(
         except ClientError as exc:
             return CurationResult(flagged={pid: str(exc)})
         verdicts = {
-            cand.record.id: ensemble_filter(cand, filters, cache)
+            cand.record.id: ensemble_filter(cand, filters)
             for cand in part.candidates
             if filters is not None and cand.record.qtype == "multi-choice"
         }
@@ -761,9 +735,9 @@ def run_curation(
 
     result = CurationResult()
     with ExitStack() as lanes:
-        chat = lanes.enter_context(Lane(client, jobs))
+        chat = lanes.enter_context(Lane(client, jobs, cache))
         filters = None if filter_clients is None else [
-            lanes.enter_context(Lane(c, jobs)) for c in filter_clients
+            lanes.enter_context(Lane(c, jobs, cache)) for c in filter_clients
         ]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(one, ordered):

@@ -66,6 +66,11 @@ class ModelConfig:
     causal_visual: bool = False
 
     def __post_init__(self):
+        for key in ("patch_dim", "patch_size"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.projector_layers not in (1, 2):
+            raise UsageError(f"projector_layers must be 1 or 2, got {self.projector_layers}")
         if self.encoder.in_dim != self.patch_dim:
             raise UsageError(
                 f"encoder in_dim {self.encoder.in_dim} != patch_dim {self.patch_dim}"

@@ -78,10 +78,8 @@ class RunResult:
 
 
 def _write_loss_csv(path: Path, rows: list[tuple[int, int, float]]) -> None:
-    fresh = not path.exists()
-    with path.open("a") as fh:
-        if fresh:
-            fh.write("step,stage,loss\n")
+    with path.open("w") as fh:
+        fh.write("step,stage,loss\n")
         for step, stage, loss in rows:
             fh.write(f"{step},{stage},{loss!r}\n")
 
@@ -96,8 +94,9 @@ def run_stage(
     """Run one stage; returns the loss curve and checkpoint paths.
 
     Frozen groups are bit-identical afterwards. With `out_dir` set, an
-    epoch checkpoint, a best-epoch checkpoint, and a `loss.csv` are
-    written there.
+    epoch checkpoint, a best-epoch checkpoint, and a `loss.csv` of this
+    run's steps are written there. A sample the model rejects raises a
+    UsageError naming its step and slide.
     """
     if not samples:
         raise UsageError("training needs at least one sample")
@@ -131,10 +130,7 @@ def run_stage(
                 scaled = loss * (1.0 / group_len) if group_len > 1 else loss
                 scaled.backward()
             except UsageError as exc:
-                raise RuntimeError(
-                    f"non-finite loss or bad sample at step {step} "
-                    f"(slide {sample.slide_id!r}): {exc}"
-                ) from exc
+                raise UsageError(f"step {step} (slide {sample.slide_id!r}): {exc}") from exc
             pending += 1
             if pending == cfg.accum_steps or rank == len(order) - 1:
                 opt.step()

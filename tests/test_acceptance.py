@@ -8,13 +8,14 @@ runtime budget. Run with -s to see the PASS lines.
 import hashlib
 import math
 import time
+from contextlib import ExitStack
 
 import numpy as np
 
 from conftest import TINY_TEXTS, probe_world, random_slides, tiny_model
 from test_evaluation import oracle_bleu, oracle_rouge, random_text
 
-from slidevlm.curation import MockChatClient, QACandidate, ReportRecord, ensemble_filter, split_assign
+from slidevlm.curation import Lane, MockChatClient, QACandidate, ReportRecord, ensemble_filter, split_assign
 from slidevlm.encoders import Projector, SlideEncoder, SlideEncoderConfig, dilated_branch
 from slidevlm.evaluation import (
     NARROW_TO_BROAD,
@@ -269,7 +270,9 @@ def test_criterion_08_filter_truth_table():
             MockChatClient(default="A" if right else "B", model=f"m{i}")
             for i, right in enumerate(vector)
         ]
-        verdict = ensemble_filter(candidate, clients).result()
+        with ExitStack() as stack:
+            lanes = [stack.enter_context(Lane(c, 1)) for c in clients]
+            verdict = ensemble_filter(candidate, lanes).result()
         assert verdict.correct == vector
         assert verdict.kept == (sum(vector) <= 2)
     elapsed = time.perf_counter() - start

@@ -159,6 +159,15 @@ def test_rerun_is_byte_identical(world):
     after = {p.name: p.read_bytes() for p in data.iterdir()}
     assert before == after
     assert before["slide.ppm"] == (world["data"] / "slide.ppm").read_bytes()
+    # train writes files of its own (checkpoints, loss.csv) besides the manifest.
+    train = world["root"] / "rerun_train"
+    args = _train_argv(world, train, world["root"] / "samples.jsonl", world["slides"])
+    assert main([*args, "--epochs", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in train.iterdir()}
+    assert main([*args, "--epochs", "1"]) == 0
+    after = {p.name: p.read_bytes() for p in train.iterdir()}
+    assert before == after
+    assert len(after["loss.csv"].splitlines()) == 1 + len(SAMPLES)
 
 
 def records_file(path, n=24):
@@ -484,27 +493,33 @@ def test_bad_config_exits_two(tmp_path, capsys):
 
 
 # Values of the right type that no model can be built with: each once ended
-# in a traceback when train built the model.
+# in a traceback when train built the model, or passed synth and failed later
+# without naming its key.
 BAD_VALUES = {
-    "branch-not-a-pair": ("model.encoder", {"encoder": {"branches": [[16]]}}),
-    "negative-grid-rows": ("model.encoder", {"encoder": {"grid_rows": -1}}),
-    "negative-max-positions": ("model.lm", {"lm": {"max_positions": -2}}),
-    "zero-ffn-mult": ("model.lm", {"lm": {"ffn_mult": 0}}),
+    "branch-not-a-pair": ("model.encoder", "branch", {"encoder": {"branches": [[16]]}}),
+    "negative-grid-rows": ("model.encoder", "grid_rows", {"encoder": {"grid_rows": -1}}),
+    "negative-max-positions": ("model.lm", "max_positions", {"lm": {"max_positions": -2}}),
+    "zero-ffn-mult": ("model.lm", "ffn_mult", {"lm": {"ffn_mult": 0}}),
+    "three-projector-layers": ("model", "projector_layers", {"projector_layers": 3}),
+    "zero-patch-dim": ("model", "patch_dim", {"patch_dim": 0}),
+    "zero-patch-size": ("model", "patch_size", {"patch_size": 0}),
 }
 
 
-@pytest.mark.parametrize("command", ["synth", "train"])
-@pytest.mark.parametrize("section,model", BAD_VALUES.values(), ids=BAD_VALUES)
-def test_bad_config_value_exits_two_naming_its_section(world, tmp_path, capsys, command, section, model):
+@pytest.mark.parametrize("command", ["synth", "tile", "train"])
+@pytest.mark.parametrize("section,key,model", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_bad_config_value_exits_two_naming_its_section(world, tmp_path, capsys, command, section, key, model):
     # Every command builds the typed configs at load, so even synth rejects them.
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": model}))
-    rest = {"synth": [], "train": ["--stage", "1", "--samples", str(world["root"] / "samples.jsonl"),
-                                   "--slides-dir", str(world["slides"])]}[command]
+    rest = {"synth": [], "tile": ["--slide", str(world["data"] / "slide.ppm")],
+            "train": ["--stage", "1", "--samples", str(world["root"] / "samples.jsonl"),
+                      "--slides-dir", str(world["slides"])]}[command]
     run = tmp_path / "run"
     assert main([command, "--config", str(bad), "--run-dir", str(run), *rest]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {section}: "), err
+    assert key in err, err
     assert not (run / "manifest.json").exists()
 
 
@@ -694,6 +709,33 @@ def test_grid_positions_need_a_grid(world, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: usage: infer needs --grid"), err
     assert not (tmp_path / "infer" / "answer.txt").exists()
+
+
+def test_grid_outside_the_positional_grid_exits_two_before_writing(world, tmp_path, capsys):
+    # The world's tissue tiles sit in rows and columns 0 and 1.
+    for key in ("grid_rows", "grid_cols"):
+        small = tmp_path / f"{key}.json"
+        small.write_text(json.dumps(dict(CONFIG, model=dict(
+            CONFIG["model"], encoder=dict(CONFIG["model"]["encoder"], **{key: 1})))))
+        base = ["--config", str(small)]
+        train = tmp_path / f"train_{key}"
+        assert main(["train", *base, "--run-dir", str(train), "--stage", "1",
+                     "--samples", str(world["root"] / "samples.jsonl"),
+                     "--slides-dir", str(world["slides"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {world['slides'] / 's1.grid'}: "), err
+        assert f"model.encoder.{key} 1" in err, err
+        assert list(train.iterdir()) == []  # no vocab.txt, no init.ckpt
+        infer = tmp_path / f"infer_{key}"
+        assert main(["infer", *base, "--run-dir", str(infer),
+                     "--checkpoint", str(world["train2"] / "stage2_best.ckpt"),
+                     "--vocab", str(world["train2"] / "vocab.txt"),
+                     "--emb", str(world["slides"] / "s1.emb"),
+                     "--grid", str(world["slides"] / "s1.grid"), "--prompt", "hi"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {world['slides'] / 's1.grid'}: "), err
+        assert f"model.encoder.{key} 1" in err, err
+        assert list(infer.iterdir()) == []
 
 
 def test_encode_rejects_a_grid_of_another_slide(world, tmp_path, capsys):

@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 
 import pytest
 import requests
@@ -48,6 +48,14 @@ from slidevlm.prompts import (
     report_clean_prompt,
     template_hash,
 )
+
+
+@contextmanager
+def lanes(*clients, cache=None):
+    """A one-worker lane per client, over `cache`, shut down on exit."""
+    with ExitStack() as stack:
+        yield [stack.enter_context(Lane(c, 1, cache)) for c in clients]
+
 
 # -- pinned templates ------------------------------------------------------------------
 
@@ -344,10 +352,12 @@ def test_cache_names_a_malformed_line(tmp_path):
 def test_cache_short_circuits_the_client(tmp_path):
     cache = PromptCache(tmp_path)
     record = ReportRecord("p1", "raw report", ["s1"])
-    first = clean_report(record, MockChatClient(replies=["  cleaned  "]), cache)
+    with Lane(MockChatClient(replies=["  cleaned  "]), 1, cache) as lane:
+        first = clean_report(record, lane)
     assert first == "cleaned"
     dead = MockChatClient(replies=[])
-    assert clean_report(record, dead, cache) == "cleaned"
+    with Lane(dead, 1, cache) as lane:
+        assert clean_report(record, lane) == "cleaned"
     assert dead.calls == []
 
 
@@ -357,16 +367,17 @@ def test_cache_short_circuits_the_client(tmp_path):
 def test_clean_report_rejects_empty():
     with pytest.raises(UsageError):
         ReportRecord("p", "text", [])
-    with pytest.raises(UsageError):
-        clean_report(ReportRecord("p", "   ", ["s"]), MockChatClient(default="x"))
+    with pytest.raises(UsageError), Lane(MockChatClient(default="x"), 1) as lane:
+        clean_report(ReportRecord("p", "   ", ["s"]), lane)
 
 
 def test_gen_caption_collapses_paragraphs():
     client = MockChatClient(replies=["First part.\n\nSecond part.\n"])
-    assert gen_caption("cleaned", client).result() == "First part. Second part."
-    assert client.calls == [caption_prompt("cleaned")]
-    with pytest.raises(UsageError):
-        gen_caption("", client)
+    with Lane(client, 1) as lane:
+        assert gen_caption("cleaned", lane).result() == "First part. Second part."
+        assert client.calls == [caption_prompt("cleaned")]
+        with pytest.raises(UsageError):
+            gen_caption("", lane)
 
 
 MC_ITEM = {
@@ -399,10 +410,10 @@ def qa_reply(*items):
 
 
 def test_gen_qas_parses_fenced_items():
-    client = MockChatClient(replies=[qa_reply(MC_ITEM, SA_ITEM)])
-    candidates, drops = gen_qas(
-        "cleaned", "Diagnosis", client, source_report="p1", slide_id="s1"
-    ).result()
+    with Lane(MockChatClient(replies=[qa_reply(MC_ITEM, SA_ITEM)]), 1) as lane:
+        candidates, drops = gen_qas(
+            "cleaned", "Diagnosis", lane, source_report="p1", slide_id="s1"
+        ).result()
     assert drops == []
     assert [c.record.id for c in candidates] == ["p1-diagnosis-000", "p1-diagnosis-001"]
     mc, sa = candidates
@@ -429,8 +440,8 @@ def test_gen_qas_drop_reasons():
         {**SA_ITEM, "options": ["stray"]},
     ]
     reply = qa_reply(*bad_items) + "\n{ broken json }"
-    client = MockChatClient(replies=[reply])
-    candidates, drops = gen_qas("cleaned", "Diagnosis", client).result()
+    with Lane(MockChatClient(replies=[reply]), 1) as lane:
+        candidates, drops = gen_qas("cleaned", "Diagnosis", lane).result()
     assert candidates == []
     reasons = [d.reason for d in drops]
     assert len(reasons) == 9
@@ -446,13 +457,15 @@ def test_gen_qas_drop_reasons():
 
 
 def test_gen_qas_no_json_and_validation():
-    candidates, drops = gen_qas("cleaned", "Diagnosis", MockChatClient(replies=["plain prose"])).result()
+    with Lane(MockChatClient(replies=["plain prose"]), 1) as lane:
+        candidates, drops = gen_qas("cleaned", "Diagnosis", lane).result()
     assert candidates == [] and len(drops) == 1
     assert "no JSON objects" in drops[0].reason
-    with pytest.raises(UsageError):
-        gen_qas("cleaned", "Astrology", MockChatClient(default="x"))
-    with pytest.raises(UsageError):
-        gen_qas("  ", "Diagnosis", MockChatClient(default="x"))
+    with Lane(MockChatClient(default="x"), 1) as lane:
+        with pytest.raises(UsageError):
+            gen_qas("cleaned", "Astrology", lane)
+        with pytest.raises(UsageError):
+            gen_qas("  ", "Diagnosis", lane)
 
 
 # -- ensemble filter -----------------------------------------------------------------------
@@ -524,7 +537,8 @@ def test_ensemble_truth_table(bits):
         MockChatClient(default="A" if right else "B", model=f"m{i}")
         for i, right in enumerate(vector)
     ]
-    verdict = ensemble_filter(mc_candidate(), clients).result()
+    with lanes(*clients) as filters:
+        verdict = ensemble_filter(mc_candidate(), filters).result()
     assert verdict.correct == vector
     assert verdict.failed == (False, False, False, False)
     assert verdict.kept == (sum(vector) < 3)
@@ -537,7 +551,8 @@ def test_ensemble_failure_counts_as_incorrect():
         MockChatClient(default="A", model="m2"),
         MockChatClient(default="A", model="m3"),
     ]
-    verdict = ensemble_filter(mc_candidate(), clients).result()
+    with lanes(*clients) as filters:
+        verdict = ensemble_filter(mc_candidate(), filters).result()
     assert verdict.correct == (True, False, True, True)
     assert verdict.failed == (False, True, False, False)
     assert verdict.kept is False  # still 3 right
@@ -546,9 +561,8 @@ def test_ensemble_failure_counts_as_incorrect():
 def test_ensemble_asks_its_four_models_at_once():
     # Each model's call returns only when all four are waiting together.
     barrier = threading.Barrier(4, timeout=5)
-    with ExitStack() as stack:
-        lanes = [stack.enter_context(Lane(BarrierClient(barrier, f"m{i}"), 1)) for i in range(4)]
-        verdict = ensemble_filter(mc_candidate(), lanes).result()
+    with lanes(*(BarrierClient(barrier, f"m{i}") for i in range(4))) as filters:
+        verdict = ensemble_filter(mc_candidate(), filters).result()
     assert verdict.failed == (False, False, False, False)
     assert verdict.correct == (True, True, True, True)
 
@@ -556,8 +570,8 @@ def test_ensemble_asks_its_four_models_at_once():
 class CountingLane(Lane):
     """A one-worker lane that counts the calls handed to it."""
 
-    def __init__(self, client):
-        super().__init__(client, 1)
+    def __init__(self, client, cache):
+        super().__init__(client, 1, cache)
         self.tasks = 0
 
     def submit(self, fn, /, *args, **kwargs):
@@ -568,30 +582,33 @@ class CountingLane(Lane):
 def test_ensemble_reads_cached_replies_without_the_pool(tmp_path):
     cache = PromptCache(tmp_path)
     clients = [MockChatClient(default="A" if i else "B", model=f"m{i}") for i in range(4)]
-    cold = ensemble_filter(mc_candidate(), clients, cache).result()
+    with lanes(*clients, cache=cache) as filters:
+        cold = ensemble_filter(mc_candidate(), filters).result()
     with ExitStack() as stack:
-        dead = [stack.enter_context(CountingLane(MockChatClient(replies=[], model=f"m{i}"))) for i in range(4)]
-        assert ensemble_filter(mc_candidate(), dead, cache).result() == cold
+        dead = [stack.enter_context(CountingLane(MockChatClient(replies=[], model=f"m{i}"), cache)) for i in range(4)]
+        assert ensemble_filter(mc_candidate(), dead).result() == cold
         assert [lane.tasks for lane in dead] == [0] * 4 and all(lane.client.calls == [] for lane in dead)
         # A candidate with one reply missing hands only that call to its lane.
         log = tmp_path / "cache.jsonl"
         lines = log.read_text().splitlines(keepends=True)
         assert json.loads(lines[0])["model"] == "m0"
         log.write_text("".join(lines[1:]))
-        lanes = [stack.enter_context(CountingLane(c)) for c in clients]
-        assert ensemble_filter(mc_candidate(), lanes, PromptCache(tmp_path)).result() == cold
-        assert [lane.tasks for lane in lanes] == [1, 0, 0, 0]
+        reread = PromptCache(tmp_path)
+        counted = [stack.enter_context(CountingLane(c, reread)) for c in clients]
+        assert ensemble_filter(mc_candidate(), counted).result() == cold
+        assert [lane.tasks for lane in counted] == [1, 0, 0, 0]
 
 
 def test_ensemble_validation():
-    with pytest.raises(UsageError):
-        ensemble_filter(mc_candidate(), [MockChatClient(default="A")] * 3)
     sa = QACandidate(
         record=QARecord("q", "s", "what?", [], "x", "short-answer", "Diagnosis", "Grading"),
         reasoning=None, source_report="p", prompt_hash="h",
     )
-    with pytest.raises(UsageError):
-        ensemble_filter(sa, [MockChatClient(default="A", model=f"m{i}") for i in range(4)])
+    with lanes(*(MockChatClient(default="A", model=f"m{i}") for i in range(4))) as filters:
+        with pytest.raises(UsageError):
+            ensemble_filter(mc_candidate(), filters[:3])
+        with pytest.raises(UsageError):
+            ensemble_filter(sa, filters)
 
 
 # -- split -----------------------------------------------------------------------------------
@@ -807,6 +824,49 @@ def test_run_curation_keeps_jobs_requests_per_endpoint():
     result = run_curation(reports, chat, filter_clients=filters, broads=["Diagnosis"], jobs=2)
     assert len(result.verdicts) == 12 and not result.flagged
     assert max(c.peak for c in [chat, *filters]) <= 2
+
+
+class ThreadRecorder:
+    """Wraps a client and records the name of every thread that calls it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model = inner.model
+        self.threads = []
+
+    def complete(self, prompt, temperature=0.0):
+        self.threads.append(threading.current_thread().name)
+        return self.inner.complete(prompt, temperature)
+
+
+def test_every_chat_call_runs_on_a_lane_worker(tmp_path):
+    reports, table = filtered_world(2)
+
+    def endpoints():
+        chat = ThreadRecorder(MockChatClient(table=table))
+        return chat, [ThreadRecorder(MockChatClient(default="A", model=f"m{i}")) for i in range(4)]
+
+    def run_stages(chat, filters, cache):
+        with lanes(chat, *filters, cache=cache) as (lane, *filter_lanes):
+            cleaned = clean_report(reports[0], lane)
+            gen_caption(cleaned, lane).result()
+            (mc, *_), _ = gen_qas(cleaned, "Diagnosis", lane).result()
+            ensemble_filter(mc, filter_lanes).result()
+
+    def run_batch(chat, filters, cache):
+        run_curation(reports, chat, cache, filter_clients=filters, broads=["Diagnosis"], jobs=2)
+
+    for name, run in (("stages", run_stages), ("batch", run_batch)):
+        cache = PromptCache(tmp_path / name)
+        cold = endpoints()
+        run(*cold, cache)
+        for client in [cold[0], *cold[1]]:
+            assert client.threads, (name, client.model)
+            assert all(t.startswith(f"lane-{client.model}_") for t in client.threads), (name, client.threads)
+        # The same calls again are all cache hits: no endpoint is called.
+        warm = endpoints()
+        run(*warm, cache)
+        assert [c.threads for c in [warm[0], *warm[1]]] == [[]] * 5, name
 
 
 def test_run_curation_flags_dead_reports():
