@@ -10,6 +10,7 @@ failing key, or the file and line), 3 missing input file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -53,7 +54,7 @@ from .slide_io import (
     tile_slide,
     write_raster,
 )
-from .training import StageConfig, TrainSample, run_stage
+from .training import TrainSample, run_stage
 
 # -- shared helpers -----------------------------------------------------------------
 
@@ -89,12 +90,15 @@ class RunDir:
 def _slide_inputs(emb_path, grid_path, model: ModelConfig) -> SlideInputs:
     """Embeddings plus the grid's tissue coordinates when a grid is given.
 
-    When the model reads the coordinates, each must lie inside its
-    positional grid.
+    The embeddings must be `model.patch_dim` wide and the grid must have a
+    tissue tile per embedding row. When the model reads the coordinates,
+    each must lie inside its positional grid.
     """
     emb = load_embeddings(emb_path)
     if emb.n_patches == 0:
         raise UsageError(f"{emb_path}: no embedding rows (the slide has no tissue tile)")
+    if emb.dim != model.patch_dim:
+        raise UsageError(f"{emb_path}: embedding width {emb.dim} != model.patch_dim {model.patch_dim}")
     coords = None
     if grid_path is not None:
         coords = [(e.row, e.col) for e in PatchGrid.load(grid_path).tissue_entries()]
@@ -106,7 +110,10 @@ def _slide_inputs(emb_path, grid_path, model: ModelConfig) -> SlideInputs:
                     f"{grid_path}: tissue tile at row {outside[0]}, col {outside[1]} "
                     f"is outside model.encoder.{key} {size}"
                 )
-    return SlideInputs(emb, coords)
+    try:
+        return SlideInputs(emb, coords)
+    except UsageError as exc:
+        raise UsageError(f"{grid_path} does not match {emb_path}: {exc}") from exc
 
 
 def _chat_client(cfg: RunConfig, replay: str | None, live: bool, who: str):
@@ -188,7 +195,7 @@ def _cmd_encode(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
-    limit = cfg.model.max_positions
+    limit = cfg.model.lm.max_positions
 
     def sample(**row) -> TrainSample:
         s = TrainSample(**row)
@@ -201,10 +208,10 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     )
     slides_dir = Path(args.slides_dir)
     slides = {}
-    for s in samples:
-        grid = slides_dir / f"{s.slide_id}.grid"
-        slides[s.slide_id] = _slide_inputs(
-            slides_dir / f"{s.slide_id}.emb",
+    for slide_id in dict.fromkeys(s.slide_id for s in samples):
+        grid = slides_dir / f"{slide_id}.grid"
+        slides[slide_id] = _slide_inputs(
+            slides_dir / f"{slide_id}.emb",
             grid if grid.exists() or cfg.model.needs_coords else None,
             cfg.model,
         )
@@ -226,9 +233,8 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
         {"kind": "init", "stage": args.stage, "seed": seed},
     )
 
-    overrides = dict(cfg.tree["stages"][str(args.stage)])
-    overrides.update((k, v) for k, v in (("lr", args.lr), ("epochs", args.epochs)) if v is not None)
-    stage_cfg = StageConfig(stage=args.stage, seed=seed, **overrides)
+    overrides = {k: v for k, v in (("lr", args.lr), ("epochs", args.epochs)) if v is not None}
+    stage_cfg = dataclasses.replace(cfg.stages[args.stage], seed=seed, **overrides)
     result = run_stage(stage_cfg, samples, model, slides, out_dir=run.root)
     # run_stage writes these itself; record them for the manifest.
     for written in [*result.checkpoints, result.best_checkpoint, "loss.csv"]:

@@ -19,8 +19,8 @@ from typing import Any
 from .curation import EndpointConfig
 from .encoders import SlideEncoderConfig
 from .jsonio import read_json
-from .lm import SPECIALS, DecoderConfig
-from .model import LM_FIELDS, ModelConfig
+from .lm import DecoderConfig
+from .model import ModelConfig
 from .numerics import UsageError
 from .training import STAGE_DEFAULTS, StageConfig
 
@@ -41,7 +41,6 @@ def _tree(obj, *drop: str) -> dict[str, Any]:
 def _model_tree() -> dict[str, Any]:
     tree = _tree(ModelConfig())
     del tree["encoder"]["in_dim"]  # always model.patch_dim
-    tree["lm"] = {key: tree.pop(name) for key, name in LM_FIELDS.items()}
     return tree
 
 
@@ -118,10 +117,10 @@ def _build(cls, section: str, node: dict[str, Any], **fixed):
 
 @dataclass
 class RunConfig:
-    """The checked tree and the typed configs built from it."""
+    """The typed configs built from a checked tree."""
 
-    tree: dict[str, Any]
     model: ModelConfig
+    stages: dict[int, StageConfig]  # under seed 0; a command sets the run's
     chat: EndpointConfig
     seed: int
     jobs: int
@@ -134,18 +133,16 @@ def validate_tree(tree: dict[str, Any]) -> dict[str, Any]:
 
 
 def build_config(tree: dict[str, Any]) -> RunConfig:
-    """The typed configs of a validated tree; a stage is checked here and
-    built by the command that runs it, under the run's seed."""
+    """The typed configs of a validated tree."""
     m = tree["model"]
     encoder = _build(SlideEncoderConfig, "model.encoder", m["encoder"], in_dim=m["patch_dim"])
-    _build(DecoderConfig, "model.lm", m["lm"], vocab_size=len(SPECIALS))
+    lm = _build(DecoderConfig, "model.lm", m["lm"])
     fields = {key: value for key, value in m.items() if key not in ("encoder", "lm")}
-    fields.update((LM_FIELDS[key], value) for key, value in m["lm"].items())
-    model = _build(ModelConfig, "model", fields, encoder=encoder)
-    for stage, node in tree["stages"].items():
-        _build(StageConfig, f"stages.{stage}", node, stage=int(stage))
+    model = _build(ModelConfig, "model", fields, encoder=encoder, lm=lm)
+    stages = {int(n): _build(StageConfig, f"stages.{n}", node, stage=int(n))
+              for n, node in tree["stages"].items()}
     chat = _build(EndpointConfig, "clients.chat", tree["clients"]["chat"])
-    return RunConfig(tree, model, chat, tree["seed"], tree["jobs"])
+    return RunConfig(model, stages, chat, tree["seed"], tree["jobs"])
 
 
 def load_config(path: str | None) -> RunConfig:

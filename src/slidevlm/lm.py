@@ -167,20 +167,17 @@ def text_positions(prompt: str, answer: str) -> int:
 
 @dataclass
 class DecoderConfig:
-    """Decoder shape; `ModelConfig` holds the defaults."""
+    """Decoder shape; the vocabulary size comes from the vocabulary."""
 
-    vocab_size: int
-    heads: int
-    head_dim: int
-    layers: int
-    ffn_mult: int
-    max_positions: int
-    tied_head: bool
-    causal_visual: bool   # True drops the bidirectional visual block
+    heads: int = 4
+    head_dim: int = 32
+    layers: int = 2
+    ffn_mult: int = 4
+    max_positions: int = 256
+    tied_head: bool = False
+    causal_visual: bool = False   # True drops the bidirectional visual block
 
     def __post_init__(self):
-        if self.vocab_size < len(SPECIALS):
-            raise UsageError("vocab must at least hold the special tokens")
         if min(self.heads, self.head_dim, self.ffn_mult, self.max_positions) < 1 or self.layers < 0:
             raise UsageError("heads, head_dim, ffn_mult, max_positions must be >= 1, layers >= 0")
 
@@ -229,13 +226,15 @@ class DecoderLM:
 
     GROUP = "lm"
 
-    def __init__(self, cfg: DecoderConfig, seed: int = 0):
+    def __init__(self, cfg: DecoderConfig, vocab_size: int, seed: int = 0):
+        if vocab_size < len(SPECIALS):
+            raise UsageError("vocab must at least hold the special tokens")
         self.cfg = cfg
         rng = stream(seed, "lm")
         dim = cfg.dim
         scale = 1.0 / math.sqrt(dim)
         self.tok_embed = Parameter(
-            f"{self.GROUP}.tok_embed", rng.uniform(-scale, scale, size=(cfg.vocab_size, dim))
+            f"{self.GROUP}.tok_embed", rng.uniform(-scale, scale, size=(vocab_size, dim))
         )
         self.pos_embed = Parameter(
             f"{self.GROUP}.pos_embed", rng.uniform(-scale, scale, size=(cfg.max_positions, dim))
@@ -252,7 +251,7 @@ class DecoderLM:
         ]
         self.head = None
         if not cfg.tied_head:
-            self.head = Linear(f"{self.GROUP}.head", dim, cfg.vocab_size, rng)
+            self.head = Linear(f"{self.GROUP}.head", dim, vocab_size, rng)
 
     def params(self) -> list[Parameter]:
         out = [self.tok_embed, self.pos_embed]

@@ -40,14 +40,6 @@ __all__ = ["ModelConfig", "SlideVLM", "SlideInputs"]
 GROUPS = ("patch_encoder", "slide_encoder", "projector", "lm")
 
 
-# The decoder's settings: DecoderConfig field -> ModelConfig field.
-LM_FIELDS = {
-    "heads": "lm_heads", "head_dim": "lm_head_dim", "layers": "lm_layers",
-    "ffn_mult": "lm_ffn_mult", "max_positions": "max_positions",
-    "tied_head": "tied_head", "causal_visual": "causal_visual",
-}
-
-
 @dataclass
 class ModelConfig:
     """Every model setting and its default; the run config is built from it."""
@@ -57,13 +49,7 @@ class ModelConfig:
     projector_layers: int = 1
     bypass_slide_encoder: bool = False
     encoder: SlideEncoderConfig = field(default_factory=SlideEncoderConfig)
-    lm_heads: int = 4
-    lm_head_dim: int = 32
-    lm_layers: int = 2
-    lm_ffn_mult: int = 4
-    max_positions: int = 256
-    tied_head: bool = False
-    causal_visual: bool = False
+    lm: DecoderConfig = field(default_factory=DecoderConfig)
 
     def __post_init__(self):
         for key in ("patch_dim", "patch_size"):
@@ -76,18 +62,19 @@ class ModelConfig:
                 f"encoder in_dim {self.encoder.in_dim} != patch_dim {self.patch_dim}"
             )
 
+    # Read-only aliases of `lm.heads` and `lm.layers`; the bench reads them.
     @property
-    def lm_dim(self) -> int:
-        return self.lm_heads * self.lm_head_dim
+    def lm_heads(self) -> int:
+        return self.lm.heads
+
+    @property
+    def lm_layers(self) -> int:
+        return self.lm.layers
 
     @property
     def needs_coords(self) -> bool:
         """Whether the slide encoder reads each patch's grid coordinates."""
         return not self.bypass_slide_encoder and self.encoder.positional == "grid"
-
-    def decoder_config(self, vocab_size: int) -> DecoderConfig:
-        lm = {key: getattr(self, name) for key, name in LM_FIELDS.items()}
-        return DecoderConfig(vocab_size, **lm)
 
 
 @dataclass
@@ -96,6 +83,13 @@ class SlideInputs:
 
     embeddings: EmbeddingMatrix
     coords: list[tuple[int, int]] | None = None
+
+    def __post_init__(self):
+        if self.coords is not None and len(self.coords) != self.embeddings.n_patches:
+            raise UsageError(
+                f"tissue tile count {len(self.coords)} != embedding row count "
+                f"{self.embeddings.n_patches}"
+            )
 
 
 @dataclass
@@ -121,8 +115,8 @@ class SlideVLM:
         if not cfg.bypass_slide_encoder:
             self.slide_encoder = SlideEncoder(cfg.encoder, seed=seed)
             proj_in = cfg.encoder.model_dim
-        self.projector = Projector(proj_in, cfg.lm_dim, layers=cfg.projector_layers, seed=seed)
-        self.lm = DecoderLM(cfg.decoder_config(len(vocab)), seed=seed)
+        self.projector = Projector(proj_in, cfg.lm.dim, layers=cfg.projector_layers, seed=seed)
+        self.lm = DecoderLM(cfg.lm, len(vocab), seed=seed)
         self._prefix: _Prefix | None = None
 
     def params(self) -> list[Parameter]:

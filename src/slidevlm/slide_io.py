@@ -97,8 +97,9 @@ class PatchGrid:
             raise UsageError(f"patch size {self.patch_size} must be >= 1")
         seen = set()
         for e in self.entries:
-            if e.x % self.patch_size or e.y % self.patch_size:
-                raise UsageError(f"origin ({e.x},{e.y}) not a multiple of patch size")
+            x, y = e.col * self.patch_size, e.row * self.patch_size
+            if (e.x, e.y) != (x, y):
+                raise UsageError(f"tile ({e.row},{e.col}) has origin ({e.x},{e.y}), not ({x},{y})")
             if e.x + self.patch_size > self.width or e.y + self.patch_size > self.height:
                 raise UsageError(f"tile at ({e.x},{e.y}) exceeds raster bounds")
             if (e.row, e.col) in seen:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
-from slidevlm.lm import Vocab
+from slidevlm.lm import DecoderConfig, Vocab
 from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
 from slidevlm.numerics import stream
 from slidevlm.slide_io import Raster, Region, SlideSpec, synth_slide, tile_slide
@@ -16,8 +16,9 @@ TINY_TEXTS = [
 ]
 
 
-def tiny_config(**overrides) -> ModelConfig:
-    """A model small enough for per-test training loops."""
+def tiny_config(lm=None, **overrides) -> ModelConfig:
+    """A model small enough for per-test training loops; `lm` overrides
+    fields of its decoder config."""
     encoder = overrides.pop(
         "encoder",
         SlideEncoderConfig(
@@ -32,16 +33,14 @@ def tiny_config(**overrides) -> ModelConfig:
             grid_cols=8,
         ),
     )
+    decoder = dict(heads=2, head_dim=4, layers=1, ffn_mult=2, max_positions=64)
+    decoder.update(lm or {})
     base = dict(
         patch_dim=8,
         patch_size=16,
         projector_layers=1,
         encoder=encoder,
-        lm_heads=2,
-        lm_head_dim=4,
-        lm_layers=1,
-        lm_ffn_mult=2,
-        max_positions=64,
+        lm=DecoderConfig(**decoder),
     )
     base.update(overrides)
     return ModelConfig(**base)

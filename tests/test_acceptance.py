@@ -138,10 +138,10 @@ def projector_case(seed):
 def lm_case(seed):
     vocab = Vocab.build(["tumor tissue present in the sample"])
     cfg = DecoderConfig(
-        vocab_size=len(vocab), heads=2, head_dim=4, layers=1, ffn_mult=2, max_positions=32,
+        heads=2, head_dim=4, layers=1, ffn_mult=2, max_positions=32,
         tied_head=False, causal_visual=False,
     )
-    lm = DecoderLM(cfg, seed=seed)
+    lm = DecoderLM(cfg, len(vocab), seed=seed)
     visual = stream(seed, "acceptance", "lm-visual").standard_normal((3, 8))
     return lm.params(), lambda: lm.loss(
         assemble(Tensor(visual), "tumor tissue", "present in the sample", vocab)

@@ -12,6 +12,8 @@ def test_bench_builds_its_model_and_wraps_every_entry_point(monkeypatch):
     spans = importlib.import_module("spans")
     cfg = phases.model_config()
     assert cfg.encoder.positional == "grid"
+    # The bench reads the decoder's shape through these two aliases.
+    assert (cfg.lm_layers, cfg.lm_heads) == (cfg.lm.layers, cfg.lm.heads)
 
     rec = spans.SpanRecorder()
     try:

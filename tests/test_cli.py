@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from slidevlm import cli
 from slidevlm.cli import main
 from slidevlm.curation import filter_prompt
-from slidevlm.encoders import EmbeddingMatrix, save_embeddings
+from slidevlm.encoders import EmbeddingMatrix, load_embeddings, save_embeddings
 from slidevlm import jsonio
 from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord
 from slidevlm.prompts import caption_prompt, qa_prompt, report_clean_prompt
@@ -750,6 +751,70 @@ def test_encode_rejects_a_grid_of_another_slide(world, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "32x32" in err and "64x64" in err
     assert not (tmp_path / "enc" / "embeddings.bin").exists()
+
+
+def _infer_argv(world, run, base, emb, grid):
+    return ["infer", *base, "--run-dir", str(run),
+            "--checkpoint", str(world["train2"] / "stage2_best.ckpt"),
+            "--vocab", str(world["train2"] / "vocab.txt"),
+            "--emb", str(emb), "--grid", str(grid), "--prompt", "hi"]
+
+
+def test_grid_of_another_slide_exits_two_before_writing(world, tmp_path, capsys):
+    base = world["base"]
+    assert main(["synth", *base, "--run-dir", str(tmp_path), "--width", "32",
+                 "--height", "32", "--patch-size", "16", "--region", "tumor:0:0:16:16"]) == 0
+    assert main(["tile", *base, "--run-dir", str(tmp_path), "--slide", str(tmp_path / "slide.ppm")]) == 0
+    capsys.readouterr()
+    # One tissue tile in the grid against the world slide's four embedding rows.
+    slides = tmp_path / "slides"
+    slides.mkdir()
+    emb, grid = slides / "s1.emb", slides / "s1.grid"
+    emb.write_bytes((world["slides"] / "s1.emb").read_bytes())
+    grid.write_bytes((tmp_path / "grid.txt").read_bytes())
+    samples = tmp_path / "samples.jsonl"
+    write_jsonl(samples, SAMPLES)
+    want = f"error: usage: {grid} does not match {emb}: tissue tile count 1 != embedding row count 4\n"
+    for run, argv in (("train", _train_argv(world, tmp_path / "train", samples, slides)),
+                      ("infer", _infer_argv(world, tmp_path / "infer", base, emb, grid))):
+        assert main(argv) == 2, run
+        assert capsys.readouterr().err == want
+        assert list((tmp_path / run).iterdir()) == []  # no vocab.txt, no checkpoint
+
+
+def test_embeddings_of_another_width_exit_two_before_writing(world, tmp_path, capsys):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(dict(CONFIG, model=dict(CONFIG["model"], patch_dim=16))))
+    base = ["--config", str(wide)]
+    emb, grid = world["slides"] / "s1.emb", world["slides"] / "s1.grid"
+    want = f"error: usage: {emb}: embedding width 8 != model.patch_dim 16\n"
+    train = ["train", *base, "--run-dir", str(tmp_path / "train"), "--stage", "1",
+             "--samples", str(world["root"] / "samples.jsonl"), "--slides-dir", str(world["slides"])]
+    infer = _infer_argv(world, tmp_path / "infer", base, emb, grid)
+    for run, argv in (("train", train), ("infer", infer)):
+        assert main(argv) == 2, run
+        assert capsys.readouterr().err == want
+        assert list((tmp_path / run).iterdir()) == []
+
+
+def test_train_loads_each_slide_once(world, tmp_path, monkeypatch):
+    slides = tmp_path / "slides"
+    slides.mkdir()
+    for sid in ("s1", "s2"):
+        for ext in ("emb", "grid"):
+            (slides / f"{sid}.{ext}").write_bytes((world["slides"] / f"s1.{ext}").read_bytes())
+    samples = tmp_path / "samples.jsonl"
+    order = ["s2", "s1", "s2", "s1", "s1"]
+    write_jsonl(samples, [dict(SAMPLES[i % 2], slide_id=sid) for i, sid in enumerate(order)])
+    loads = []
+
+    def counting(path):
+        loads.append(path.name)
+        return load_embeddings(path)
+
+    monkeypatch.setattr(cli, "load_embeddings", counting)
+    assert main([*_train_argv(world, tmp_path / "train", samples, slides), "--epochs", "1"]) == 0
+    assert loads == ["s2.emb", "s1.emb"]
 
 
 def test_bad_region_exits_two(world, capsys):

@@ -58,8 +58,7 @@ def test_model_defaults_agree():
 
 @pytest.mark.parametrize("stage", [1, 2])
 def test_stage_defaults_agree(stage):
-    overrides = load_config(None).tree["stages"][str(stage)]
-    assert StageConfig(stage=stage, **overrides) == StageConfig(stage=stage)
+    assert load_config(None).stages[stage] == StageConfig(stage)
 
 
 def test_endpoint_defaults_agree():
@@ -96,7 +95,7 @@ def other(value):
 
 def typed(cfg):
     """Every setting of the typed configs, by dotted name, as JSON values."""
-    stages = {f"stages.{n}": StageConfig(stage=n, **cfg.tree["stages"][str(n)]) for n in (1, 2)}
+    stages = {f"stages.{n}": stage for n, stage in cfg.stages.items()}
     configs = {"model": cfg.model, "clients.chat": cfg.chat, **stages}
     view = {"seed": cfg.seed, "jobs": cfg.jobs}
     for name, config in configs.items():
@@ -104,24 +103,25 @@ def typed(cfg):
     return view
 
 
-# Tree leaves that set a field of another name, or more than one field.
-FIELDS = {
-    "model.patch_dim": {"model.patch_dim", "model.encoder.in_dim"},
-    "model.lm.heads": {"model.lm_heads"},
-    "model.lm.head_dim": {"model.lm_head_dim"},
-    "model.lm.layers": {"model.lm_layers"},
-    "model.lm.ffn_mult": {"model.lm_ffn_mult"},
-    "model.lm.max_positions": {"model.max_positions"},
-    "model.lm.tied_head": {"model.tied_head"},
-    "model.lm.causal_visual": {"model.causal_visual"},
-}
-
-
-@pytest.mark.parametrize("path,default", list(leaves(load_config(None).tree)))
+@pytest.mark.parametrize("path,default", list(leaves(validate_tree({}))))
 def test_each_leaf_sets_exactly_its_field(path, default):
     base = typed(load_config(None))
     value = other(default)
     changed = typed(build_config(validate_tree(nest(path, value))))
     diff = {name for name in base if changed[name] != base[name]}
-    assert diff == FIELDS.get(path, {path})
+    # model.patch_dim is the one leaf that sets two fields.
+    assert diff == ({path, "model.encoder.in_dim"} if path == "model.patch_dim" else {path})
     assert all(changed[name] == value for name in diff)
+
+
+def test_model_tree_is_the_model_config():
+    """Every model leaf is the same attribute path on ModelConfig(), with the
+    same default; encoder.in_dim alone is not a leaf (it is model.patch_dim)."""
+    model = validate_tree({})["model"]
+    paths = {path for path, _ in leaves(json.loads(json.dumps(asdict(ModelConfig()))))}
+    assert {path for path, _ in leaves(model)} == paths - {"encoder.in_dim"}
+    for path, default in leaves(model):
+        value = ModelConfig()
+        for name in path.split("."):
+            value = getattr(value, name)
+        assert json.loads(json.dumps(value)) == default, path

@@ -35,10 +35,10 @@ def vocab():
 
 
 def tiny_lm(**kw):
-    cfg = dict(vocab_size=len(SPECIALS) + len(WORDS), heads=2, head_dim=4,
-               layers=2, ffn_mult=2, max_positions=32, tied_head=False, causal_visual=False)
+    cfg = dict(heads=2, head_dim=4, layers=2, ffn_mult=2, max_positions=32,
+               tied_head=False, causal_visual=False)
     cfg.update(kw)
-    return DecoderLM(DecoderConfig(**cfg), seed=0)
+    return DecoderLM(DecoderConfig(**cfg), len(SPECIALS) + len(WORDS), seed=0)
 
 
 def visual(n, dim=8, seed=0):

@@ -45,10 +45,10 @@ def assert_same_answer(got, want):
 
 @pytest.mark.parametrize("kw", [
     {},
-    {"causal_visual": True},
+    {"lm": {"causal_visual": True}},
     {"bypass_slide_encoder": True},
-    {"tied_head": True},
-    {"lm_layers": 0},
+    {"lm": {"tied_head": True}},
+    {"lm": {"layers": 0}},
 ], ids=["default", "causal-visual", "bypass-slide-encoder", "tied-head", "no-layers"])
 def test_prefix_hit_matches_a_fresh_model(monkeypatch, kw):
     slide = one_slide()

@@ -231,6 +231,12 @@ def test_grid_rejects_misaligned_origin():
         PatchGrid(224, 448, 448, [GridEntry(0, 0, 10, 0, True)])
 
 
+def test_grid_rejects_an_origin_of_another_tile():
+    # Both origins are multiples of the patch size, but swapped.
+    with pytest.raises(UsageError, match=r"tile \(0,0\) has origin \(224,0\), not \(0,0\)"):
+        PatchGrid(224, 448, 224, [GridEntry(0, 0, 224, 0, True), GridEntry(0, 1, 0, 0, True)])
+
+
 def test_grid_rejects_out_of_bounds():
     with pytest.raises(UsageError):
         PatchGrid(224, 300, 300, [GridEntry(0, 0, 224, 0, True)])
