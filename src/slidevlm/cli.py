@@ -148,6 +148,15 @@ def _print_accuracy(report) -> int:
     return 0
 
 
+def _load_weights(model: SlideVLM, path) -> None:
+    """Load the checkpoint at `path` into `model`; a mismatch names the file."""
+    tensors, _ = load_checkpoint(path)
+    try:
+        model.load_tensors(tensors)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 # -- commands -----------------------------------------------------------------------
 
 
@@ -217,16 +226,17 @@ def _cmd_train(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
         )
 
     vocab_path = run.path("vocab.txt")
-    if vocab_path.exists():
-        vocab = Vocab.load(vocab_path)
-    else:
+    fresh = not vocab_path.exists()
+    if fresh:
         vocab = Vocab.build([s.prompt for s in samples] + [s.target for s in samples])
-        vocab.save(vocab_path)
+    else:
+        vocab = Vocab.load(vocab_path)
 
     model = SlideVLM(cfg.model, vocab, seed=seed)
     if args.init is not None:
-        tensors, _ = load_checkpoint(args.init)
-        model.load_tensors(tensors)
+        _load_weights(model, args.init)
+    if fresh:  # only once the checkpoint fits this vocabulary
+        vocab.save(vocab_path)
     save_checkpoint(
         run.path("init.ckpt"),
         model.tensors(),
@@ -250,8 +260,7 @@ def _cmd_infer(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
         raise UsageError("infer needs --grid: the grid positional encoding reads patch coordinates")
     vocab = Vocab.load(args.vocab)
     model = SlideVLM(cfg.model, vocab, seed=seed)
-    tensors, _ = load_checkpoint(args.checkpoint)
-    model.load_tensors(tensors)
+    _load_weights(model, args.checkpoint)
     text, trace = model.generate(slide, args.prompt, max_len=args.max_len)
     run.text("answer.txt", text + "\n")
     if trace is not None:

@@ -14,11 +14,13 @@ block, whose prefix outputs nothing reads, it computes only those. The
 text rows then run against that cache. Only text rows have logits.
 
 Generation is greedy with ties broken by the lowest token id, and keeps
-no autodiff tape. It starts from a snapshot of the prefix rows' key/value
-cache, one prefill forward over BOS and the prompt extends it, then each
-further token runs one cached row. The attention trace, from each
-generated token to every visual position, comes from one more forward
-over just the generated rows against the cache as the prefill left it.
+no autodiff tape. Each request decodes into a key/value buffer of its
+own, sized to the text rows it can reach and filled once with a copy of
+the prefix rows' cache, which stays unwritten. One prefill forward over
+BOS and the prompt writes its rows in place, then each further token runs
+one row and writes one. The attention trace, from each generated token to
+every visual position, comes from one more forward that rewinds the
+buffer to the end of the prompt and reruns just the generated rows.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .numerics import (
     Tensor,
     UsageError,
     attention,
+    cached_attention,
     concat,
     cross_entropy,
     no_grad,
@@ -46,6 +49,7 @@ from .numerics import (
 __all__ = [
     "Vocab",
     "MultimodalSequence",
+    "DecodeStep",
     "DecoderConfig",
     "DecoderLM",
     "KVCache",
@@ -154,6 +158,25 @@ class MultimodalSequence:
         return slice(1, 1 + self.n_visual)
 
 
+@dataclass(frozen=True)
+class DecodeStep:
+    """One generated token, `token`, at text position `position` (BOS is 0)
+    of a sequence with `n_visual` visual tokens: a forward over it runs
+    the single row after the cached ones."""
+
+    n_visual: int
+    token: int
+    position: int
+
+    @property
+    def n_prefix(self) -> int:
+        return self.n_visual + 2
+
+    @property
+    def total_len(self) -> int:
+        return self.n_prefix + self.position + 1
+
+
 def assemble(visual, prompt: str, answer: str | None, vocab: Vocab) -> MultimodalSequence:
     """Tokenize prompt/answer around the visual span."""
     answer_ids = None if answer is None else vocab.encode(answer)
@@ -188,15 +211,51 @@ class DecoderConfig:
 
 @dataclass
 class KVCache:
-    """Keys and values of the first `length` positions, one [k, v] pair of
-    [H, length, dh] tensors per decoder block. A cache built with grad on
-    is on the tape, so a loss over later rows trains the prefix through it."""
+    """Keys and values of the first `length` positions, one entry per
+    decoder block.
+
+    The prefix pass leaves a [k, v] pair of [H, length, dh] tensors in
+    each entry. Built with grad on, they are on the tape, so a loss over
+    later rows trains the prefix through them; a forward over more rows
+    joins those rows' keys and values on. A decode request runs in
+    `buffer(capacity)` instead, whose entries each preallocate keys stored
+    transposed, [H, dh, capacity], and values, [H, capacity, dh]; a forward
+    writes its rows at `length` in place and attends to the filled views.
+    """
 
     length: int
-    kv: list[list[Tensor]]
+    kv: list
 
-    def snapshot(self) -> "KVCache":
-        return KVCache(self.length, [list(pair) for pair in self.kv])
+    def buffer(self, capacity: int) -> "KVCache":
+        """A decode buffer of `capacity` positions that holds a copy of
+        this cache; this cache is never written through it."""
+        if capacity < self.length:
+            raise UsageError(f"a buffer of {capacity} positions cannot hold {self.length}")
+        return KVCache(self.length, [_InPlaceKV(k, v, capacity) for k, v in self.kv])
+
+
+class _InPlaceKV:
+    """One block's entry of a decode buffer: keys stored transposed,
+    [H, dh, capacity], and values, [H, capacity, dh]."""
+
+    def __init__(self, k: Tensor, v: Tensor, capacity: int):
+        heads, rows, dh = k.shape
+        self.keys_t = np.empty((heads, dh, capacity))
+        self.keys_t[..., :rows] = np.swapaxes(k.data, 1, 2)
+        self.values = np.empty((heads, capacity, dh))
+        self.values[:, :rows] = v.data
+
+    def attend(self, q: Tensor, k: Tensor, v: Tensor, allow, capture: list | None) -> Tensor:
+        """Write the rows' keys and values after the cached ones and attend
+        to every filled position. The mask has a column for each key the
+        rows see, so its width is the position after the last row."""
+        stop = allow.shape[-1]
+        if stop > self.values.shape[1]:
+            raise UsageError(f"decode buffer holds {self.values.shape[1]} positions, not {stop}")
+        rows = slice(stop - q.shape[1], stop)
+        self.keys_t[..., rows] = np.swapaxes(k.data, 1, 2)
+        self.values[:, rows] = v.data
+        return cached_attention(q, self.keys_t[..., :stop], self.values[:, :stop], allow, capture)
 
 
 class _MaskedSelfAttention(HeadProjections):
@@ -205,10 +264,13 @@ class _MaskedSelfAttention(HeadProjections):
     With `past` (this block's [k, v] cache entry, empty before the first
     rows) the rows of `x` come after the cached positions: they attend to
     those too, and `past` then holds the keys and values of all of them.
+    A decode buffer's entry takes the rows' keys and values in place.
     """
 
-    def __call__(self, x: Tensor, allow, capture: list | None, past: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor, allow, capture: list | None, past=None) -> Tensor:
         q, k, v = self.split(x)
+        if isinstance(past, _InPlaceKV):
+            return self.merge(past.attend(q, k, v, allow, capture))
         if past:
             k, v = (concat([old, new], axis=1) for old, new in zip(past, (k, v)))
         if past is not None:
@@ -297,12 +359,16 @@ class DecoderLM:
         return self._prefix_pass(visual)
 
     def forward(
-        self, seq: MultimodalSequence, capture_attention: bool = False, cache: KVCache | None = None
+        self,
+        seq: MultimodalSequence | DecodeStep,
+        capture_attention: bool = False,
+        cache: KVCache | None = None,
     ) -> tuple[Tensor, list[np.ndarray] | None]:
         """Logits [T - m, V] for rows m..T-1 and, when asked, per-layer
         [H, T - m, T] attention; m is the cache's length, at least the
         prefix's. Without a cache the prefix pass makes one, so the rows
-        are the text rows, BOS onward.
+        are the text rows, BOS onward. A `DecodeStep` is row T - 1 alone,
+        so its cache must hold T - 1 rows.
 
         The rows attend to the m cached positions, and the cache then
         holds all T.
@@ -315,8 +381,14 @@ class DecoderLM:
         start = cache.length
         if start < p:
             raise UsageError(f"cache holds {start} rows, fewer than the prefix's {p}")
+        if isinstance(seq, DecodeStep):
+            if start != t - 1:
+                raise UsageError(f"cache holds {start} rows; a step runs row {t - 1}")
+            ids = [seq.token]
+        else:
+            ids = seq.ids[start:]
         # Text rows carry a token plus a position counted from BOS.
-        x = take_rows(self.tok_embed.value, seq.ids[start:]) + take_rows(
+        x = take_rows(self.tok_embed.value, ids) + take_rows(
             self.pos_embed.value, range(start - p, t - p)
         )
         allow = np.tri(t - start, t, start, dtype=bool)
@@ -347,9 +419,10 @@ class DecoderLM:
     ) -> tuple[list[int], AttentionTrace | None]:
         """Greedy decode; returns generated ids (EOS excluded) and the trace.
 
-        Decoding starts from a snapshot of `prefix`, the `prefix_cache` of
-        the sequence's visual tokens (computed here when not given), so
-        the prefill runs only BOS and the prompt.
+        Decoding runs in a buffer of its own filled with one copy of
+        `prefix`, the `prefix_cache` of the sequence's visual tokens
+        (computed here when not given), so the prefill runs only BOS and
+        the prompt, and each step one token.
         """
         if max_len < 1:
             raise UsageError("max_len must be >= 1")
@@ -359,21 +432,22 @@ class DecoderLM:
             prefix = self.prefix_cache(seq.visual)
         if prefix.length != seq.n_prefix:
             raise UsageError(f"prefix cache holds {prefix.length} rows, not {seq.n_prefix}")
-        cache = prefix.snapshot()
+        p, m = seq.n_prefix, seq.total_len
+        # The trace forward reaches row m + max_len - 1, the furthest any forward here runs.
+        cache = prefix.buffer(p + min(m - p + max_len, self.cfg.max_positions))
         logits, _ = self.forward(seq, cache=cache)  # prefill BOS and the prompt
-        prompted = cache.snapshot()
         generated: list[int] = []
         while (next_id := int(np.argmax(logits.data[-1]))) != EOS:
             generated.append(next_id)
             if len(generated) == max_len:
                 break
-            # The generated tokens so far act as prompt; only the last runs.
-            step = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
+            step = DecodeStep(seq.n_visual, next_id, cache.length - p)
             logits, _ = self.forward(step, cache=cache)
         if not capture_attention:
             return generated, None
+        cache.length = m  # rerun the generated rows after the prompt's
         final = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
-        _, recorded = self.forward(final, capture_attention=True, cache=prompted)
+        _, recorded = self.forward(final, capture_attention=True, cache=cache)
         # [layers, heads, generated, T] -> [generated, layers, heads, visual]
         shape = (self.cfg.layers, self.cfg.heads, len(generated), final.total_len)
         layers = np.array(recorded).reshape(shape)[..., seq.visual_slice()]

@@ -8,6 +8,7 @@ from .tensor import (
     UsageError,
     affine,
     attention,
+    cached_attention,
     concat,
     cross_entropy,
     layer_norm,
@@ -24,6 +25,7 @@ __all__ = [
     "UsageError",
     "affine",
     "attention",
+    "cached_attention",
     "concat",
     "cross_entropy",
     "layer_norm",

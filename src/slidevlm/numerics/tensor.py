@@ -4,12 +4,14 @@ Just enough array machinery to train every block in this repo at desk
 scale: row-major numpy storage, a taped backward pass, and the fused ops
 (affine maps, layer norm, attention, cross entropy, row gather/scatter)
 that the two stacks need. Each keeps on the tape only what its backward
-reads; `attention` is their only softmax over scores. Nothing broadcasts:
-`+` and `*` take equal shapes and `@` two matrices, and a mismatch raises
-`UsageError` instead of summing a gradient down to a wrong shape. Every
-op checks that its output is finite, so numerical blowups surface at the
-op that caused them. `backward` frees each tape node once its grads are
-out. Under `no_grad()` ops keep no tape: their results have no parents.
+reads; `attention` and `cached_attention`, its untaped form over a
+decoder's in-place cache, share the only softmax over scores. Nothing
+broadcasts: `+` and `*` take equal shapes and `@` two matrices, and a
+mismatch raises `UsageError` instead of summing a gradient down to a
+wrong shape. Every op checks that its output is finite, so numerical
+blowups surface at the op that caused them. `backward` frees each tape
+node once its grads are out. Under `no_grad()` ops keep no tape: their
+results have no parents.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "Tensor",
     "affine",
     "attention",
+    "cached_attention",
     "concat",
     "cross_entropy",
     "layer_norm",
@@ -325,6 +328,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), backward)
 
 
+def _masked_softmax(weights: np.ndarray, scale: float, v: np.ndarray, allow, capture):
+    """The weights and `lse` of `attention` and their product with v, from
+    the unscaled scores q·k, which become the weights in place and which
+    `capture` receives."""
+    allow = np.asarray(allow, dtype=bool)
+    try:
+        np.broadcast_to(allow, weights.shape)
+    except ValueError:
+        raise UsageError(f"mask of shape {allow.shape} does not fit scores {weights.shape}") from None
+    weights *= scale
+    peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
+    peak[peak == -np.inf] = 0.0
+    weights -= peak
+    np.copyto(weights, -np.inf, where=~allow)
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=-1, keepdims=True)
+    np.copyto(total, 1.0, where=total == 0.0)
+    weights /= total
+    if capture is not None:
+        capture.append(weights)
+    return weights, (peak + np.log(total))[..., 0], weights @ v
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Tensor, Tensor]:
     """Masked softmax attention and each row's log-denominator, in one pass.
 
@@ -344,24 +370,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Ten
     )
     scale = 1.0 / np.sqrt(q.shape[-1])
     # A contiguous k^T makes the scores equal a plain q @ k^T bit for bit.
-    weights = q.data @ np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    allow = np.asarray(allow, dtype=bool)
-    try:
-        np.broadcast_to(allow, weights.shape)
-    except ValueError:
-        raise UsageError(f"mask of shape {allow.shape} does not fit scores {weights.shape}") from None
-    weights *= scale
-    peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
-    peak[peak == -np.inf] = 0.0
-    weights -= peak
-    np.copyto(weights, -np.inf, where=~allow)
-    np.exp(weights, out=weights)
-    total = weights.sum(axis=-1, keepdims=True)
-    np.copyto(total, 1.0, where=total == 0.0)
-    weights /= total
-    lse = (peak + np.log(total))[..., 0]
-    if capture is not None:
-        capture.append(weights)
+    scores = q.data @ np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    weights, lse, out = _masked_softmax(scores, scale, v.data, allow, capture)
 
     def scores_backward(d_scores):
         d_scores *= scale
@@ -382,8 +392,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Ten
     def lse_backward(grad):
         scores_backward(weights * grad[..., None])
 
-    out = Tensor._result(weights @ v.data, (q, k, v), out_backward)
+    out = Tensor._result(out, (q, k, v), out_backward)
     return out, Tensor._result(lse, (q, k), lse_backward)
+
+
+def cached_attention(q: Tensor, k_t: np.ndarray, v: np.ndarray, allow, capture=None) -> Tensor:
+    """`attention`'s `out` over keys and values a decoder keeps in place.
+
+    The keys come transposed, k_t [..., d, m], and v is [..., m, e]; both
+    are arrays, typically views of a preallocated cache, and neither is
+    copied or scanned again. The result keeps no tape, so grad must be off
+    or q must not need it. `capture` receives the weights, as in `attention`.
+    """
+    shapes = (q.shape, k_t.shape, v.shape)
+    if not (
+        min(map(len, shapes)) >= 2
+        and q.shape[:-2] == k_t.shape[:-2] == v.shape[:-2]
+        and q.shape[-1] == k_t.shape[-2]
+        and k_t.shape[-1] == v.shape[-2]
+    ):
+        raise UsageError(
+            "cached_attention needs q [..., n, d], k_t [..., d, m] and v [..., m, e]; "
+            f"got shapes {', '.join(map(str, shapes))}"
+        )
+    if _grad_mode.enabled and q.requires_grad:
+        raise UsageError("cached_attention keeps no tape; run it under no_grad()")
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    _, _, out = _masked_softmax(q.data @ k_t, scale, v, allow, capture)
+    return Tensor._result(out, (), None)
 
 
 def cross_entropy(logits: Tensor, targets, mask) -> Tensor:

@@ -14,6 +14,7 @@ from slidevlm.curation import filter_prompt
 from slidevlm.encoders import EmbeddingMatrix, load_embeddings, save_embeddings
 from slidevlm import jsonio
 from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord
+from slidevlm.lm import Vocab
 from slidevlm.prompts import caption_prompt, qa_prompt, report_clean_prompt
 
 CONFIG = {
@@ -795,6 +796,25 @@ def test_embeddings_of_another_width_exit_two_before_writing(world, tmp_path, ca
         assert main(argv) == 2, run
         assert capsys.readouterr().err == want
         assert list((tmp_path / run).iterdir()) == []
+
+
+def test_checkpoint_of_another_vocabulary_exits_two_before_writing(world, tmp_path, capsys):
+    ckpt = world["train2"] / "stage2_best.ckpt"
+    trained = len((world["train2"] / "vocab.txt").read_text().splitlines())
+    samples = tmp_path / "samples.jsonl"
+    write_jsonl(samples, [dict(SAMPLES[1], target="no")])  # is, tumor, present, no
+    vocab = tmp_path / "vocab.txt"
+    Vocab.build(["is tumor present no"]).save(vocab)
+    want = (f"error: usage: {ckpt}: lm.tok_embed: checkpoint shape ({trained}, 8) "
+            f"!= model shape (10, 8)\n")
+    train = [*_train_argv(world, tmp_path / "train", samples, world["slides"]), "--init", str(ckpt)]
+    infer = _infer_argv(world, tmp_path / "infer", world["base"],
+                        world["slides"] / "s1.emb", world["slides"] / "s1.grid")
+    infer[infer.index("--vocab") + 1] = str(vocab)
+    for run, argv in (("train", train), ("infer", infer)):
+        assert main(argv) == 2, run
+        assert capsys.readouterr().err == want
+        assert list((tmp_path / run).iterdir()) == []  # no vocab.txt, no checkpoint
 
 
 def test_train_loads_each_slide_once(world, tmp_path, monkeypatch):

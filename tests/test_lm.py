@@ -1,7 +1,9 @@
 """Tokenizer, sequence assembly, decoder masking, loss, and greedy decoding."""
 
+import contextlib
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from slidevlm.lm import (
     PAD,
     SPECIALS,
     UNK,
+    DecodeStep,
     DecoderConfig,
     DecoderLM,
+    KVCache,
     MultimodalSequence,
     Vocab,
     _MaskedSelfAttention,
@@ -25,7 +29,15 @@ from slidevlm.lm import (
     text_positions,
 )
 from slidevlm import lm as lm_module
-from slidevlm.numerics import UsageError, Tensor, concat, cross_entropy, stream, take_rows
+from slidevlm.numerics import (
+    UsageError,
+    Tensor,
+    concat,
+    cross_entropy,
+    no_grad,
+    stream,
+    take_rows,
+)
 
 WORDS = ["tumor", "stroma", "slide", "shows", "the", "a", "tissue", "margin"]
 
@@ -585,8 +597,10 @@ def test_cached_decode_runs_one_row_per_step(monkeypatch):
         logits, att = forward(s, capture_attention, cache)
         shapes = None if att is None else [a.shape for a in att]
         calls.append((before, cache.length, logits.shape[0], shapes))
+        inputs.append(s)
         return logits, att
 
+    inputs = []
     monkeypatch.setattr(lm, "forward", spy)
     ids, _ = lm.generate(seq, max_len=5)
     assert len(ids) == 5
@@ -595,22 +609,163 @@ def test_cached_decode_runs_one_row_per_step(monkeypatch):
     assert prefill == (p, m, m - p, None)  # BOS and the prompt only
     assert steps == [(m + i, m + i + 1, 1, None) for i in range(4)]
     assert trace == (m, m + 5, 5, [(2, 5, m + 5)] * 2)
+    # Each step is one token id at its position, not a sequence of the slide.
+    assert inputs[1:-1] == [DecodeStep(3, ids[i], m - p + i) for i in range(4)]
 
 
 def test_cached_forward_row_matches_full_forward():
+    # The prefix cache's layout joins new keys on; a decode buffer, which
+    # keeps no tape, writes them in place.
     lm = tiny_lm()
     v = vocab()
     prompt = assemble(visual(3), "the slide", None, v)
     longer = assemble(visual(3), "the slide shows", None, v)
-    cache = lm.prefix_cache(prompt.visual)
-    lm.forward(prompt, cache=cache)
     m = prompt.total_len
-    logits, att = lm.forward(longer, capture_attention=True, cache=cache)
     full_logits, full_att = lm.forward(longer, capture_attention=True)
-    assert cache.length == m + 1
-    assert logits.shape == (1, len(SPECIALS) + len(WORDS))
-    row = m - longer.n_prefix  # the full forward's logits are the text rows'
-    np.testing.assert_allclose(logits.data[0], full_logits.data[row], rtol=0, atol=1e-12)
-    for got, want in zip(att, full_att, strict=True):
-        assert got.shape == (2, 1, m + 1)
-        np.testing.assert_allclose(got[:, 0], want[:, row], rtol=0, atol=1e-12)
+    for in_place in (False, True):
+        cache = lm.prefix_cache(prompt.visual)
+        with no_grad() if in_place else contextlib.nullcontext():
+            if in_place:
+                cache = cache.buffer(longer.total_len)
+            lm.forward(prompt, cache=cache)
+            logits, att = lm.forward(longer, capture_attention=True, cache=cache)
+        assert cache.length == m + 1
+        assert logits.shape == (1, len(SPECIALS) + len(WORDS))
+        row = m - longer.n_prefix  # the full forward's logits are the text rows'
+        np.testing.assert_allclose(logits.data[0], full_logits.data[row], rtol=0, atol=1e-12)
+        for got, want in zip(att, full_att, strict=True):
+            assert got.shape == (2, 1, m + 1)
+            np.testing.assert_allclose(got[:, 0], want[:, row], rtol=0, atol=1e-12)
+
+
+# -- decoding in place against the decode loop it replaced --------------------------------
+
+
+def joined_cache_generate(lm, seq, max_len):
+    """The decode loop the in-place buffer replaced, kept as the reference:
+    the prefill and each step join their keys and values onto list copies
+    of the cache with `concat`, and each step runs a sequence of the whole
+    prompt plus the tokens so far. Returns the ids and the trace values."""
+    with no_grad():
+        prefix = lm.prefix_cache(seq.visual)
+        cache = KVCache(prefix.length, [list(pair) for pair in prefix.kv])
+        logits, _ = lm.forward(seq, cache=cache)
+        prompted = KVCache(cache.length, [list(pair) for pair in cache.kv])
+        generated = []
+        while (next_id := int(np.argmax(logits.data[-1]))) != EOS:
+            generated.append(next_id)
+            if len(generated) == max_len:
+                break
+            step = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
+            logits, _ = lm.forward(step, cache=cache)
+        final = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
+        _, recorded = lm.forward(final, capture_attention=True, cache=prompted)
+    shape = (lm.cfg.layers, lm.cfg.heads, len(generated), final.total_len)
+    layers = np.array(recorded).reshape(shape)[..., seq.visual_slice()]
+    return generated, layers.transpose(2, 0, 1, 3)
+
+
+def eos_mid_decode(lm, seq):
+    """Set the EOS logit so that greedy decoding stops within six tokens,
+    at the step where EOS trails least; returns the tokens before it."""
+    lm.head.bias.value.data[EOS] = -1e9
+    _, _, last_logits = full_forward_greedy(lm, seq, 6)
+    margins = [np.delete(row, EOS).max() - row[EOS] for row in last_logits]
+    k = int(np.argmin(margins))
+    assert 0 < k < 5
+    lm.head.bias.value.data[EOS] += (margins[k] + min(margins[:k])) / 2
+    return k
+
+
+@pytest.mark.parametrize("kw,max_len,tokens", [
+    ({}, 6, 6),
+    ({"causal_visual": True}, 6, 6),
+    ({"tied_head": True}, 6, 6),
+    ({"layers": 0}, 6, 6),
+    ({}, 1, 1),
+    ({"eos": True}, 6, None),
+    ({"heads": 4, "head_dim": 32, "max_positions": 256}, 9, 9),
+], ids=["default", "causal-visual", "tied-head", "no-layers", "max-len-1", "eos-mid-decode",
+        "default-dims"])
+def test_in_place_decode_is_bit_identical_to_the_joined_cache(kw, max_len, tokens):
+    kw = dict(kw)
+    eos = kw.pop("eos", False)
+    lm = tiny_lm(**kw)
+    seq = assemble(visual(37, dim=lm.cfg.dim), "the slide shows the tissue", None, vocab())
+    if eos:
+        tokens = eos_mid_decode(lm, seq)
+    elif lm.head is not None:
+        lm.head.bias.value.data[EOS] = -1e9  # decode all max_len tokens
+    want_ids, want_trace = joined_cache_generate(lm, seq, max_len)
+    ids, trace = lm.generate(seq, max_len=max_len)
+    assert ids == want_ids and len(ids) == tokens
+    assert trace.values.shape == want_trace.shape
+    assert np.array_equal(trace.values, want_trace)
+
+
+def test_generate_joins_no_cache(monkeypatch):
+    lm = tiny_lm()
+    seq = assemble(visual(3), "the slide shows", None, vocab())
+    prefix = lm.prefix_cache(seq.visual)
+    calls = []
+    real = lm_module.concat
+
+    def spy(tensors, axis=0):
+        calls.append(axis)
+        return real(tensors, axis)
+
+    monkeypatch.setattr(lm_module, "concat", spy)
+    ids, trace = lm.generate(seq, max_len=5, prefix=prefix)
+    assert len(ids) == 5 and trace is not None
+    assert calls == []
+
+
+def test_generate_leaves_the_prefix_cache_unwritten():
+    lm = tiny_lm()
+    seq = assemble(visual(3), "the slide shows", None, vocab())
+    prefix = lm.prefix_cache(seq.visual)
+    before = [[t.data.copy() for t in pair] for pair in prefix.kv]
+    first = lm.generate(seq, max_len=5, prefix=prefix)
+    second = lm.generate(seq, max_len=5, prefix=prefix)
+    assert prefix.length == seq.n_prefix
+    for pair, copies in zip(prefix.kv, before, strict=True):
+        assert all(np.array_equal(t.data, c) for t, c in zip(pair, copies, strict=True))
+    assert first[0] == second[0]
+    assert np.array_equal(first[1].values, second[1].values)
+
+
+def test_generate_past_max_positions_fails_at_the_same_step():
+    # BOS, three prompt words and three tokens fill 7 positions. A fourth
+    # token is emitted without running its row, unless the trace reruns it;
+    # the step that would run a fourth token's row fails, as a forward over
+    # the whole sequence does.
+    lm = tiny_lm(max_positions=7)
+    for p in lm.params():
+        p.value.data[...] = 0.0
+    seq = assemble(visual(2), "the slide shows", None, vocab())
+    ids, _ = lm.generate(seq, max_len=4, capture_attention=False)
+    assert len(ids) == 4
+    for max_len, capture in ((4, True), (5, False)):
+        with pytest.raises(UsageError, match="text span 8 exceeds max positions 7"):
+            lm.generate(seq, max_len=max_len, capture_attention=capture)
+
+
+def test_decode_memory_does_not_grow_with_tokens():
+    # Default dims, 2048 visual tokens, a warm prefix and EOS suppressed: a
+    # step that copied the cache would hold another [H, T, dh] per block.
+    lm = DecoderLM(DecoderConfig(), len(SPECIALS) + len(WORDS), seed=0)
+    lm.head.bias.value.data[EOS] = -1e9
+    seq = assemble(visual(2048, dim=lm.cfg.dim), "the slide", None, vocab())
+    prefix = lm.prefix_cache(seq.visual)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for max_len in (1, 16):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ids, _ = lm.generate(seq, max_len=max_len, capture_attention=False, prefix=prefix)
+            assert len(ids) == max_len
+            peaks[max_len] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks[16] - peaks[1] <= 256 * 1024, peaks

@@ -19,6 +19,7 @@ from slidevlm.numerics import (
     UsageError,
     affine,
     attention,
+    cached_attention,
     concat,
     cross_entropy,
     layer_norm,
@@ -170,6 +171,31 @@ def test_attention_tape_keeps_only_the_weights():
         closure = [c.cell_contents for c in t._backward.__closure__]
         held = [a for a in closure if isinstance(a, np.ndarray) and a.ndim == 3]
         assert len(held) == 1 and held[0] is capture[0]
+
+
+def test_cached_attention_over_views_equals_attention():
+    # Keys stored transposed in a wider buffer, read through views, give
+    # attention's output and weights bit for bit.
+    rng = stream(6, "cached-attention")
+    heads, n, t, d, e, cap = 3, 2, 7, 5, 4, 11
+    q, k, v = rng.normal(size=(heads, n, d)), rng.normal(size=(heads, t, d)), rng.normal(size=(heads, t, e))
+    allow = np.tri(n, t, t - n, dtype=bool)
+    keys_t, values = np.zeros((heads, d, cap)), np.zeros((heads, cap, e))
+    keys_t[..., :t], values[:, :t] = np.swapaxes(k, 1, 2), v
+    want, got = [], []
+    out, _ = attention(Tensor(q), Tensor(k), Tensor(v), allow, want)
+    cached = cached_attention(Tensor(q), keys_t[..., :t], values[:, :t], allow, got)
+    assert np.array_equal(cached.data, out.data) and np.array_equal(got[0], want[0])
+    assert not cached.requires_grad
+    tracked = Tensor(q, requires_grad=True)
+    with pytest.raises(UsageError, match="no_grad"):
+        cached_attention(tracked, keys_t[..., :t], values[:, :t], allow)
+    with no_grad():
+        assert np.array_equal(cached_attention(tracked, keys_t[..., :t], values[:, :t], allow).data, out.data)
+    with pytest.raises(UsageError, match="k_t"):
+        cached_attention(Tensor(q), keys_t[..., :t], values[:, : t - 1], allow)
+    with pytest.raises(UsageError, match="mask"):
+        cached_attention(Tensor(q), keys_t[..., :t], values[:, :t], allow[:, 1:])
 
 
 # -- affine and layer norm ----------------------------------------------------------
