@@ -305,12 +305,15 @@ class ReportRecord:
 
 @dataclass
 class QACandidate:
-    """A generated question before filtering, with its provenance."""
+    """A generated question before filtering, with its provenance: the
+    source report and, in report order, every slide it links
+    (`record.slide_id` is the first)."""
 
     record: QARecord
     reasoning: str | None
     source_report: str
     prompt_hash: str
+    slide_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -404,7 +407,7 @@ def _candidate_from_item(
     raw: dict,
     broad: str,
     source_report: str,
-    slide_id: str,
+    slide_ids: Sequence[str],
     seq: int,
     prompt_h: str,
 ) -> QACandidate | str:
@@ -443,7 +446,7 @@ def _candidate_from_item(
     reasoning = raw.get("reasoning")
     record = QARecord(
         id=f"{source_report}-{broad.lower()}-{seq:03d}",
-        slide_id=slide_id,
+        slide_id=slide_ids[0] if slide_ids else "",
         question=question.strip(),
         options=list(options),
         answer=answer,
@@ -456,6 +459,7 @@ def _candidate_from_item(
         reasoning=reasoning if isinstance(reasoning, str) else None,
         source_report=source_report,
         prompt_hash=prompt_h,
+        slide_ids=list(slide_ids),
     )
 
 
@@ -464,23 +468,24 @@ def gen_qas(
     broad: str,
     lane: Lane,
     source_report: str = "report",
-    slide_id: str = "",
+    slide_ids: Sequence[str] = (),
 ) -> Pending[tuple[list[QACandidate], list[DropReason]]]:
     """Generate QA candidates for one broad category of one cleaned report.
 
     Every JSON object in the reply is validated independently; malformed
-    ones come back as DropReasons instead of killing the batch.
+    ones come back as DropReasons instead of killing the batch. Each
+    candidate carries `slide_ids`, and its record names the first.
     """
     if broad not in NARROW_BY_BROAD:
         raise UsageError(f"unknown broad category {broad!r}")
     if not cleaned.strip():
         raise UsageError("cannot generate questions from an empty report")
     reply = lane.ask(QA_TEMPLATE_HASH, cleaned + "\n" + broad, qa_prompt(cleaned, broad))
-    return Pending(lambda: _parse_qas(reply.result(), broad, source_report, slide_id))
+    return Pending(lambda: _parse_qas(reply.result(), broad, source_report, slide_ids))
 
 
 def _parse_qas(
-    reply: str, broad: str, source_report: str, slide_id: str
+    reply: str, broad: str, source_report: str, slide_ids: Sequence[str]
 ) -> tuple[list[QACandidate], list[DropReason]]:
     candidates: list[QACandidate] = []
     drops: list[DropReason] = []
@@ -495,7 +500,7 @@ def _parse_qas(
             drops.append(DropReason(index, f"invalid JSON: {exc}", span[:200]))
             continue
         result = _candidate_from_item(
-            raw, broad, source_report, slide_id, len(candidates), QA_TEMPLATE_HASH
+            raw, broad, source_report, slide_ids, len(candidates), QA_TEMPLATE_HASH
         )
         if isinstance(result, str):
             drops.append(DropReason(index, result, span[:200]))
@@ -710,7 +715,7 @@ def run_curation(
             part.cleaned[pid] = cleaned = clean_report(report, chat)
             caption = gen_caption(cleaned, chat)
             qas = [
-                gen_qas(cleaned, broad, chat, source_report=pid, slide_id=report.slide_ids[0])
+                gen_qas(cleaned, broad, chat, source_report=pid, slide_ids=report.slide_ids)
                 for broad in broads
             ]
             part.captions[pid] = caption.result()
@@ -754,8 +759,8 @@ def run_curation(
 def save_candidates(path, candidates: Sequence[QACandidate]) -> None:
     """Line-delimited candidates: record fields plus provenance."""
     rows = (
-        dict(c.record.__dict__, reasoning=c.reasoning,
-             source_report=c.source_report, prompt_hash=c.prompt_hash)
+        dict(c.record.__dict__, reasoning=c.reasoning, source_report=c.source_report,
+             prompt_hash=c.prompt_hash, slide_ids=c.slide_ids)
         for c in candidates
     )
     write_jsonl(path, rows)

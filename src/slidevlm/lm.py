@@ -1,10 +1,12 @@
 """Tokenizer, multimodal sequence assembly, and a tiny causal decoder.
 
 Sequences carry a visual prefix: [IMG_START, v_1..v_N, IMG_END, BOS,
-prompt..., answer..., EOS]. The loss mask covers the answer span plus
-EOS only. Text positions attend causally; every text position sees every
-visual position; visual positions attend bidirectionally among
-themselves unless the fully-causal flag is set, so the prefix rows
+prompt..., answer..., EOS]. A sequence holds the token ids of its text
+rows alone, BOS onward; the prefix rows' inputs are the image marks and
+the visual tokens. The loss mask covers the answer span plus EOS only.
+Text positions attend causally; every text position sees every visual
+position; visual positions attend bidirectionally among themselves
+unless the fully-causal flag is set, so the prefix rows
 (IMG_START, visual tokens, IMG_END) never see text: their keys and values
 depend only on the visual tokens and the weights.
 
@@ -17,10 +19,11 @@ Generation is greedy with ties broken by the lowest token id, and keeps
 no autodiff tape. Each request decodes into a key/value buffer of its
 own, sized to the text rows it can reach and filled once with a copy of
 the prefix rows' cache, which stays unwritten. One prefill forward over
-BOS and the prompt writes its rows in place, then each further token runs
-one row and writes one. The attention trace, from each generated token to
-every visual position, comes from one more forward that rewinds the
-buffer to the end of the prompt and reruns just the generated rows.
+BOS and the prompt writes its rows in place, then each further token is
+the sequence grown by that token, whose forward runs one row and writes
+one. The attention trace, from each generated token to every visual
+position, comes from one more forward that rewinds the buffer to the end
+of the prompt and reruns just the generated rows.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .numerics import (
 __all__ = [
     "Vocab",
     "MultimodalSequence",
-    "DecodeStep",
     "DecoderConfig",
     "DecoderLM",
     "KVCache",
@@ -115,9 +117,10 @@ class Vocab:
 class MultimodalSequence:
     """One assembled training or inference example.
 
-    `ids` holds the token id at every position, with visual positions
-    set to PAD as placeholders (their content comes from `visual`).
-    `loss_mask` is true exactly on the answer span plus its EOS.
+    Its positions are the prefix rows (IMG_START, the visual tokens,
+    IMG_END), then the text rows. `ids` holds the text rows' token ids,
+    [BOS, prompt..., answer..., EOS], and `loss_mask` is true over them
+    exactly on the answer span plus its EOS.
     """
 
     visual: object                 # Tensor or ndarray [N, D_lm]
@@ -134,19 +137,17 @@ class MultimodalSequence:
         if not self.prompt_ids:
             raise UsageError("prompt must not be empty")
         self.n_visual = data.shape[0]
-        tail = [IMG_END, BOS, *self.prompt_ids]
-        mask_tail = [False] * len(tail)
+        ids = [BOS, *self.prompt_ids]
+        mask = [False] * len(ids)
         if self.answer_ids is not None:
-            tail += [*self.answer_ids, EOS]
-            mask_tail += [True] * (len(self.answer_ids) + 1)
-        self.ids = np.array([IMG_START] + [PAD] * self.n_visual + tail, dtype=np.int64)
-        self.loss_mask = np.array(
-            [False] * (1 + self.n_visual) + mask_tail, dtype=bool
-        )
+            ids += [*self.answer_ids, EOS]
+            mask += [True] * (len(self.answer_ids) + 1)
+        self.ids = np.array(ids, dtype=np.int64)
+        self.loss_mask = np.array(mask, dtype=bool)
 
     @property
     def total_len(self) -> int:
-        return self.ids.size
+        return self.n_prefix + self.ids.size
 
     @property
     def n_prefix(self) -> int:
@@ -156,25 +157,6 @@ class MultimodalSequence:
 
     def visual_slice(self) -> slice:
         return slice(1, 1 + self.n_visual)
-
-
-@dataclass(frozen=True)
-class DecodeStep:
-    """One generated token, `token`, at text position `position` (BOS is 0)
-    of a sequence with `n_visual` visual tokens: a forward over it runs
-    the single row after the cached ones."""
-
-    n_visual: int
-    token: int
-    position: int
-
-    @property
-    def n_prefix(self) -> int:
-        return self.n_visual + 2
-
-    @property
-    def total_len(self) -> int:
-        return self.n_prefix + self.position + 1
 
 
 def assemble(visual, prompt: str, answer: str | None, vocab: Vocab) -> MultimodalSequence:
@@ -261,20 +243,19 @@ class _InPlaceKV:
 class _MaskedSelfAttention(HeadProjections):
     """Dense multi-head attention under a boolean layout mask.
 
-    With `past` (this block's [k, v] cache entry, empty before the first
-    rows) the rows of `x` come after the cached positions: they attend to
-    those too, and `past` then holds the keys and values of all of them.
-    A decode buffer's entry takes the rows' keys and values in place.
+    The rows of `x` come after the positions cached in `past`, this
+    block's [k, v] cache entry (empty before the first rows): they attend
+    to those too, and `past` then holds the keys and values of all of
+    them. A decode buffer's entry takes the rows' keys and values in place.
     """
 
-    def __call__(self, x: Tensor, allow, capture: list | None, past=None) -> Tensor:
+    def __call__(self, x: Tensor, allow, capture: list | None, past) -> Tensor:
         q, k, v = self.split(x)
         if isinstance(past, _InPlaceKV):
             return self.merge(past.attend(q, k, v, allow, capture))
         if past:
             k, v = (concat([old, new], axis=1) for old, new in zip(past, (k, v)))
-        if past is not None:
-            past[:] = [k, v]
+        past[:] = [k, v]
         out, _ = attention(q, k, v, allow, capture)
         return self.merge(out)
 
@@ -360,15 +341,15 @@ class DecoderLM:
 
     def forward(
         self,
-        seq: MultimodalSequence | DecodeStep,
+        seq: MultimodalSequence,
         capture_attention: bool = False,
         cache: KVCache | None = None,
     ) -> tuple[Tensor, list[np.ndarray] | None]:
         """Logits [T - m, V] for rows m..T-1 and, when asked, per-layer
-        [H, T - m, T] attention; m is the cache's length, at least the
-        prefix's. Without a cache the prefix pass makes one, so the rows
-        are the text rows, BOS onward. A `DecodeStep` is row T - 1 alone,
-        so its cache must hold T - 1 rows.
+        [H, T - m, T] attention; m is the cache's length, from the
+        prefix's up to T. Without a cache the prefix pass makes one, so the
+        rows are the text rows, BOS onward. A decode step is the sequence
+        grown by one token over a cache of all rows but its last.
 
         The rows attend to the m cached positions, and the cache then
         holds all T.
@@ -379,16 +360,10 @@ class DecoderLM:
         if cache is None:
             cache = self._prefix_pass(seq.visual)
         start = cache.length
-        if start < p:
-            raise UsageError(f"cache holds {start} rows, fewer than the prefix's {p}")
-        if isinstance(seq, DecodeStep):
-            if start != t - 1:
-                raise UsageError(f"cache holds {start} rows; a step runs row {t - 1}")
-            ids = [seq.token]
-        else:
-            ids = seq.ids[start:]
+        if not p <= start <= t:
+            raise UsageError(f"cache holds {start} rows; the sequence has {p} prefix rows, {t} in all")
         # Text rows carry a token plus a position counted from BOS.
-        x = take_rows(self.tok_embed.value, ids) + take_rows(
+        x = take_rows(self.tok_embed.value, seq.ids[start - p :]) + take_rows(
             self.pos_embed.value, range(start - p, t - p)
         )
         allow = np.tri(t - start, t, start, dtype=bool)
@@ -404,10 +379,7 @@ class DecoderLM:
         if seq.answer_ids is None:
             raise UsageError("loss needs a sequence with an answer")
         logits, _ = self.forward(seq)
-        p = seq.n_prefix
-        return cross_entropy(
-            logits.rows(0, seq.total_len - p - 1), seq.ids[p + 1 :], seq.loss_mask[p + 1 :]
-        )
+        return cross_entropy(logits.rows(0, seq.ids.size - 1), seq.ids[1:], seq.loss_mask[1:])
 
     @no_grad()
     def generate(
@@ -422,7 +394,8 @@ class DecoderLM:
         Decoding runs in a buffer of its own filled with one copy of
         `prefix`, the `prefix_cache` of the sequence's visual tokens
         (computed here when not given), so the prefill runs only BOS and
-        the prompt, and each step one token.
+        the prompt, and each step, the sequence grown by one token, runs
+        that token's row alone.
         """
         if max_len < 1:
             raise UsageError("max_len must be >= 1")
@@ -441,7 +414,7 @@ class DecoderLM:
             generated.append(next_id)
             if len(generated) == max_len:
                 break
-            step = DecodeStep(seq.n_visual, next_id, cache.length - p)
+            step = MultimodalSequence(seq.visual, seq.prompt_ids + generated, None)
             logits, _ = self.forward(step, cache=cache)
         if not capture_attention:
             return generated, None

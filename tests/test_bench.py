@@ -3,6 +3,10 @@
 import importlib
 from pathlib import Path
 
+from conftest import random_slides, tiny_model
+
+from slidevlm.lm import EOS
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -26,3 +30,31 @@ def test_bench_builds_its_model_and_wraps_every_entry_point(monkeypatch):
         rec.restore()
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
+
+
+def test_the_tracer_sees_every_decoder_forward_of_a_caption(monkeypatch):
+    # Answer.layers splits a caption's forwards into the non-capturing
+    # prefill and steps and the one capturing trace forward.
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    model = tiny_model(seed=3)
+    model.lm.head.bias.value.data[EOS] = -1e9  # decode all max_len tokens
+    slide = random_slides(1, n_patches=6)["s0"]
+
+    rec = spans.SpanRecorder()
+    try:
+        spans.instrument(rec)
+        wrapped = list(rec._undo)
+        _, trace = model.generate(slide, "describe the tissue", max_len=5)
+    finally:
+        rec.restore()
+    for owner, attr, original in wrapped:
+        assert getattr(owner, attr) is original, attr
+    (gen,) = rec.named("lm.generate")
+    assert gen["attrs"] == {"max_len": 5, "tokens": 5}
+    forwards = [f for f in rec.children(gen) if f["name"] == "lm.forward"]
+    assert forwards == rec.named("lm.forward")
+    n = trace.values.shape[-1]
+    assert [f["attrs"] for f in forwards] == (
+        [{"n": n, "capture": False}] * 5 + [{"n": n, "capture": True}]
+    )

@@ -412,7 +412,7 @@ def qa_reply(*items):
 def test_gen_qas_parses_fenced_items():
     with Lane(MockChatClient(replies=[qa_reply(MC_ITEM, SA_ITEM)]), 1) as lane:
         candidates, drops = gen_qas(
-            "cleaned", "Diagnosis", lane, source_report="p1", slide_id="s1"
+            "cleaned", "Diagnosis", lane, source_report="p1", slide_ids=["s1"]
         ).result()
     assert drops == []
     assert [c.record.id for c in candidates] == ["p1-diagnosis-000", "p1-diagnosis-001"]
@@ -424,7 +424,7 @@ def test_gen_qas_parses_fenced_items():
     assert sa.record.options == []
     # Braces inside a JSON string must not confuse the object scanner.
     assert sa.record.question == "Name the {primary} diagnosis."
-    assert mc.record.slide_id == "s1"
+    assert mc.record.slide_id == "s1" and mc.slide_ids == ["s1"]
     assert mc.prompt_hash == candidates[1].prompt_hash
 
 
@@ -710,6 +710,12 @@ def test_run_curation_end_to_end(tmp_path):
     assert result.candidates[0].record.slide_id == "s1a"
     assert result.kept == result.candidates  # no filter clients
     assert result.flagged == {} and result.drops == []
+    # Every candidate keeps all the slides of its report, in report order.
+    want = [["s1a", "s1b"], ["s1a", "s1b"], ["s2"]]
+    assert [c.slide_ids for c in result.candidates] == want
+    save_candidates(tmp_path / "kept.jsonl", result.kept)
+    rows = [json.loads(line) for line in (tmp_path / "kept.jsonl").read_text().splitlines()]
+    assert [(row["slide_id"], row["slide_ids"]) for row in rows] == [(s[0], s) for s in want]
 
 
 def test_run_curation_parallel_matches_serial():

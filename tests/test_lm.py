@@ -18,7 +18,6 @@ from slidevlm.lm import (
     PAD,
     SPECIALS,
     UNK,
-    DecodeStep,
     DecoderConfig,
     DecoderLM,
     KVCache,
@@ -120,16 +119,36 @@ def test_vocab_build_sorts_corpus_words():
 # -- sequence assembly ----------------------------------------------------------
 
 
+def full_layout(seq) -> tuple[np.ndarray, np.ndarray]:
+    """The token id and loss flag at every position of `seq`, as the dense
+    references index them: IMG_START, a PAD placeholder for each visual
+    token and IMG_END, then the sequence's text rows."""
+    marks = np.array([IMG_START, *[PAD] * seq.n_visual, IMG_END], dtype=np.int64)
+    ids = np.concatenate([marks, seq.ids])
+    mask = np.concatenate([np.zeros(marks.size, dtype=bool), seq.loss_mask])
+    return ids, mask
+
+
 def test_layout_arithmetic():
     v = vocab()
     seq = assemble(visual(2), "the slide shows", "tumor tissue", v)
     # [IMG_START, v1, v2, IMG_END, BOS, 3 prompt, 2 answer, EOS] = 11
     assert seq.total_len == 11
-    assert seq.loss_mask.sum() == 3
-    assert seq.loss_mask[-3:].all() and not seq.loss_mask[:-3].any()
-    assert seq.ids[0] == IMG_START and seq.ids[3] == IMG_END
-    assert seq.ids[4] == BOS and seq.ids[-1] == EOS
-    assert (seq.ids[1:3] == PAD).all()
+    assert seq.n_prefix == 4 and seq.ids.size == seq.loss_mask.size == 7
+    ids, mask = full_layout(seq)
+    assert ids.size == mask.size == seq.total_len
+    assert mask.sum() == 3
+    assert mask[-3:].all() and not mask[:-3].any()
+    assert ids[0] == IMG_START and ids[3] == IMG_END
+    assert ids[4] == BOS and ids[-1] == EOS
+    assert (ids[1:3] == PAD).all()
+
+
+@pytest.mark.parametrize("n", [1, 4096])
+def test_text_rows_do_not_grow_with_the_visual_tokens(n):
+    seq = assemble(visual(n), "the slide shows", "tumor tissue", vocab())
+    assert seq.ids.size == seq.loss_mask.size == 7
+    assert seq.total_len == n + 2 + 7
 
 
 def test_inference_sequence_has_no_loss_positions():
@@ -221,7 +240,7 @@ def test_layout_mask_rows_from_any_start(monkeypatch, causal_visual):
     for start in range(p, t + 1):
         cache = lm.prefix_cache(seq.visual)
         head = copy.copy(seq)
-        head.ids = seq.ids[:start]
+        head.ids = seq.ids[: start - p]
         lm.forward(head, cache=cache)
         calls.clear()
         lm.forward(seq, cache=cache)
@@ -238,6 +257,28 @@ def test_forward_rejects_a_cache_shorter_than_the_prefix():
         lm.forward(seq, cache=cache)
 
 
+@pytest.mark.parametrize("in_place", [False, True], ids=["prefix-pass", "decode-buffer"])
+def test_forward_rejects_a_cache_longer_than_the_sequence(in_place):
+    lm = tiny_lm()
+    v = vocab()
+    longer = assemble(visual(3), "the slide shows tumor", None, v)
+    shorter = assemble(visual(3), "the slide", None, v)
+    m = longer.total_len
+    cache = lm.prefix_cache(longer.visual)
+    with no_grad():
+        if in_place:
+            cache = cache.buffer(m)
+        lm.forward(longer, cache=cache)
+        # A forward over no new rows runs, and leaves the cache as it was.
+        logits, att = lm.forward(longer, capture_attention=True, cache=cache)
+        assert logits.shape == (0, len(SPECIALS) + len(WORDS))
+        assert [a.shape for a in att] == [(2, 0, m)] * 2
+        assert cache.length == m
+        with pytest.raises(UsageError, match=f"cache holds {m} rows; .* {shorter.total_len} in all"):
+            lm.forward(shorter, cache=cache)
+    assert cache.length == m
+
+
 def test_visual_attention_flag_changes_forward():
     seq = assemble(visual(4), "the slide", None, vocab())
     a, _ = tiny_lm().forward(seq)
@@ -252,11 +293,11 @@ def test_causality_future_perturbation():
     poked = assemble(visual(2), "the slide shows", "tumor tissue margin", v)
     # Perturb the last answer token; logits strictly before it must not move.
     pos = base.total_len - 2
+    row = pos - base.n_prefix  # ids and logits are the text rows'
     poked.ids = poked.ids.copy()
-    poked.ids[pos] = v.encode("stroma")[0]
+    poked.ids[row] = v.encode("stroma")[0]
     la, _ = lm.forward(base)
     lb, _ = lm.forward(poked)
-    row = pos - base.n_prefix  # logits are the text rows'
     np.testing.assert_allclose(la.data[:row], lb.data[:row], atol=1e-12)
     assert np.abs(la.data[row:] - lb.data[row:]).max() > 1e-12
 
@@ -284,9 +325,8 @@ def test_loss_equals_masked_next_token_cross_entropy():
     loss = lm.loss(seq)
     logits, _ = lm.forward(seq)
     p = seq.n_prefix
-    want = cross_entropy(
-        Tensor(logits.data[:-1]), seq.ids[p + 1 :], seq.loss_mask[p + 1 :]
-    ).item()
+    ids, mask = full_layout(seq)
+    want = cross_entropy(Tensor(logits.data[:-1]), ids[p + 1 :], mask[p + 1 :]).item()
     assert abs(loss.item() - want) < 1e-12
 
 
@@ -296,7 +336,8 @@ def test_loss_ignores_prompt_logit_content():
     seq = assemble(visual(2), "the slide shows", "tumor tissue", vocab())
     logits, _ = lm.forward(seq)
     data = logits.data[:-1].copy()
-    targets, mask = seq.ids[seq.n_prefix + 1 :], seq.loss_mask[seq.n_prefix + 1 :]
+    ids, mask = full_layout(seq)
+    targets, mask = ids[seq.n_prefix + 1 :], mask[seq.n_prefix + 1 :]
     ref = cross_entropy(Tensor(data), targets, mask).item()
     data[~mask] = 0.0
     zeroed = cross_entropy(Tensor(data), targets, mask).item()
@@ -425,7 +466,7 @@ def test_batched_masked_attention_matches_per_head_oracle():
     allow = np.tril(np.ones((t, t), dtype=bool))
     allow[:4, :4] = True
     capture = []
-    got = attn(Tensor(x), allow, capture).data
+    got = attn(Tensor(x), allow, capture, []).data
 
     p = {prm.name.split(".", 1)[1]: prm.value.data for prm in attn.params()}
     q = x @ p["q.weight"] + p["q.bias"]
@@ -454,21 +495,23 @@ def dense_forward(lm, seq, capture=None):
     logits of all T rows; `capture` receives each block's [H, T, T]
     attention."""
     t, p = seq.total_len, seq.n_prefix
+    ids, _ = full_layout(seq)
     tok = lm.tok_embed.value
     vis = seq.visual if isinstance(seq.visual, Tensor) else Tensor(seq.visual)
-    text = take_rows(tok, seq.ids[p:]) + take_rows(lm.pos_embed.value, range(t - p))
+    text = take_rows(tok, ids[p:]) + take_rows(lm.pos_embed.value, range(t - p))
     x = concat([take_rows(tok, [IMG_START]), vis, take_rows(tok, [IMG_END]), text], axis=0)
     allow = np.tri(t, t, dtype=bool)
     if not lm.cfg.causal_visual:
         allow[:p, :p] = True
     for block in lm.blocks:
-        x = block(x, allow, capture)
+        x = block(x, allow, capture, [])
     return lm.head(x) if lm.head is not None else x @ tok.T
 
 
 def dense_loss(lm, seq):
     logits = dense_forward(lm, seq)
-    return cross_entropy(logits.rows(0, seq.total_len - 1), seq.ids[1:], seq.loss_mask[1:])
+    ids, mask = full_layout(seq)
+    return cross_entropy(logits.rows(0, seq.total_len - 1), ids[1:], mask[1:])
 
 
 def grads_of(loss, tensors):
@@ -609,8 +652,11 @@ def test_cached_decode_runs_one_row_per_step(monkeypatch):
     assert prefill == (p, m, m - p, None)  # BOS and the prompt only
     assert steps == [(m + i, m + i + 1, 1, None) for i in range(4)]
     assert trace == (m, m + 5, 5, [(2, 5, m + 5)] * 2)
-    # Each step is one token id at its position, not a sequence of the slide.
-    assert inputs[1:-1] == [DecodeStep(3, ids[i], m - p + i) for i in range(4)]
+    # Each step is the sequence grown by its new token, over a cache of all
+    # rows but that one.
+    for i, (step, (before, *_)) in enumerate(zip(inputs[1:-1], steps, strict=True)):
+        assert step.ids.tolist() == [BOS, *seq.prompt_ids, *ids[: i + 1]]
+        assert step.ids[-1] == ids[i] and before == step.total_len - 1
 
 
 def test_cached_forward_row_matches_full_forward():
