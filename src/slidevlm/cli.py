@@ -18,6 +18,7 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, load_config
 from .curation import (
     ClientError,
+    Lane,
     LiveChatClient,
     MockChatClient,
     PromptCache,
@@ -273,7 +274,11 @@ def _cmd_caption_eval(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     rows = read_jsonl(args.pairs, {"candidate": str, "reference": str})
     pairs = [(r["candidate"], r["reference"]) for r in rows]
     client = _chat_client(cfg, args.judge_replay, args.judge, "--judge")
-    report = caption_eval(pairs, client=client, jobs=cfg.jobs)
+    if client is None:
+        report = caption_eval(pairs)
+    else:
+        with Lane(client, cfg.jobs) as judge:
+            report = caption_eval(pairs, judge=judge)
     run.json("caption_report.json", {
         "n": report.n,
         "bleu": {str(k): v for k, v in report.bleu.items()},
@@ -328,6 +333,8 @@ def _cmd_baseline(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
 
 def _cmd_interpret(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     trace = load_trace(args.trace)
+    if trace.values.shape[0] == 0:
+        raise UsageError(f"{args.trace}: empty trace: no generated tokens (the answer was empty)")
     sal = saliency(trace, k=args.k, renormalize=not args.no_renormalize)
     raster = read_raster(args.slide)
     grid = PatchGrid.load(args.grid)

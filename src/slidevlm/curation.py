@@ -249,6 +249,8 @@ class Lane(ThreadPoolExecutor):
     """
 
     def __init__(self, client: ChatClient, jobs: int, cache: PromptCache | None = None):
+        if jobs < 1:
+            raise UsageError(f"jobs must be >= 1, got {jobs}")
         super().__init__(max_workers=jobs, thread_name_prefix=f"lane-{client.model}")
         self.client = client
         self.cache = cache
@@ -701,8 +703,6 @@ def run_curation(
     keep patient-id order. A report whose chat calls die lands in `flagged` and the batch
     moves on. Short-answer candidates bypass the filter.
     """
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
     ids = [r.patient_id for r in reports]
     if len(set(ids)) != len(ids):
         raise UsageError("duplicate patient ids")

@@ -211,7 +211,7 @@ def dilated_branch(
     real = pos < n
     rows = np.repeat(np.arange(heads) * n, segments)[:, None] + np.minimum(pos, n - 1)
     qs, ks, vs = (take_rows(t.reshape(heads * n, t.shape[-1]), rows) for t in (q, k, v))
-    out, logden = attention(qs, ks, vs, real[:, None, :])
+    out, logden = attention(qs, ks.transpose(0, 2, 1), vs, real[:, None, :])
     slots = np.flatnonzero(real)
     targets = rows.ravel()[slots]
     out = put_rows(heads * n, targets, take_rows(out.reshape(-1, v.shape[-1]), slots))
@@ -294,7 +294,7 @@ class DilatedSelfAttention(HeadProjections):
         rows = heads * n
         mixed, _ = attention(
             Tensor(np.ones((rows, 1, 1))),
-            concat([ld.reshape(rows, 1, 1) for ld in logdens], axis=1),
+            concat([ld.reshape(rows, 1, 1) for ld in logdens], axis=2),
             concat([out.reshape(rows, 1, dim) for out in outs], axis=1),
             np.stack(sels, axis=-1).reshape(rows, 1, len(sels)),
         )

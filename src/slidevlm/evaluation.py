@@ -13,7 +13,6 @@ import math
 import re
 import string
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -155,22 +154,21 @@ class CaptionReport:
     judge_prompt_sha256: str | None = None
 
 
-def caption_eval(pairs: Sequence[tuple[str, str]], client=None, jobs: int = 1) -> CaptionReport:
+def caption_eval(pairs: Sequence[tuple[str, str]], judge=None) -> CaptionReport:
     """Mean BLEU-1..4 and ROUGE-L over (candidate, reference) pairs.
 
-    With a chat client the judge runs too, on a pool of `jobs` threads;
-    results keep input order so reports are deterministic.
+    With a `judge`, a `curation.Lane` over a chat client, `judge_caption`
+    scores each pair on the lane's workers too; results keep input order
+    so reports are deterministic.
     """
     if not pairs:
         raise UsageError("caption_eval needs at least one pair")
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
     bleu = {n: sum(bleu_n(c, r, n) for c, r in pairs) / len(pairs) for n in range(1, 5)}
     rouge = sum(rouge_l(c, r) for c, r in pairs) / len(pairs)
     report = CaptionReport(n=len(pairs), bleu=bleu, rouge_l=rouge)
-    if client is not None:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(lambda p: judge_caption(p[0], p[1], client), pairs))
+    if judge is not None:
+        asked = [judge.submit(judge_caption, c, r, judge.client) for c, r in pairs]
+        scores = [f.result() for f in asked]
         kept = [s for s in scores if s is not None]
         report.judge_mean = sum(kept) / len(kept) if kept else None
         report.judge_missing = len(scores) - len(kept)

@@ -65,8 +65,9 @@ class FeedForward:
 class HeadProjections:
     """The q/k/v/out maps of multi-head attention, heads on a leading axis.
 
-    `split` maps [N, D] rows to three [H, N, D/H] tensors; `merge` maps an
-    [H, N, D/H] attention result back to [N, D] through the output map.
+    `split` maps [N, D] rows to three [H, N, D/H] tensors, and `keys_t`
+    to their keys transposed, [H, D/H, N]; `merge` maps an [H, N, D/H]
+    attention result back to [N, D] through the output map.
     Head h owns columns h*D/H:(h+1)*D/H of each projection.
     """
 
@@ -91,6 +92,11 @@ class HeadProjections:
         return tuple(
             w(x).reshape(n, self.heads, dim // self.heads).transpose(1, 0, 2) for w in maps
         )
+
+    def keys_t(self, x: Tensor) -> Tensor:
+        """The keys of [N, D] rows, transposed per head: [H, D/H, N]."""
+        n, dim = x.shape
+        return self.wk(x).reshape(n, self.heads, dim // self.heads).transpose(1, 2, 0)
 
     def merge(self, heads: Tensor) -> Tensor:
         h, n, dh = heads.shape

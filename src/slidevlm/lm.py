@@ -14,6 +14,9 @@ Training and decoding share one path. A prefix pass runs the prefix rows
 through the blocks and keeps each block's keys and values; in the last
 block, whose prefix outputs nothing reads, it computes only those. The
 text rows then run against that cache. Only text rows have logits.
+Keys are transposed per head, [H, dh, positions], from the key projection
+on: on the tape, in the cache and in the decode buffer alike, so the one
+attention op scores them where they lie.
 
 Generation is greedy with ties broken by the lowest token id, and keeps
 no autodiff tape. Each request decodes into a key/value buffer of its
@@ -41,7 +44,6 @@ from .numerics import (
     Tensor,
     UsageError,
     attention,
-    cached_attention,
     concat,
     cross_entropy,
     no_grad,
@@ -196,10 +198,11 @@ class KVCache:
     """Keys and values of the first `length` positions, one entry per
     decoder block.
 
-    The prefix pass leaves a [k, v] pair of [H, length, dh] tensors in
-    each entry. Built with grad on, they are on the tape, so a loss over
-    later rows trains the prefix through them; a forward over more rows
-    joins those rows' keys and values on. A decode request runs in
+    The prefix pass leaves a [k_t, v] pair in each entry: the keys
+    transposed, [H, dh, length], and the values, [H, length, dh]. Built
+    with grad on, they are on the tape, so a loss over later rows trains
+    the prefix through them; a forward over more rows joins those rows'
+    keys and values on. A decode request runs in
     `buffer(capacity)` instead, whose entries each preallocate keys stored
     transposed, [H, dh, capacity], and values, [H, capacity, dh]; a forward
     writes its rows at `length` in place and attends to the filled views.
@@ -213,50 +216,51 @@ class KVCache:
         this cache; this cache is never written through it."""
         if capacity < self.length:
             raise UsageError(f"a buffer of {capacity} positions cannot hold {self.length}")
-        return KVCache(self.length, [_InPlaceKV(k, v, capacity) for k, v in self.kv])
+        return KVCache(self.length, [_InPlaceKV(k_t, v, capacity) for k_t, v in self.kv])
 
 
 class _InPlaceKV:
     """One block's entry of a decode buffer: keys stored transposed,
     [H, dh, capacity], and values, [H, capacity, dh]."""
 
-    def __init__(self, k: Tensor, v: Tensor, capacity: int):
-        heads, rows, dh = k.shape
+    def __init__(self, k_t: Tensor, v: Tensor, capacity: int):
+        heads, dh, rows = k_t.shape
         self.keys_t = np.empty((heads, dh, capacity))
-        self.keys_t[..., :rows] = np.swapaxes(k.data, 1, 2)
+        self.keys_t[..., :rows] = k_t.data
         self.values = np.empty((heads, capacity, dh))
         self.values[:, :rows] = v.data
 
-    def attend(self, q: Tensor, k: Tensor, v: Tensor, allow, capture: list | None) -> Tensor:
-        """Write the rows' keys and values after the cached ones and attend
-        to every filled position. The mask has a column for each key the
-        rows see, so its width is the position after the last row."""
-        stop = allow.shape[-1]
+    def extend(self, k_t: Tensor, v: Tensor, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Write the keys and values of the rows before `stop` after the
+        cached ones; return views of every filled position's."""
         if stop > self.values.shape[1]:
             raise UsageError(f"decode buffer holds {self.values.shape[1]} positions, not {stop}")
-        rows = slice(stop - q.shape[1], stop)
-        self.keys_t[..., rows] = np.swapaxes(k.data, 1, 2)
+        rows = slice(stop - v.shape[1], stop)
+        self.keys_t[..., rows] = k_t.data
         self.values[:, rows] = v.data
-        return cached_attention(q, self.keys_t[..., :stop], self.values[:, :stop], allow, capture)
+        return self.keys_t[..., :stop], self.values[:, :stop]
 
 
 class _MaskedSelfAttention(HeadProjections):
     """Dense multi-head attention under a boolean layout mask.
 
     The rows of `x` come after the positions cached in `past`, this
-    block's [k, v] cache entry (empty before the first rows): they attend
+    block's [k_t, v] cache entry (empty before the first rows): they attend
     to those too, and `past` then holds the keys and values of all of
-    them. A decode buffer's entry takes the rows' keys and values in place.
+    them. A decode buffer's entry takes the rows' keys and values in place;
+    the mask has a column for each key the rows see.
     """
 
     def __call__(self, x: Tensor, allow, capture: list | None, past) -> Tensor:
-        q, k, v = self.split(x)
+        q, v = self.project(x, self.wq, self.wv)
+        k_t = self.keys_t(x)
         if isinstance(past, _InPlaceKV):
-            return self.merge(past.attend(q, k, v, allow, capture))
-        if past:
-            k, v = (concat([old, new], axis=1) for old, new in zip(past, (k, v)))
-        past[:] = [k, v]
-        out, _ = attention(q, k, v, allow, capture)
+            k_t, v = past.extend(k_t, v, allow.shape[-1])
+        else:
+            if past:
+                k_t, v = concat([past[0], k_t], axis=2), concat([past[1], v], axis=1)
+            past[:] = [k_t, v]
+        out, _ = attention(q, k_t, v, allow, capture)
         return self.merge(out)
 
 
@@ -330,7 +334,7 @@ class DecoderLM:
             x = block(x, allow, None, past)
         if self.blocks:
             attn = self.blocks[-1].attn
-            kv[-1][:] = attn.project(x, attn.wk, attn.wv)
+            kv[-1][:] = [attn.keys_t(x), *attn.project(x, attn.wv)]
         return KVCache(p, kv)
 
     @no_grad()

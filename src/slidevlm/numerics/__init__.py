@@ -8,7 +8,6 @@ from .tensor import (
     UsageError,
     affine,
     attention,
-    cached_attention,
     concat,
     cross_entropy,
     layer_norm,
@@ -25,7 +24,6 @@ __all__ = [
     "UsageError",
     "affine",
     "attention",
-    "cached_attention",
     "concat",
     "cross_entropy",
     "layer_norm",

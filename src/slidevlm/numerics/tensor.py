@@ -4,8 +4,9 @@ Just enough array machinery to train every block in this repo at desk
 scale: row-major numpy storage, a taped backward pass, and the fused ops
 (affine maps, layer norm, attention, cross entropy, row gather/scatter)
 that the two stacks need. Each keeps on the tape only what its backward
-reads; `attention` and `cached_attention`, its untaped form over a
-decoder's in-place cache, share the only softmax over scores. Nothing
+reads. `attention` holds the only softmax over scores and takes its keys
+transposed; given plain arrays, such as a decoder's in-place cache, it
+reads them where they lie and keeps no tape. Nothing
 broadcasts: `+` and `*` take equal shapes and `@` two matrices, and a
 mismatch raises `UsageError` instead of summing a gradient down to a
 wrong shape. Every op checks that its output is finite, so numerical
@@ -27,7 +28,6 @@ __all__ = [
     "Tensor",
     "affine",
     "attention",
-    "cached_attention",
     "concat",
     "cross_entropy",
     "layer_norm",
@@ -351,39 +351,49 @@ def _masked_softmax(weights: np.ndarray, scale: float, v: np.ndarray, allow, cap
     return weights, (peak + np.log(total))[..., 0], weights @ v
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Tensor, Tensor]:
+def attention(q: Tensor, k_t, v, allow, capture=None) -> tuple[Tensor, Tensor]:
     """Masked softmax attention and each row's log-denominator, in one pass.
 
-    q is [..., n, d], k [..., m, d], v [..., m, e] with equal leading axes;
-    the boolean `allow` broadcasts to [..., n, m] and lets query i see key j
-    where true. Returns `out` [..., n, e], the softmax of the allowed scores
-    q·k / sqrt(d) times v, and `lse` [..., n], the log of each row's softmax
-    denominator; a row with no allowed key gives zeros in both. The scores become the weights
+    q is [..., n, d], the keys come transposed, k_t [..., d, m], and v is
+    [..., m, e], with equal leading axes; the boolean `allow` broadcasts to
+    [..., n, m] and lets query i see key j where true. Returns `out`
+    [..., n, e], the softmax of the allowed scores q·k / sqrt(d) times v,
+    and `lse` [..., n], the log of each row's softmax denominator; a row
+    with no allowed key gives zeros in both. The scores become the weights
     in one buffer, the only array the tape keeps; `capture` receives it too.
+
+    k_t and v may be plain arrays, such as views of a decoder's in-place
+    cache: they are read where they lie, neither copied nor scanned, and
+    the results keep no tape, so grad must be off or no operand need it.
     """
-    q, k, v = _operands(
-        "attention needs q [..., n, d], k [..., m, d] and v [..., m, e]",
-        lambda q, k, v: min(map(len, (q, k, v))) >= 2
-        and q[:-2] + q[-1:] == k[:-2] + k[-1:]
-        and k[:-1] == v[:-1],
-        q, k, v,
-    )
+    shapes = qs, ks, vs = tuple(map(np.shape, (q, k_t, v)))
+    if not (min(map(len, shapes)) >= 2 and qs[:-2] + qs[-1:] == ks[:-1] and ks[:-2] + ks[-1:] == vs[:-1]):
+        raise UsageError(
+            "attention needs q [..., n, d], k_t [..., d, m] and v [..., m, e]; "
+            f"got shapes {', '.join(map(str, shapes))}"
+        )
+    q = q if isinstance(q, Tensor) else Tensor(q)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    # A contiguous k^T makes the scores equal a plain q @ k^T bit for bit.
-    scores = q.data @ np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-    weights, lse, out = _masked_softmax(scores, scale, v.data, allow, capture)
+    if not (isinstance(k_t, Tensor) and isinstance(v, Tensor)):
+        if _grad_mode.enabled and any(getattr(t, "requires_grad", False) for t in (q, k_t, v)):
+            raise UsageError("attention over plain arrays keeps no tape; run it under no_grad()")
+        k_t, v = (t.data if isinstance(t, Tensor) else t for t in (k_t, v))
+        _, lse, out = _masked_softmax(q.data @ k_t, scale, v, allow, capture)
+        return Tensor._result(out, (), None), Tensor._result(lse, (), None)
+    weights, lse, out = _masked_softmax(q.data @ k_t.data, scale, v.data, allow, capture)
 
     def scores_backward(d_scores):
         d_scores *= scale
         if q.requires_grad:
-            q._accumulate(d_scores @ k.data)
-        if k.requires_grad:
-            k._accumulate(np.swapaxes(d_scores, -1, -2) @ q.data)
+            # A contiguous k makes d_q equal a plain d_scores @ k bit for bit.
+            q._accumulate(d_scores @ np.ascontiguousarray(np.swapaxes(k_t.data, -1, -2)))
+        if k_t.requires_grad:
+            k_t._accumulate(np.swapaxes(np.swapaxes(d_scores, -1, -2) @ q.data, -1, -2))
 
     def out_backward(grad):
         if v.requires_grad:
             v._accumulate(np.swapaxes(weights, -1, -2) @ grad)
-        if q.requires_grad or k.requires_grad:
+        if q.requires_grad or k_t.requires_grad:
             d_weights = grad @ np.swapaxes(v.data, -1, -2)
             d_weights -= (d_weights * weights).sum(axis=-1, keepdims=True)
             d_weights *= weights
@@ -392,34 +402,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, allow, capture=None) -> tuple[Ten
     def lse_backward(grad):
         scores_backward(weights * grad[..., None])
 
-    out = Tensor._result(out, (q, k, v), out_backward)
-    return out, Tensor._result(lse, (q, k), lse_backward)
-
-
-def cached_attention(q: Tensor, k_t: np.ndarray, v: np.ndarray, allow, capture=None) -> Tensor:
-    """`attention`'s `out` over keys and values a decoder keeps in place.
-
-    The keys come transposed, k_t [..., d, m], and v is [..., m, e]; both
-    are arrays, typically views of a preallocated cache, and neither is
-    copied or scanned again. The result keeps no tape, so grad must be off
-    or q must not need it. `capture` receives the weights, as in `attention`.
-    """
-    shapes = (q.shape, k_t.shape, v.shape)
-    if not (
-        min(map(len, shapes)) >= 2
-        and q.shape[:-2] == k_t.shape[:-2] == v.shape[:-2]
-        and q.shape[-1] == k_t.shape[-2]
-        and k_t.shape[-1] == v.shape[-2]
-    ):
-        raise UsageError(
-            "cached_attention needs q [..., n, d], k_t [..., d, m] and v [..., m, e]; "
-            f"got shapes {', '.join(map(str, shapes))}"
-        )
-    if _grad_mode.enabled and q.requires_grad:
-        raise UsageError("cached_attention keeps no tape; run it under no_grad()")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    _, _, out = _masked_softmax(q.data @ k_t, scale, v, allow, capture)
-    return Tensor._result(out, (), None)
+    out = Tensor._result(out, (q, k_t, v), out_backward)
+    return out, Tensor._result(lse, (q, k_t), lse_backward)
 
 
 def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
@@ -495,19 +479,17 @@ def put_rows(n_rows: int, indices, x: Tensor) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along axis 0 or 1."""
-    if axis not in (0, 1):
-        raise UsageError("concat supports axis 0 or 1 only")
+    """Concatenate along any one axis."""
     parents = tuple(tensors)
-    data = np.concatenate([t.data for t in parents], axis=axis)
-    sizes = [t.shape[axis] for t in parents]
-    offsets = np.cumsum([0] + sizes)
+    try:
+        data = np.concatenate([t.data for t in parents], axis=axis)
+    except ValueError as exc:
+        raise UsageError(f"concat: {exc}") from None
+    splits = np.cumsum([t.shape[axis] for t in parents[:-1]])
 
     def backward(grad):
-        for t, lo, hi in zip(parents, offsets[:-1], offsets[1:]):
-            if not t.requires_grad:
-                continue
-            piece = grad[lo:hi] if axis == 0 else grad[:, lo:hi]
-            t._accumulate(piece)
+        for t, piece in zip(parents, np.split(grad, splits, axis=axis)):
+            if t.requires_grad:
+                t._accumulate(piece)
 
     return Tensor._result(data, parents, backward)

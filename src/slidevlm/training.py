@@ -8,6 +8,7 @@ deterministic functions of the stage seed.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,7 +154,7 @@ def run_stage(
             if epoch_loss < result.best_epoch_loss:
                 result.best_epoch_loss = epoch_loss
                 best = out_dir / f"stage{cfg.stage}_best.ckpt"
-                save_checkpoint(best, model.tensors(), meta)
+                shutil.copyfile(ckpt, best)
                 result.best_checkpoint = str(best)
         elif epoch_loss < result.best_epoch_loss:
             result.best_epoch_loss = epoch_loss

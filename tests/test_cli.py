@@ -14,7 +14,8 @@ from slidevlm.curation import filter_prompt
 from slidevlm.encoders import EmbeddingMatrix, load_embeddings, save_embeddings
 from slidevlm import jsonio
 from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord
-from slidevlm.lm import Vocab
+from slidevlm.lm import EOS, Vocab
+from slidevlm.numerics import load_checkpoint, save_checkpoint
 from slidevlm.prompts import caption_prompt, qa_prompt, report_clean_prompt
 
 CONFIG = {
@@ -147,6 +148,29 @@ def test_interpret_runs_on_infer_trace(world, capsys):
     assert len(lines) == 4
     ranks = capsys.readouterr().out.split()
     assert len(ranks) == 3
+
+
+def test_interpret_names_an_empty_trace(world, capsys):
+    # A head bias that makes EOS the first greedy token: infer writes an
+    # empty answer and a zero-token trace, which interpret rejects by name.
+    tensors, meta = load_checkpoint(world["train2"] / "stage2_best.ckpt")
+    tensors["lm.head.bias"][EOS] = 1e6
+    ckpt = world["root"] / "eos_first.ckpt"
+    save_checkpoint(ckpt, tensors, meta)
+    infer = world["root"] / "infer_eos"
+    assert main(["infer", *world["base"], "--run-dir", str(infer),
+                 "--checkpoint", str(ckpt), "--vocab", str(world["train2"] / "vocab.txt"),
+                 "--emb", str(world["slides"] / "s1.emb"),
+                 "--grid", str(world["slides"] / "s1.grid"),
+                 "--prompt", "describe the tissue", "--max-len", "4"]) == 0
+    assert (infer / "answer.txt").read_text() == "\n"
+    trace = infer / "trace.ckpt"
+    capsys.readouterr()
+    assert main(["interpret", *world["base"], "--run-dir", str(world["root"] / "interpret_eos"),
+                 "--trace", str(trace), "--slide", str(world["data"] / "slide.ppm"),
+                 "--grid", str(world["data"] / "grid.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and str(trace) in err and "no generated tokens" in err
 
 
 def test_rerun_is_byte_identical(world):

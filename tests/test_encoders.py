@@ -142,7 +142,7 @@ def test_branch_mix_weights_sum_to_one_over_selecting_branches():
     capture = []
     mixed, _ = attention(
         Tensor(np.ones((heads * n, 1, 1))),
-        concat(logdens, axis=1).reshape(heads * n, len(sels), 1),
+        concat(logdens, axis=1).reshape(heads * n, 1, len(sels)),
         concat(outs, axis=1),
         np.stack(sels, axis=1)[:, None, :],
         capture,

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from slidevlm.curation import MockChatClient
+from slidevlm.curation import Lane, MockChatClient
 from slidevlm.evaluation import (
     BROAD_CATEGORIES,
     JUDGE_ATTEMPTS,
@@ -189,7 +189,8 @@ def test_caption_eval_without_judge():
 
 def test_caption_eval_judge_mean_and_missing():
     client = MockChatClient(replies=["4", "junk", "junk", "junk", "8"])
-    report = caption_eval([("a", "b"), ("c", "d"), ("e", "f")], client=client)
+    with Lane(client, 1) as judge:
+        report = caption_eval([("a", "b"), ("c", "d"), ("e", "f")], judge=judge)
     assert report.judge_mean == 6.0
     assert report.judge_missing == 1
     assert report.judge_prompt_sha256 is not None
@@ -197,7 +198,8 @@ def test_caption_eval_judge_mean_and_missing():
 
 def test_caption_eval_threaded_keeps_order():
     client = MockChatClient(table=None, default="5")
-    a = caption_eval([("a", "b")] * 6, client=client, jobs=3)
+    with Lane(client, 3) as judge:
+        a = caption_eval([("a", "b")] * 6, judge=judge)
     assert a.judge_mean == 5.0 and a.judge_missing == 0
     with pytest.raises(UsageError):
         caption_eval([])

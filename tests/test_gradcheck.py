@@ -38,7 +38,7 @@ def unit_query(scores, allow=True):
     softmax of each row and `lse` [r, 1] its log-sum-exp."""
     rows, m = scores.shape
     values = Tensor(np.broadcast_to(np.eye(m), (rows, m, m)))
-    return attention(Tensor(np.ones((rows, 1, 1))), scores.reshape(rows, m, 1), values, allow)
+    return attention(Tensor(np.ones((rows, 1, 1))), scores.reshape(rows, 1, m), values, allow)
 
 
 def mean(t):
@@ -174,7 +174,7 @@ def test_masked_softmax(seed):
     rng = stream(seed, "gc", "msm")
     q, k, v, allow = attention_case(rng)
     w = rng.normal(size=(2, 4, 2))
-    check(lambda ts: (attention(ts[0], ts[1], ts[2], allow)[0] * Tensor(w)).sum(), [q, k, v])
+    check(lambda ts: (attention(ts[0], ts[1].transpose(0, 2, 1), ts[2], allow)[0] * Tensor(w)).sum(), [q, k, v])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -183,7 +183,7 @@ def test_masked_logsumexp(seed):
     rng = stream(seed, "gc", "mlse")
     q, k, v, allow = attention_case(rng)
     w = rng.normal(size=(2, 4))
-    check(lambda ts: (attention(ts[0], ts[1], Tensor(v), allow)[1] * Tensor(w)).sum(), [q, k])
+    check(lambda ts: (attention(ts[0], ts[1].transpose(0, 2, 1), Tensor(v), allow)[1] * Tensor(w)).sum(), [q, k])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -221,7 +221,7 @@ def test_composite_attention_like_expression(seed):
     mask = np.ones(5, dtype=bool)
 
     def build(ts):
-        out, lse = attention(ts[0] @ ts[1], ts[0], ts[0] @ ts[2], True)
+        out, lse = attention(ts[0] @ ts[1], ts[0].T, ts[0] @ ts[2], True)
         return cross_entropy(out, targets, mask) + mean(lse * lse)
 
     check(build, [x, wq, wv])

@@ -186,10 +186,10 @@ def spy_on_attention(monkeypatch) -> list:
     calls = []
     real = lm_module.attention
 
-    def spy(q, k, v, allow, capture=None):
-        shape = (q.shape[-2], k.shape[-2])
+    def spy(q, k_t, v, allow, capture=None):
+        shape = (q.shape[-2], k_t.shape[-1])
         calls.append((*shape, np.broadcast_to(allow, shape)))
-        return real(q, k, v, allow, capture)
+        return real(q, k_t, v, allow, capture)
 
     monkeypatch.setattr(lm_module, "attention", spy)
     return calls
@@ -794,6 +794,35 @@ def test_generate_past_max_positions_fails_at_the_same_step():
     for max_len, capture in ((4, True), (5, False)):
         with pytest.raises(UsageError, match="text span 8 exceeds max positions 7"):
             lm.generate(seq, max_len=max_len, capture_attention=capture)
+
+
+def test_one_decode_step_copies_no_key_cache():
+    # Default dims and a warm prefix of 4096 visual tokens. One step scores
+    # its row against the buffer in place: an [H, 1, T] score row and a few
+    # [1, D] rows, against 4.2 MB (H·T·dh·8 bytes) for one copy of a block's
+    # keys. The prefix cache is drawn at random, as only its shapes matter
+    # here and the prefix pass would form [H, N, N] scores.
+    cfg = DecoderConfig()
+    lm = DecoderLM(cfg, len(SPECIALS) + len(WORDS), seed=0)
+    seq = assemble(visual(4096, dim=cfg.dim), "the slide", None, vocab())
+    p, rng = seq.n_prefix, stream(0, "decode-step")
+    prefix = KVCache(p, [
+        [Tensor(rng.normal(size=(cfg.heads, cfg.head_dim, p))),
+         Tensor(rng.normal(size=(cfg.heads, p, cfg.head_dim)))]
+        for _ in lm.blocks
+    ])
+    cache = prefix.buffer(p + 8)
+    step = MultimodalSequence(seq.visual, seq.prompt_ids + [seq.prompt_ids[0]], None)
+    with no_grad():
+        lm.forward(seq, cache=cache)
+        tracemalloc.start()
+        try:
+            logits, _ = lm.forward(step, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert logits.shape == (1, len(SPECIALS) + len(WORDS)) and cache.length == step.total_len
+    assert peak < 1 << 20, f"one step allocated {peak / 1024:.0f} KiB"
 
 
 def test_decode_memory_does_not_grow_with_tokens():

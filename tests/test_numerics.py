@@ -19,7 +19,6 @@ from slidevlm.numerics import (
     UsageError,
     affine,
     attention,
-    cached_attention,
     concat,
     cross_entropy,
     layer_norm,
@@ -42,7 +41,7 @@ def unit_query(logits, allow=True):
     x = np.asarray(logits, dtype=np.float64)
     q = Tensor(np.ones(x.shape[:-1] + (1, 1)))
     eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape[:-1] + (x.shape[-1],) * 2)
-    return attention(q, Tensor(x[..., None]), Tensor(eye), allow)
+    return attention(q, Tensor(x[..., None, :]), Tensor(eye), allow)
 
 
 def softmax(logits):
@@ -96,13 +95,13 @@ def test_masked_softmax_fully_masked_row_is_zero():
 def test_masked_softmax_shape_mismatch():
     q, k = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
     with pytest.raises(UsageError, match="mask"):
-        attention(q, k, k, np.ones((3, 4), dtype=bool))
+        attention(q, k.T, k, np.ones((3, 4), dtype=bool))
     with pytest.raises(UsageError):
-        attention(q, Tensor(np.ones((4, 2))), k, True)  # key width != query width
+        attention(q, Tensor(np.ones((2, 4))), k, True)  # key width != query width
     with pytest.raises(UsageError):
-        attention(q, k, Tensor(np.ones((3, 3))), True)  # one value row per key
+        attention(q, k.T, Tensor(np.ones((3, 3))), True)  # one value row per key
     with pytest.raises(UsageError):
-        attention(Tensor(np.ones(3)), k, k, True)
+        attention(Tensor(np.ones(3)), k.T, k, True)
 
 
 def test_masked_logsumexp_matches_dense_on_full_mask():
@@ -150,7 +149,7 @@ def test_attention_matches_composed_oracle():
         g_out, g_lse = rng.normal(size=(heads, t, e)), rng.normal(size=(heads, t))
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         capture = []
-        out, lse = attention(q, k, v, allow, capture)
+        out, lse = attention(q, k.transpose(0, 2, 1), v, allow, capture)
         ((out * Tensor(g_out)).sum() + (lse * Tensor(g_lse)).sum()).backward()
         want_out, want_lse, want_weights, want_grads = composed_attention(*arrays, allow, g_out, g_lse)
         np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
@@ -166,14 +165,14 @@ def test_attention_matches_composed_oracle():
 def test_attention_tape_keeps_only_the_weights():
     q, k, v = (Tensor(np.ones((2, 3, 4)), requires_grad=True) for _ in range(3))
     capture = []
-    out, lse = attention(q, k, v, True, capture)
+    out, lse = attention(q, k.transpose(0, 2, 1), v, True, capture)
     for t in (out, lse):
         closure = [c.cell_contents for c in t._backward.__closure__]
         held = [a for a in closure if isinstance(a, np.ndarray) and a.ndim == 3]
         assert len(held) == 1 and held[0] is capture[0]
 
 
-def test_cached_attention_over_views_equals_attention():
+def test_attention_over_views_equals_attention_over_tensors():
     # Keys stored transposed in a wider buffer, read through views, give
     # attention's output and weights bit for bit.
     rng = stream(6, "cached-attention")
@@ -183,19 +182,19 @@ def test_cached_attention_over_views_equals_attention():
     keys_t, values = np.zeros((heads, d, cap)), np.zeros((heads, cap, e))
     keys_t[..., :t], values[:, :t] = np.swapaxes(k, 1, 2), v
     want, got = [], []
-    out, _ = attention(Tensor(q), Tensor(k), Tensor(v), allow, want)
-    cached = cached_attention(Tensor(q), keys_t[..., :t], values[:, :t], allow, got)
+    out, _ = attention(Tensor(q), Tensor(np.swapaxes(k, 1, 2)), Tensor(v), allow, want)
+    cached, _ = attention(Tensor(q), keys_t[..., :t], values[:, :t], allow, got)
     assert np.array_equal(cached.data, out.data) and np.array_equal(got[0], want[0])
     assert not cached.requires_grad
     tracked = Tensor(q, requires_grad=True)
     with pytest.raises(UsageError, match="no_grad"):
-        cached_attention(tracked, keys_t[..., :t], values[:, :t], allow)
+        attention(tracked, keys_t[..., :t], values[:, :t], allow)
     with no_grad():
-        assert np.array_equal(cached_attention(tracked, keys_t[..., :t], values[:, :t], allow).data, out.data)
+        assert np.array_equal(attention(tracked, keys_t[..., :t], values[:, :t], allow)[0].data, out.data)
     with pytest.raises(UsageError, match="k_t"):
-        cached_attention(Tensor(q), keys_t[..., :t], values[:, : t - 1], allow)
+        attention(Tensor(q), keys_t[..., :t], values[:, : t - 1], allow)
     with pytest.raises(UsageError, match="mask"):
-        cached_attention(Tensor(q), keys_t[..., :t], values[:, :t], allow[:, 1:])
+        attention(Tensor(q), keys_t[..., :t], values[:, :t], allow[:, 1:])
 
 
 # -- affine and layer norm ----------------------------------------------------------
@@ -263,9 +262,9 @@ def test_ops_reject_shapes_that_would_broadcast():
         lambda: heads @ Tensor(np.ones((4, 2))),
         lambda: a @ Tensor(np.ones((2, 4, 2))),
         lambda: a @ Tensor(np.ones((3, 2))),
-        lambda: attention(heads, flat, flat, True),
-        lambda: attention(flat, heads, heads, True),
-        lambda: attention(Tensor(np.ones((1, 3, 4))), heads, heads, True),
+        lambda: attention(heads, flat.T, flat, True),
+        lambda: attention(flat, heads.transpose(0, 2, 1), heads, True),
+        lambda: attention(Tensor(np.ones((1, 3, 4))), heads.transpose(0, 2, 1), heads, True),
         lambda: affine(a, Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2)))),
         lambda: affine(heads, Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
         lambda: layer_norm(a, Tensor(np.ones((1, 4))), row, 1e-5),
@@ -448,7 +447,7 @@ def test_no_grad_results_keep_no_tape():
     x = Tensor(np.ones((4, 3)))
     with no_grad():
         out = concat([take_rows(x @ w.value, [0, 2]).gelu(), x.rows(0, 1) @ w.value], axis=0)
-        att, lse = attention(out, out, out, True)
+        att, lse = attention(out, out.T, out, True)
         loss = att.sum()
     for t in (out, att, lse, loss):
         assert not t.requires_grad and t._parents == () and t._backward is None

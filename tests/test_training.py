@@ -174,6 +174,8 @@ def test_best_checkpoint_tracks_minimum_epoch_loss(tmp_path):
         per_epoch.setdefault((step - 1) // len(samples), []).append(loss)
     means = [float(np.mean(v)) for _, v in sorted(per_epoch.items())]
     assert abs(result.best_epoch_loss - min(means)) < 1e-12
+    best_epoch = tmp_path / f"stage1_epoch{int(np.argmin(means))}.ckpt"
+    assert (tmp_path / "stage1_best.ckpt").read_bytes() == best_epoch.read_bytes()
 
 
 def test_run_stage_input_validation():
