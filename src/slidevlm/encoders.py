@@ -28,6 +28,7 @@ from .numerics import (
     put_rows,
     stream,
     take_rows,
+    take_rows_t,
 )
 from .slide_io import PatchGrid, Raster, box_weights, channel_range, stained
 
@@ -210,8 +211,9 @@ def dilated_branch(
     pos = pos.reshape(-1, m)
     real = pos < n
     rows = np.repeat(np.arange(heads) * n, segments)[:, None] + np.minimum(pos, n - 1)
-    qs, ks, vs = (take_rows(t.reshape(heads * n, t.shape[-1]), rows) for t in (q, k, v))
-    out, logden = attention(qs, ks.transpose(0, 2, 1), vs, real[:, None, :])
+    qs, vs = (take_rows(t.reshape(heads * n, t.shape[-1]), rows) for t in (q, v))
+    ks_t = take_rows_t(k.reshape(heads * n, k.shape[-1]), rows)
+    out, logden = attention(qs, ks_t, vs, keys=real)
     slots = np.flatnonzero(real)
     targets = rows.ravel()[slots]
     out = put_rows(heads * n, targets, take_rows(out.reshape(-1, v.shape[-1]), slots))
@@ -296,7 +298,7 @@ class DilatedSelfAttention(HeadProjections):
             Tensor(np.ones((rows, 1, 1))),
             concat([ld.reshape(rows, 1, 1) for ld in logdens], axis=2),
             concat([out.reshape(rows, 1, dim) for out in outs], axis=1),
-            np.stack(sels, axis=-1).reshape(rows, 1, len(sels)),
+            keys=np.stack(sels, axis=-1).reshape(rows, len(sels)),
         )
         return self.merge(mixed.reshape(heads, n, dim))
 

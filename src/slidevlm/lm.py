@@ -16,7 +16,11 @@ block, whose prefix outputs nothing reads, it computes only those. The
 text rows then run against that cache. Only text rows have logits.
 Keys are transposed per head, [H, dh, positions], from the key projection
 on: on the tape, in the cache and in the decode buffer alike, so the one
-attention op scores them where they lie.
+attention op scores them where they lie. Its masks are structural: the
+prefix rows see every prefix key (or are causal from position 0), and
+rows from position m on are causal from m. It scores a block of query
+rows at a time and tapes no weights, so the prefix pass tapes O(N·d)
+values per decoder block, not its [H, N, N] weights.
 
 Generation is greedy with ties broken by the lowest token id, and keeps
 no autodiff tape. Each request decodes into a key/value buffer of its
@@ -242,25 +246,26 @@ class _InPlaceKV:
 
 
 class _MaskedSelfAttention(HeadProjections):
-    """Dense multi-head attention under a boolean layout mask.
+    """Multi-head attention, causal from position `causal` on or, when it is
+    None, over every key.
 
     The rows of `x` come after the positions cached in `past`, this
     block's [k_t, v] cache entry (empty before the first rows): they attend
     to those too, and `past` then holds the keys and values of all of
-    them. A decode buffer's entry takes the rows' keys and values in place;
-    the mask has a column for each key the rows see.
+    them. A decode buffer's entry takes the rows' keys and values in place,
+    at positions `causal` on.
     """
 
-    def __call__(self, x: Tensor, allow, capture: list | None, past) -> Tensor:
+    def __call__(self, x: Tensor, causal: int | None, capture: list | None, past) -> Tensor:
         q, v = self.project(x, self.wq, self.wv)
         k_t = self.keys_t(x)
         if isinstance(past, _InPlaceKV):
-            k_t, v = past.extend(k_t, v, allow.shape[-1])
+            k_t, v = past.extend(k_t, v, causal + x.shape[0])
         else:
             if past:
                 k_t, v = concat([past[0], k_t], axis=2), concat([past[1], v], axis=1)
             past[:] = [k_t, v]
-        out, _ = attention(q, k_t, v, allow, capture)
+        out, _ = attention(q, k_t, v, causal=causal, capture=capture)
         return self.merge(out)
 
 
@@ -327,15 +332,14 @@ class DecoderLM:
         outputs of the last block, so there they get only keys and values.
         """
         x = self._visual_rows(visual)
-        p = x.shape[0]
-        allow = np.tri(p, p, dtype=bool) if self.cfg.causal_visual else True
+        causal = 0 if self.cfg.causal_visual else None
         kv: list[list[Tensor]] = [[] for _ in self.blocks]
         for block, past in zip(self.blocks[:-1], kv):
-            x = block(x, allow, None, past)
+            x = block(x, causal, None, past)
         if self.blocks:
             attn = self.blocks[-1].attn
             kv[-1][:] = [attn.keys_t(x), *attn.project(x, attn.wv)]
-        return KVCache(p, kv)
+        return KVCache(x.shape[0], kv)
 
     @no_grad()
     def prefix_cache(self, visual) -> KVCache:
@@ -370,10 +374,9 @@ class DecoderLM:
         x = take_rows(self.tok_embed.value, seq.ids[start - p :]) + take_rows(
             self.pos_embed.value, range(start - p, t - p)
         )
-        allow = np.tri(t - start, t, start, dtype=bool)
         capture: list | None = [] if capture_attention else None
         for block, past in zip(self.blocks, cache.kv):
-            x = block(x, allow, capture, past)
+            x = block(x, start, capture, past)
         cache.length = t
         logits = x @ self.tok_embed.value.T if self.head is None else self.head(x)
         return logits, capture

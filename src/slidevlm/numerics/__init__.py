@@ -14,6 +14,7 @@ from .tensor import (
     no_grad,
     put_rows,
     take_rows,
+    take_rows_t,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "save_checkpoint",
     "stream",
     "take_rows",
+    "take_rows_t",
 ]

@@ -5,14 +5,16 @@ scale: row-major numpy storage, a taped backward pass, and the fused ops
 (affine maps, layer norm, attention, cross entropy, row gather/scatter)
 that the two stacks need. Each keeps on the tape only what its backward
 reads. `attention` holds the only softmax over scores and takes its keys
-transposed; given plain arrays, such as a decoder's in-place cache, it
-reads them where they lie and keeps no tape. Nothing
-broadcasts: `+` and `*` take equal shapes and `@` two matrices, and a
-mismatch raises `UsageError` instead of summing a gradient down to a
-wrong shape. Every op checks that its output is finite, so numerical
-blowups surface at the op that caused them. `backward` frees each tape
-node once its grads are out. Under `no_grad()` ops keep no tape: their
-results have no parents.
+transposed. It scores a block of query rows at a time under a structural
+mask (a causal offset, a key-validity vector), and its tape keeps its
+inputs and O(n) row statistics, from which backward rebuilds each block's
+weights; given plain arrays, such as a decoder's in-place cache, it reads
+them where they lie and keeps no tape. Nothing broadcasts: `+` and `*`
+take equal shapes and `@` two matrices, and a mismatch raises
+`UsageError` instead of summing a gradient down to a wrong shape. Every
+op checks that its output is finite, so numerical blowups surface at the
+op that caused them. `backward` frees each tape node once its grads are
+out. Under `no_grad()` ops keep no tape: their results have no parents.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "cross_entropy",
     "layer_norm",
     "take_rows",
+    "take_rows_t",
     "put_rows",
     "no_grad",
 ]
@@ -159,13 +162,24 @@ class Tensor:
         # tanh-form GELU; smooth everywhere, which keeps finite-difference
         # gradient checks clean (no ReLU kinks).
         # Powers are written as products: numpy's `x**3` calls pow(), which
-        # is some forty times slower than two multiplies.
+        # is some forty times slower than two multiplies. The forward runs in
+        # place, each step rounding as the plain expression would (halving
+        # last is exact): t takes c * (x + 0.044715 * x**3), then its tanh,
+        # and when no tape keeps t the output reuses its buffer. So it makes
+        # one or two arrays of x's size, not four; each big temporary is
+        # fresh pages to fault in once freed memory has gone back to the OS.
         a = self
         x = a.data
         c = np.sqrt(2.0 / np.pi)
-        u = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(u)
-        data = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        data = t + 1.0 if _grad_mode.enabled and a.requires_grad else np.add(t, 1.0, out=t)
+        data *= x
+        data *= 0.5
 
         def backward(grad):
             du = c * (1.0 + 3.0 * 0.044715 * (x * x))
@@ -328,39 +342,105 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def _masked_softmax(weights: np.ndarray, scale: float, v: np.ndarray, allow, capture):
-    """The weights and `lse` of `attention` and their product with v, from
-    the unscaled scores q·k, which become the weights in place and which
-    `capture` receives."""
-    allow = np.asarray(allow, dtype=bool)
-    try:
-        np.broadcast_to(allow, weights.shape)
-    except ValueError:
-        raise UsageError(f"mask of shape {allow.shape} does not fit scores {weights.shape}") from None
+# Query rows `attention` scores at a time. A block's [..., 64, m] scores
+# bound what it holds beyond its O((n + m)·d) operands and results, in
+# forward and in backward, which rebuilds them a block at a time.
+_BLOCK_ROWS = 64
+
+
+def _allow(causal, keys, rows: slice, m: int):
+    """The mask of one block of query rows over m keys, or None when every
+    row sees every key."""
+    allow = None if causal is None else np.tri(rows.stop - rows.start, m, causal + rows.start, dtype=bool)
+    if keys is not None:
+        allow = keys[..., None, :] if allow is None else allow & keys[..., None, :]
+    return allow
+
+
+def _weights(q_rows, k_t, scale, allow, stats=None):
+    """One block's softmax weights, [..., b, m], and each row's peak and
+    denominator, [..., b, 1], from the scores q·k, which become the weights
+    in place. Given `stats`, the peaks and denominators found before, it
+    rebuilds the same weights by the same operations."""
+    weights = q_rows @ k_t
     weights *= scale
-    peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
-    peak[peak == -np.inf] = 0.0
+    if stats is not None:
+        peak, total = stats
+    elif allow is None:
+        peak = weights.max(axis=-1, keepdims=True)
+    else:
+        peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
+        peak[peak == -np.inf] = 0.0
     weights -= peak
-    np.copyto(weights, -np.inf, where=~allow)
+    if allow is not None:
+        np.copyto(weights, -np.inf, where=~allow)
     np.exp(weights, out=weights)
-    total = weights.sum(axis=-1, keepdims=True)
-    np.copyto(total, 1.0, where=total == 0.0)
+    if stats is None:
+        total = weights.sum(axis=-1, keepdims=True)
+        np.copyto(total, 1.0, where=total == 0.0)
     weights /= total
-    if capture is not None:
-        capture.append(weights)
-    return weights, (peak + np.log(total))[..., 0], weights @ v
+    return weights, peak, total
 
 
-def attention(q: Tensor, k_t, v, allow, capture=None) -> tuple[Tensor, Tensor]:
-    """Masked softmax attention and each row's log-denominator, in one pass.
+def _plus(total, part):
+    """Sum `part` into a running `total`, None before the first part."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse):
+    """Pass the grad of `attention`'s out (or, with `of_lse`, of its lse) to
+    q, k_t and v, a block of query rows at a time, with each block's weights
+    rebuilt by `weights_of(rows)`: d_q takes the block's rows, d_k_t and d_v
+    sum over blocks."""
+    # A contiguous k makes d_q equal a plain d_scores @ k bit for bit.
+    k = np.ascontiguousarray(np.swapaxes(k_t.data, -1, -2)) if q.requires_grad else None
+    d_q = np.empty(q.shape) if q.requires_grad else None
+    d_k = d_v = None
+    for rows in blocks:
+        weights = weights_of(rows)
+        if of_lse:
+            d_scores = weights * grad[..., rows, None]
+        else:
+            g = grad[..., rows, :]
+            if v.requires_grad:
+                d_v = _plus(d_v, np.swapaxes(weights, -1, -2) @ g)
+            if not (q.requires_grad or k_t.requires_grad):
+                continue
+            d_scores = g @ np.swapaxes(v.data, -1, -2)
+            d_scores -= (d_scores * weights).sum(axis=-1, keepdims=True)
+            d_scores *= weights
+        d_scores *= scale
+        if q.requires_grad:
+            d_q[..., rows, :] = d_scores @ k
+        if k_t.requires_grad:
+            d_k = _plus(d_k, np.swapaxes(d_scores, -1, -2) @ q.data[..., rows, :])
+    if d_v is not None:
+        v._accumulate(d_v)
+    if d_q is not None:
+        q._accumulate(d_q)
+    if d_k is not None:
+        k_t._accumulate(np.swapaxes(d_k, -1, -2))
+
+
+def attention(q: Tensor, k_t, v, *, causal=None, keys=None, capture=None) -> tuple[Tensor, Tensor]:
+    """Masked softmax attention and each row's log-denominator.
 
     q is [..., n, d], the keys come transposed, k_t [..., d, m], and v is
-    [..., m, e], with equal leading axes; the boolean `allow` broadcasts to
-    [..., n, m] and lets query i see key j where true. Returns `out`
-    [..., n, e], the softmax of the allowed scores q·k / sqrt(d) times v,
-    and `lse` [..., n], the log of each row's softmax denominator; a row
-    with no allowed key gives zeros in both. The scores become the weights
-    in one buffer, the only array the tape keeps; `capture` receives it too.
+    [..., m, e], with equal leading axes. Query row i sees key j when
+    j <= causal + i, `causal` being the position of row 0 (every key when
+    None), and when `keys`, booleans [..., m] that apply to every row, holds
+    true at j. Returns `out` [..., n, e], the softmax of the visible scores
+    q·k / sqrt(d) times v, and `lse` [..., n], the log of each row's softmax
+    denominator; a row that sees no key gives zeros in both.
+
+    Query rows are scored _BLOCK_ROWS at a time, each block's mask built for
+    its rows alone. The tape keeps q, k_t, v and each row's peak and
+    denominator, no [n, m] array: backward rebuilds each block's weights from
+    them by the forward's own operations. `capture` receives the [..., n, m]
+    weights.
 
     k_t and v may be plain arrays, such as views of a decoder's in-place
     cache: they are read where they lie, neither copied nor scanned, and
@@ -372,38 +452,49 @@ def attention(q: Tensor, k_t, v, allow, capture=None) -> tuple[Tensor, Tensor]:
             "attention needs q [..., n, d], k_t [..., d, m] and v [..., m, e]; "
             f"got shapes {', '.join(map(str, shapes))}"
         )
+    n, m = qs[-2], ks[-1]
+    if keys is not None:
+        keys = np.asarray(keys, dtype=bool)
+        try:
+            np.broadcast_to(keys, ks[:-2] + (m,))
+        except ValueError:
+            raise UsageError(f"key mask of shape {keys.shape} does not fit keys {ks[:-2] + (m,)}") from None
     q = q if isinstance(q, Tensor) else Tensor(q)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    if not (isinstance(k_t, Tensor) and isinstance(v, Tensor)):
-        if _grad_mode.enabled and any(getattr(t, "requires_grad", False) for t in (q, k_t, v)):
-            raise UsageError("attention over plain arrays keeps no tape; run it under no_grad()")
-        k_t, v = (t.data if isinstance(t, Tensor) else t for t in (k_t, v))
-        _, lse, out = _masked_softmax(q.data @ k_t, scale, v, allow, capture)
+    taped = isinstance(k_t, Tensor) and isinstance(v, Tensor)
+    if not taped and _grad_mode.enabled and any(getattr(t, "requires_grad", False) for t in (q, k_t, v)):
+        raise UsageError("attention over plain arrays keeps no tape; run it under no_grad()")
+    keys_t, values = (t.data if isinstance(t, Tensor) else t for t in (k_t, v))
+    blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, max(n, 1), _BLOCK_ROWS)]
+    out = np.empty(qs[:-1] + vs[-1:])
+    peak, total = np.empty(qs[:-1] + (1,)), np.empty(qs[:-1] + (1,))
+    seen = []
+    for rows in blocks:
+        allow = _allow(causal, keys, rows, m)
+        weights, peak[..., rows, :], total[..., rows, :] = _weights(q.data[..., rows, :], keys_t, scale, allow)
+        out[..., rows, :] = weights @ values
+        if capture is not None:
+            seen.append(weights)
+    if capture is not None:
+        capture.append(seen[0] if len(seen) == 1 else np.concatenate(seen, axis=-2))
+    lse = (peak + np.log(total))[..., 0]
+    if not taped:
         return Tensor._result(out, (), None), Tensor._result(lse, (), None)
-    weights, lse, out = _masked_softmax(q.data @ k_t.data, scale, v.data, allow, capture)
 
-    def scores_backward(d_scores):
-        d_scores *= scale
-        if q.requires_grad:
-            # A contiguous k makes d_q equal a plain d_scores @ k bit for bit.
-            q._accumulate(d_scores @ np.ascontiguousarray(np.swapaxes(k_t.data, -1, -2)))
-        if k_t.requires_grad:
-            k_t._accumulate(np.swapaxes(np.swapaxes(d_scores, -1, -2) @ q.data, -1, -2))
+    def weights_of(rows):
+        stats = peak[..., rows, :], total[..., rows, :]
+        return _weights(q.data[..., rows, :], k_t.data, scale, _allow(causal, keys, rows, m), stats)[0]
 
     def out_backward(grad):
-        if v.requires_grad:
-            v._accumulate(np.swapaxes(weights, -1, -2) @ grad)
-        if q.requires_grad or k_t.requires_grad:
-            d_weights = grad @ np.swapaxes(v.data, -1, -2)
-            d_weights -= (d_weights * weights).sum(axis=-1, keepdims=True)
-            d_weights *= weights
-            scores_backward(d_weights)
+        _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse=False)
 
     def lse_backward(grad):
-        scores_backward(weights * grad[..., None])
+        _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse=True)
 
-    out = Tensor._result(out, (q, k_t, v), out_backward)
-    return out, Tensor._result(lse, (q, k_t), lse_backward)
+    return (
+        Tensor._result(out, (q, k_t, v), out_backward),
+        Tensor._result(lse, (q, k_t), lse_backward),
+    )
 
 
 def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
@@ -443,24 +534,41 @@ def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     return Tensor._result(np.asarray(data), (a,), backward)
 
 
+def _add_rows(a: Tensor, indices: np.ndarray, grad: np.ndarray) -> None:
+    """Add the rows of `grad` into a's grad at the rows `indices` gathered."""
+    if a.grad is None:
+        a.grad = np.zeros_like(a.data)
+    # A fancy-index += adds each row's first occurrence and np.add.at the
+    # repeats in order: the same adds, in the same order, as np.add.at alone.
+    flat, grad = indices.ravel(), grad.reshape((indices.size,) + a.shape[1:])
+    first = np.zeros(flat.size, dtype=bool)
+    first[np.unique(flat, return_index=True)[1]] = True
+    a.grad[flat[first]] += grad[first]
+    np.add.at(a.grad, flat[~first], grad[~first])
+
+
 def take_rows(x: Tensor, indices) -> Tensor:
     """Gather rows along the first axis; duplicates allowed."""
     indices = np.asarray(indices, dtype=np.int64)
     a = x
-    data = a.data[indices]
 
     def backward(grad):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        # A fancy-index += adds each row's first occurrence and np.add.at the
-        # repeats in order: the same adds, in the same order, as np.add.at alone.
-        flat, grad = indices.ravel(), grad.reshape((indices.size,) + a.shape[1:])
-        first = np.zeros(flat.size, dtype=bool)
-        first[np.unique(flat, return_index=True)[1]] = True
-        a.grad[flat[first]] += grad[first]
-        np.add.at(a.grad, flat[~first], grad[~first])
+        _add_rows(a, indices, grad)
 
-    return Tensor._result(data, (a,), backward)
+    return Tensor._result(a.data[indices], (a,), backward)
+
+
+def take_rows_t(x: Tensor, indices) -> Tensor:
+    """`take_rows` of x [R, d] at indices [..., m] with its last two axes
+    swapped, [..., d, m], as one op: gathered keys come out in the layout
+    `attention` reads, and the tape keeps no untransposed copy."""
+    indices = np.asarray(indices, dtype=np.int64)
+    a = x
+
+    def backward(grad):
+        _add_rows(a, indices, np.swapaxes(grad, -1, -2))
+
+    return Tensor._result(np.swapaxes(a.data[indices], -1, -2), (a,), backward)
 
 
 def put_rows(n_rows: int, indices, x: Tensor) -> Tensor:

@@ -1,11 +1,19 @@
 """Shared builders for model-level tests."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
+
+import slidevlm
 
 from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
 from slidevlm.lm import DecoderConfig, Vocab
 from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
-from slidevlm.numerics import stream
+from slidevlm.numerics import Tensor, stream
 from slidevlm.slide_io import Raster, Region, SlideSpec, synth_slide, tile_slide
 from slidevlm.training import TrainSample
 
@@ -138,3 +146,67 @@ def oracle_saturation(pixels):
     as_float = pixels.astype(np.float64)
     high, low = as_float.max(axis=2), as_float.min(axis=2)
     return np.where(high > 0.0, (high - low) / np.where(high > 0.0, high, 1.0), 0.0)
+
+
+def structural_mask(n, m, causal=None, keys=None) -> np.ndarray:
+    """The dense mask that `attention(..., causal=, keys=)` applies to n
+    query rows over m keys: [n, m], or [..., n, m] with `keys` [..., m]."""
+    allow = np.ones((n, m), dtype=bool) if causal is None else np.tri(n, m, causal, dtype=bool)
+    return allow if keys is None else allow & np.asarray(keys, dtype=bool)[..., None, :]
+
+
+def reference_attention(q, k_t, v, allow, capture=None):
+    """`numerics.attention` before it scored query rows in blocks, as its
+    oracle: one pass over all rows under a dense boolean `allow` that
+    broadcasts to the [..., n, m] scores, whose weights the tape keeps."""
+    q, k_t, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (q, k_t, v))
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    allow = np.asarray(allow, dtype=bool)
+    weights = q.data @ k_t.data
+    weights *= scale
+    peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
+    peak[peak == -np.inf] = 0.0
+    weights -= peak
+    np.copyto(weights, -np.inf, where=~allow)
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=-1, keepdims=True)
+    np.copyto(total, 1.0, where=total == 0.0)
+    weights /= total
+    if capture is not None:
+        capture.append(weights)
+
+    def scores_backward(d_scores):
+        d_scores *= scale
+        if q.requires_grad:
+            q._accumulate(d_scores @ np.ascontiguousarray(np.swapaxes(k_t.data, -1, -2)))
+        if k_t.requires_grad:
+            k_t._accumulate(np.swapaxes(np.swapaxes(d_scores, -1, -2) @ q.data, -1, -2))
+
+    def out_backward(grad):
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(weights, -1, -2) @ grad)
+        if q.requires_grad or k_t.requires_grad:
+            d_weights = grad @ np.swapaxes(v.data, -1, -2)
+            d_weights -= (d_weights * weights).sum(axis=-1, keepdims=True)
+            d_weights *= weights
+            scores_backward(d_weights)
+
+    def lse_backward(grad):
+        scores_backward(weights * grad[..., None])
+
+    out = Tensor._result(weights @ v.data, (q, k_t, v), out_backward)
+    return out, Tensor._result((peak + np.log(total))[..., 0], (q, k_t), lse_backward)
+
+
+def run_capped(code: str, cap: int) -> subprocess.CompletedProcess:
+    """Run `code` in a child interpreter with one BLAS thread and its
+    address space capped at `cap` bytes, so that running out of memory
+    raises MemoryError there instead of waking the OOM killer."""
+    prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+    src = str(Path(slidevlm.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )

@@ -21,7 +21,9 @@ from slidevlm.numerics import (
     put_rows,
     stream,
     take_rows,
+    take_rows_t,
 )
+from slidevlm.numerics.tensor import _BLOCK_ROWS
 
 EPS = 1e-5
 TOL = 1e-4
@@ -32,13 +34,13 @@ def square(t):
     return t * t
 
 
-def unit_query(scores, allow=True):
+def unit_query(scores):
     """`attention` of one width-1 query per row over keys scored by the rows
     of `scores` [r, m], with identity values: `out` [r, 1, m] is the
     softmax of each row and `lse` [r, 1] its log-sum-exp."""
     rows, m = scores.shape
     values = Tensor(np.broadcast_to(np.eye(m), (rows, m, m)))
-    return attention(Tensor(np.ones((rows, 1, 1))), scores.reshape(rows, 1, m), values, allow)
+    return attention(Tensor(np.ones((rows, 1, 1))), scores.reshape(rows, 1, m), values)
 
 
 def mean(t):
@@ -158,32 +160,47 @@ def test_softmax(seed):
     check(lambda ts: (unit_query(ts[0])[0] * Tensor(w)).sum(), [a])
 
 
-def attention_case(rng):
-    """q, k, v of two heads and a [4, 5] key mask shared by both; row 3
-    sees no key."""
-    q, k, v = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 2))
-    allow = rng.random(size=(4, 5)) < 0.7
-    allow[:3, 0] = True
-    allow[3] = False
-    return q, k, v, allow
+def attention_case(rng, n=4):
+    """q, k, v of two heads, n query rows over n + 1 keys, and the mask: each
+    row causal from -1, so row 0 sees no key, under a key mask shared by both
+    heads that keeps key 0."""
+    q, k, v = rng.normal(size=(2, n, 3)), rng.normal(size=(2, n + 1, 3)), rng.normal(size=(2, n + 1, 2))
+    keys = rng.random(size=n + 1) < 0.7
+    keys[0] = True
+    return q, k, v, dict(causal=-1, keys=keys)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_masked_softmax(seed):
     # The masked softmax inside `attention`, seen through its `out`.
     rng = stream(seed, "gc", "msm")
-    q, k, v, allow = attention_case(rng)
+    q, k, v, mask = attention_case(rng)
     w = rng.normal(size=(2, 4, 2))
-    check(lambda ts: (attention(ts[0], ts[1].transpose(0, 2, 1), ts[2], allow)[0] * Tensor(w)).sum(), [q, k, v])
+    check(lambda ts: (attention(ts[0], ts[1].transpose(0, 2, 1), ts[2], **mask)[0] * Tensor(w)).sum(), [q, k, v])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_masked_logsumexp(seed):
     # The masked log-sum-exp inside `attention`, seen through its `lse`.
     rng = stream(seed, "gc", "mlse")
-    q, k, v, allow = attention_case(rng)
+    q, k, v, mask = attention_case(rng)
     w = rng.normal(size=(2, 4))
-    check(lambda ts: (attention(ts[0], ts[1].transpose(0, 2, 1), Tensor(v), allow)[1] * Tensor(w)).sum(), [q, k])
+    check(lambda ts: (attention(ts[0], ts[1].transpose(0, 2, 1), Tensor(v), **mask)[1] * Tensor(w)).sum(), [q, k])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_attention_over_blocks_of_rows(seed):
+    # More query rows than one block holds: backward rebuilds the weights a
+    # block at a time, and its out and lse grads both reach q and k.
+    rng = stream(seed, "gc", "blocks")
+    q, k, v, mask = attention_case(rng, n=_BLOCK_ROWS + 6)
+    w_out, w_lse = rng.normal(size=(2, _BLOCK_ROWS + 6, 2)), rng.normal(size=(2, _BLOCK_ROWS + 6))
+
+    def build(ts):
+        out, lse = attention(ts[0], ts[1].transpose(0, 2, 1), ts[2], **mask)
+        return (out * Tensor(w_out)).sum() + (lse * Tensor(w_lse)).sum()
+
+    check(build, [q, k, v])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -212,6 +229,15 @@ def test_take_put_concat(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_take_rows_t(seed):
+    rng = stream(seed, "gc", "gather-t")
+    a = rng.normal(size=(4, 3))
+    idx = rng.integers(0, 4, size=(2, 5))  # repeats likely
+    w = rng.normal(size=(2, 3, 5))
+    check(lambda ts: (take_rows_t(ts[0], idx) * Tensor(w)).sum(), [a])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_composite_attention_like_expression(seed):
     rng = stream(seed, "gc", "full")
     x = rng.normal(size=(5, 4))
@@ -221,7 +247,7 @@ def test_composite_attention_like_expression(seed):
     mask = np.ones(5, dtype=bool)
 
     def build(ts):
-        out, lse = attention(ts[0] @ ts[1], ts[0].T, ts[0] @ ts[2], True)
+        out, lse = attention(ts[0] @ ts[1], ts[0].T, ts[0] @ ts[2])
         return cross_entropy(out, targets, mask) + mean(lse * lse)
 
     check(build, [x, wq, wv])

@@ -28,6 +28,7 @@ from slidevlm.lm import (
     text_positions,
 )
 from slidevlm import lm as lm_module
+from conftest import reference_attention, run_capped, structural_mask
 from slidevlm.numerics import (
     UsageError,
     Tensor,
@@ -181,15 +182,15 @@ def test_empty_visual_rejected():
 
 
 def spy_on_attention(monkeypatch) -> list:
-    """Record (query rows, key rows, mask broadcast to [rows, keys]) per
-    attention call of the decoder."""
+    """Record (query rows, key rows, the [rows, keys] mask that the call's
+    causal offset and key validity make) per attention call of the decoder."""
     calls = []
     real = lm_module.attention
 
-    def spy(q, k_t, v, allow, capture=None):
-        shape = (q.shape[-2], k_t.shape[-1])
-        calls.append((*shape, np.broadcast_to(allow, shape)))
-        return real(q, k_t, v, allow, capture)
+    def spy(q, k_t, v, *, causal=None, keys=None, capture=None):
+        rows, cols = q.shape[-2], k_t.shape[-1]
+        calls.append((rows, cols, structural_mask(rows, cols, causal, keys)))
+        return real(q, k_t, v, causal=causal, keys=keys, capture=capture)
 
     monkeypatch.setattr(lm_module, "attention", spy)
     return calls
@@ -463,37 +464,46 @@ def test_batched_masked_attention_matches_per_head_oracle():
     dim = heads * dh
     attn = _MaskedSelfAttention("attn", dim, heads, stream(1, "oracle", "weights"))
     x = stream(1, "oracle", "x").normal(size=(t, dim))
-    allow = np.tril(np.ones((t, t), dtype=bool))
-    allow[:4, :4] = True
-    capture = []
-    got = attn(Tensor(x), allow, capture, []).data
-
     p = {prm.name.split(".", 1)[1]: prm.value.data for prm in attn.params()}
     q = x @ p["q.weight"] + p["q.bias"]
     k = x @ p["k.weight"]
     v = x @ p["v.weight"] + p["v.bias"]
-    heads_out, weights = [], []
-    for h in range(heads):
-        cols = slice(h * dh, (h + 1) * dh)
-        scores = np.where(allow, q[:, cols] @ k[:, cols].T / math.sqrt(dh), -np.inf)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        att = e / e.sum(axis=1, keepdims=True)
-        weights.append(att)
-        heads_out.append(att @ v[:, cols])
-    want = np.hstack(heads_out) @ p["out.weight"] + p["out.bias"]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    assert len(capture) == 1 and capture[0].shape == (heads, t, t)
-    np.testing.assert_allclose(capture[0], np.stack(weights), rtol=0, atol=1e-12)
+    for causal in (None, 0, 3):  # every key; causal; causal after three more keys
+        capture = []
+        got = attn(Tensor(x), causal, capture, []).data
+        allow = structural_mask(t, t, causal)
+        heads_out, weights = [], []
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = np.where(allow, q[:, cols] @ k[:, cols].T / math.sqrt(dh), -np.inf)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            att = e / e.sum(axis=1, keepdims=True)
+            weights.append(att)
+            heads_out.append(att @ v[:, cols])
+        want = np.hstack(heads_out) @ p["out.weight"] + p["out.bias"]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert len(capture) == 1 and capture[0].shape == (heads, t, t)
+        np.testing.assert_allclose(capture[0], np.stack(weights), rtol=0, atol=1e-12)
 
 
 # -- the prefix split against the dense oracle ------------------------------------------
 
 
+def dense_block(block, x, allow, capture):
+    """A decoder block over all its rows under a dense mask, through the
+    reference attention op."""
+    attn = block.attn
+    q, v = attn.project(x, attn.wq, attn.wv)
+    out, _ = reference_attention(q, attn.keys_t(x), v, allow, capture)
+    x = block.ln1(x + attn.merge(out))
+    return block.ln2(x + block.ffn(x))
+
+
 def dense_forward(lm, seq, capture=None):
     """The decoder without its prefix split, as the oracle of that split:
-    every block over all T rows under the [T, T] layout mask. Returns the
-    logits of all T rows; `capture` receives each block's [H, T, T]
-    attention."""
+    every block over all T rows under the [T, T] layout mask, through the
+    dense reference attention. Returns the logits of all T rows; `capture`
+    receives each block's [H, T, T] attention."""
     t, p = seq.total_len, seq.n_prefix
     ids, _ = full_layout(seq)
     tok = lm.tok_embed.value
@@ -504,7 +514,7 @@ def dense_forward(lm, seq, capture=None):
     if not lm.cfg.causal_visual:
         allow[:p, :p] = True
     for block in lm.blocks:
-        x = block(x, allow, capture, [])
+        x = dense_block(block, x, allow, capture)
     return lm.head(x) if lm.head is not None else x @ tok.T
 
 
@@ -801,7 +811,7 @@ def test_one_decode_step_copies_no_key_cache():
     # its row against the buffer in place: an [H, 1, T] score row and a few
     # [1, D] rows, against 4.2 MB (H·T·dh·8 bytes) for one copy of a block's
     # keys. The prefix cache is drawn at random, as only its shapes matter
-    # here and the prefix pass would form [H, N, N] scores.
+    # here.
     cfg = DecoderConfig()
     lm = DecoderLM(cfg, len(SPECIALS) + len(WORDS), seed=0)
     seq = assemble(visual(4096, dim=cfg.dim), "the slide", None, vocab())
@@ -823,6 +833,21 @@ def test_one_decode_step_copies_no_key_cache():
             tracemalloc.stop()
     assert logits.shape == (1, len(SPECIALS) + len(WORDS)) and cache.length == step.total_len
     assert peak < 1 << 20, f"one step allocated {peak / 1024:.0f} KiB"
+
+
+def test_prefix_cache_memory_at_8192_visual_tokens():
+    # Small decoder dims, 8192 visual tokens, under a 1 GiB address-space
+    # cap. One [H, p, p] score buffer of the prefix rows takes 1.07 GB here
+    # and raises MemoryError; blocks of query rows score [H, 64, p] at a time.
+    code = """
+        from slidevlm.lm import DecoderConfig, DecoderLM
+        from slidevlm.numerics import stream
+        lm = DecoderLM(DecoderConfig(heads=2, head_dim=4), 16, seed=0)
+        cache = lm.prefix_cache(stream(0, "memory-guard").normal(size=(8192, lm.cfg.dim)))
+        assert cache.length == 8194 and cache.kv[0][0].shape == (2, 4, 8194)
+        """
+    proc = run_capped(code, 2**30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_decode_memory_does_not_grow_with_tokens():

@@ -1,18 +1,12 @@
 """Generation through the whole model: the reused visual prefix and memory."""
 
-import os
-import subprocess
-import sys
-import textwrap
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_slides, tiny_model
+from conftest import random_slides, run_capped, tiny_model
 from test_lm import full_forward_greedy
 
-import slidevlm
 from slidevlm.encoders import Projector, SlideEncoder
 from slidevlm.lm import assemble
 from slidevlm.numerics import AdamW
@@ -175,11 +169,7 @@ def test_generate_memory_at_2048_patches():
     # Default dims, one 2048-patch slide, under a 1 GiB address-space cap.
     # Generating with an autodiff tape keeps every [H, T, T] attention map
     # of the prefill alive and raises MemoryError here.
-    code = textwrap.dedent(
-        """
-        import resource
-        cap = 2**30
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    code = """
         from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
         from slidevlm.lm import Vocab
         from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
@@ -193,11 +183,27 @@ def test_generate_memory_at_2048_patches():
         text, trace = model.generate(SlideInputs(EmbeddingMatrix(2048, 32, values)), "tumor", max_len=4)
         assert trace.values.shape[-1] == 2048
         """
-    )
-    src = str(Path(slidevlm.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
-    )
+    proc = run_capped(code, 2**30)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_full_model_loss_memory_at_4096_patches():
+    # Default dims with grid positions, one loss forward and backward under a
+    # 1.5 GiB address-space cap. A decoder prefix pass that tapes its
+    # [H, p, p] weights peaks at 2.1 GiB here and raises MemoryError.
+    code = """
+        from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
+        from slidevlm.lm import Vocab
+        from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
+        from slidevlm.numerics import stream
+        n, side = 4096, 64
+        vocab = Vocab.build(["the slide shows tumor tissue with stroma margin"])
+        model = SlideVLM(ModelConfig(encoder=SlideEncoderConfig(positional="grid")), vocab, seed=0)
+        model.set_trainable_groups({"slide_encoder", "projector", "lm"})
+        values = stream(0, "memory-guard").normal(size=(n, 32))
+        inputs = SlideInputs(EmbeddingMatrix(n, 32, values), [(i // side, i % side) for i in range(n)])
+        model.loss(inputs, "the slide shows", "tumor tissue with stroma margin").backward()
+        assert model.lm.blocks[0].attn.wk.weight.value.grad.any()
+        """
+    proc = run_capped(code, 3 * 2**29)
     assert proc.returncode == 0, proc.stderr[-2000:]

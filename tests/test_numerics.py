@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import tiny_model
+from conftest import reference_attention, structural_mask, tiny_model
 from hypothesis import strategies as st
 
 from slidevlm.numerics import (
@@ -28,20 +28,22 @@ from slidevlm.numerics import (
     save_checkpoint,
     stream,
     take_rows,
+    take_rows_t,
 )
 from slidevlm.numerics.optim import EPS
+from slidevlm.numerics.tensor import _BLOCK_ROWS
 
 
 # -- attention -------------------------------------------------------------------
 
 
-def unit_query(logits, allow=True):
+def unit_query(logits, keys=None):
     """`attention` of one query of width 1 over keys whose scores are the
     logits [..., m], with identity values: `out` is then the weights."""
     x = np.asarray(logits, dtype=np.float64)
     q = Tensor(np.ones(x.shape[:-1] + (1, 1)))
     eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape[:-1] + (x.shape[-1],) * 2)
-    return attention(q, Tensor(x[..., None, :]), Tensor(eye), allow)
+    return attention(q, Tensor(x[..., None, :]), Tensor(eye), keys=keys)
 
 
 def softmax(logits):
@@ -95,13 +97,13 @@ def test_masked_softmax_fully_masked_row_is_zero():
 def test_masked_softmax_shape_mismatch():
     q, k = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
     with pytest.raises(UsageError, match="mask"):
-        attention(q, k.T, k, np.ones((3, 4), dtype=bool))
+        attention(q, k.T, k, keys=np.ones(3, dtype=bool))  # one validity per key
     with pytest.raises(UsageError):
-        attention(q, Tensor(np.ones((2, 4))), k, True)  # key width != query width
+        attention(q, Tensor(np.ones((2, 4))), k)  # key width != query width
     with pytest.raises(UsageError):
-        attention(q, k.T, Tensor(np.ones((3, 3))), True)  # one value row per key
+        attention(q, k.T, Tensor(np.ones((3, 3))))  # one value row per key
     with pytest.raises(UsageError):
-        attention(Tensor(np.ones(3)), k.T, k, True)
+        attention(Tensor(np.ones(3)), k.T, k)
 
 
 def test_masked_logsumexp_matches_dense_on_full_mask():
@@ -140,16 +142,17 @@ def composed_attention(q, k, v, allow, g_out, g_lse):
 def test_attention_matches_composed_oracle():
     rng = stream(4, "attention-oracle")
     heads, t, d, e = 3, 7, 5, 4
-    causal = np.tri(t, dtype=bool)
-    causal[2] = False  # a query row that sees no key
-    sparse = rng.random(size=(heads, t, t)) < 0.5
-    sparse[0, 4] = False
-    for allow in (causal, sparse, np.ones((1, t), dtype=bool)):
+    sparse = rng.random(size=(heads, t)) < 0.5
+    sparse[0] = False  # a head whose query rows see no key
+    # Causal from -2 leaves rows 0 and 1 with no key; then a key mask per
+    # head; then both; then no mask.
+    for causal, keys in ((-2, None), (None, sparse), (1, sparse), (None, None)):
+        allow = structural_mask(t, t, causal, keys)
         arrays = [rng.normal(size=(heads, t, d)) for _ in range(2)] + [rng.normal(size=(heads, t, e))]
         g_out, g_lse = rng.normal(size=(heads, t, e)), rng.normal(size=(heads, t))
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         capture = []
-        out, lse = attention(q, k.transpose(0, 2, 1), v, allow, capture)
+        out, lse = attention(q, k.transpose(0, 2, 1), v, causal=causal, keys=keys, capture=capture)
         ((out * Tensor(g_out)).sum() + (lse * Tensor(g_lse)).sum()).backward()
         want_out, want_lse, want_weights, want_grads = composed_attention(*arrays, allow, g_out, g_lse)
         np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
@@ -162,14 +165,73 @@ def test_attention_matches_composed_oracle():
         assert (out.data[blind] == 0.0).all() and (lse.data[blind] == 0.0).all()
 
 
-def test_attention_tape_keeps_only_the_weights():
-    q, k, v = (Tensor(np.ones((2, 3, 4)), requires_grad=True) for _ in range(3))
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
+def test_attention_matches_dense_reference_across_blocks(n):
+    # Query rows in blocks against the dense op they replace: out, lse, the
+    # captured weights and every gradient agree within 1e-12 over several
+    # blocks, and bit for bit when the rows fit in one.
+    rng = stream(n, "attention-blocks")
+    heads, m, d, e = 2, n + 3, 5, 4
+    valid = rng.random(size=(heads, m)) < 0.8
+    valid[1] = False  # a head whose rows see no key
+    # No mask; decoder-like rows after m - n keys; the first three rows
+    # blind; a key mask; both.
+    for causal, keys in ((None, None), (m - n, None), (-3, None), (None, valid), (m - n, valid)):
+        arrays = rng.normal(size=(heads, n, d)), rng.normal(size=(heads, d, m)), rng.normal(size=(heads, m, e))
+        g_out, g_lse = Tensor(rng.normal(size=(heads, n, e))), Tensor(rng.normal(size=(heads, n)))
+        allow = structural_mask(n, m, causal, keys)
+        results = []
+        for op in (
+            lambda *qkv, capture: attention(*qkv, causal=causal, keys=keys, capture=capture),
+            lambda *qkv, capture: reference_attention(*qkv, allow, capture),
+        ):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            capture = []
+            out, lse = op(*leaves, capture=capture)
+            ((out * g_out).sum() + (lse * g_lse).sum()).backward()
+            results.append([out.data, lse.data, capture[0]] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            if n <= _BLOCK_ROWS:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        out, lse = results[0][:2]
+        blind = ~np.broadcast_to(allow, (heads, n, m)).any(axis=-1)
+        assert (out[blind] == 0.0).all() and (lse[blind] == 0.0).all()
+
+
+def held_by(fn) -> list:
+    """Every array and tensor that a closure holds, through the functions it holds."""
+    found, stack = [], [fn]
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            item = cell.cell_contents
+            if callable(item) and getattr(item, "__closure__", None):
+                stack.append(item)
+            elif isinstance(item, (np.ndarray, Tensor)):
+                found.append(item)
+    return found
+
+
+def test_attention_tape_keeps_no_weights():
+    # Over several blocks of query rows, the tape holds the inputs and O(n)
+    # row statistics: no array ends in [n, m], and the weights that
+    # `capture` receives are not on it.
+    n, m = 2 * _BLOCK_ROWS + 3, 70
+    rng = stream(7, "attention-tape")
+    q = Tensor(rng.normal(size=(2, n, 4)), requires_grad=True)
+    k_t = Tensor(rng.normal(size=(2, 4, m)), requires_grad=True)
+    v = Tensor(rng.normal(size=(2, m, 4)), requires_grad=True)
     capture = []
-    out, lse = attention(q, k.transpose(0, 2, 1), v, True, capture)
+    out, lse = attention(q, k_t, v, causal=m - n, keys=np.arange(m) % 5 > 0, capture=capture)
+    assert capture[0].shape == (2, n, m)
     for t in (out, lse):
-        closure = [c.cell_contents for c in t._backward.__closure__]
-        held = [a for a in closure if isinstance(a, np.ndarray) and a.ndim == 3]
-        assert len(held) == 1 and held[0] is capture[0]
+        held = held_by(t._backward)
+        arrays = [a.data if isinstance(a, Tensor) else a for a in held]
+        assert not any(a.shape[-2:] == (n, m) for a in arrays)
+        assert not any(a is capture[0] or a.base is capture[0] for a in arrays)
+        others = [a for a in held if not any(a is x for x in (q, k_t, v))]
+        assert sum(a.size for a in others) <= 2 * 2 * n + m
 
 
 def test_attention_over_views_equals_attention_over_tensors():
@@ -178,23 +240,23 @@ def test_attention_over_views_equals_attention_over_tensors():
     rng = stream(6, "cached-attention")
     heads, n, t, d, e, cap = 3, 2, 7, 5, 4, 11
     q, k, v = rng.normal(size=(heads, n, d)), rng.normal(size=(heads, t, d)), rng.normal(size=(heads, t, e))
-    allow = np.tri(n, t, t - n, dtype=bool)
+    causal = t - n
     keys_t, values = np.zeros((heads, d, cap)), np.zeros((heads, cap, e))
     keys_t[..., :t], values[:, :t] = np.swapaxes(k, 1, 2), v
     want, got = [], []
-    out, _ = attention(Tensor(q), Tensor(np.swapaxes(k, 1, 2)), Tensor(v), allow, want)
-    cached, _ = attention(Tensor(q), keys_t[..., :t], values[:, :t], allow, got)
+    out, _ = attention(Tensor(q), Tensor(np.swapaxes(k, 1, 2)), Tensor(v), causal=causal, capture=want)
+    cached, _ = attention(Tensor(q), keys_t[..., :t], values[:, :t], causal=causal, capture=got)
     assert np.array_equal(cached.data, out.data) and np.array_equal(got[0], want[0])
     assert not cached.requires_grad
     tracked = Tensor(q, requires_grad=True)
     with pytest.raises(UsageError, match="no_grad"):
-        attention(tracked, keys_t[..., :t], values[:, :t], allow)
+        attention(tracked, keys_t[..., :t], values[:, :t], causal=causal)
     with no_grad():
-        assert np.array_equal(attention(tracked, keys_t[..., :t], values[:, :t], allow)[0].data, out.data)
+        assert np.array_equal(attention(tracked, keys_t[..., :t], values[:, :t], causal=causal)[0].data, out.data)
     with pytest.raises(UsageError, match="k_t"):
-        attention(Tensor(q), keys_t[..., :t], values[:, : t - 1], allow)
+        attention(Tensor(q), keys_t[..., :t], values[:, : t - 1], causal=causal)
     with pytest.raises(UsageError, match="mask"):
-        attention(Tensor(q), keys_t[..., :t], values[:, :t], allow[:, 1:])
+        attention(Tensor(q), keys_t[..., :t], values[:, :t], keys=np.ones(t - 1, dtype=bool))
 
 
 # -- affine and layer norm ----------------------------------------------------------
@@ -262,9 +324,9 @@ def test_ops_reject_shapes_that_would_broadcast():
         lambda: heads @ Tensor(np.ones((4, 2))),
         lambda: a @ Tensor(np.ones((2, 4, 2))),
         lambda: a @ Tensor(np.ones((3, 2))),
-        lambda: attention(heads, flat.T, flat, True),
-        lambda: attention(flat, heads.transpose(0, 2, 1), heads, True),
-        lambda: attention(Tensor(np.ones((1, 3, 4))), heads.transpose(0, 2, 1), heads, True),
+        lambda: attention(heads, flat.T, flat),
+        lambda: attention(flat, heads.transpose(0, 2, 1), heads),
+        lambda: attention(Tensor(np.ones((1, 3, 4))), heads.transpose(0, 2, 1), heads),
         lambda: affine(a, Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2)))),
         lambda: affine(heads, Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
         lambda: layer_norm(a, Tensor(np.ones((1, 4))), row, 1e-5),
@@ -401,6 +463,23 @@ def test_take_rows_backward_equals_add_at_bit_for_bit():
         np.testing.assert_array_equal(x.grad, want)
 
 
+def test_take_rows_t_is_take_rows_transposed_bit_for_bit():
+    # The gathered keys of dilated_branch, straight into [G, d, m]: the bytes
+    # of take_rows(...).transpose(0, 2, 1) and the same grads, from one op.
+    rng = stream(13, "take-t")
+    x = rng.normal(size=(40, 5))
+    indices = np.minimum(np.arange(48).reshape(6, 8) * 3 % 45, 39)  # clipped repeats
+    upstream = rng.normal(size=(6, 5, 8))
+    got_x, want_x = (Tensor(x, requires_grad=True) for _ in range(2))
+    got = take_rows_t(got_x, indices)
+    want = take_rows(want_x, indices).transpose(0, 2, 1)
+    assert np.array_equal(got.data, want.data) and got.data.flags.c_contiguous
+    assert len(got._parents) == 1 and got._parents[0] is got_x  # no untransposed copy between
+    for t in (got, want):
+        (t * Tensor(upstream)).sum().backward()
+    np.testing.assert_array_equal(got_x.grad, want_x.grad)
+
+
 def test_take_rows_backward_scatters_into_the_grad():
     x = Tensor(stream(8, "take").normal(size=(4096, 64)), requires_grad=True)
     x.grad = np.ones_like(x.data)
@@ -447,7 +526,7 @@ def test_no_grad_results_keep_no_tape():
     x = Tensor(np.ones((4, 3)))
     with no_grad():
         out = concat([take_rows(x @ w.value, [0, 2]).gelu(), x.rows(0, 1) @ w.value], axis=0)
-        att, lse = attention(out, out.T, out, True)
+        att, lse = attention(out, out.T, out)
         loss = att.sum()
     for t in (out, att, lse, loss):
         assert not t.requires_grad and t._parents == () and t._backward is None
