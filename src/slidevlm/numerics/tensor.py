@@ -3,8 +3,15 @@
 Just enough array machinery to train every block in this repo at desk
 scale: row-major numpy storage, a taped backward pass, and the fused ops
 (affine maps, layer norm, attention, cross entropy, row gather/scatter)
-that the two stacks need. Each keeps on the tape only what its backward
-reads. `attention` holds the only softmax over scores and takes its keys
+that the two stacks need. The tape is kept apart from the values: a
+tensor that needs a grad points to a small node holding its shape, grad,
+the nodes of the parents that need a grad and a backward closure, and
+each closure holds only the arrays its backward reads. `affine` and `@`
+keep x only when the weight needs a grad and the weight only when x
+does; `+`, the shape ops, the row gathers and scatters, `sum`, `concat`
+and `cross_entropy` keep no parent value. A value thus lives only while
+its caller or some backward holds it, and forward frees the rest as it
+goes. `attention` holds the only softmax over scores and takes its keys
 transposed. It scores a block of query rows at a time under a structural
 mask (a causal offset, a key-validity vector), and its tape keeps its
 inputs and O(n) row statistics, from which backward rebuilds each block's
@@ -14,7 +21,8 @@ take equal shapes and `@` two matrices, and a mismatch raises
 `UsageError` instead of summing a gradient down to a wrong shape. Every
 op checks that its output is finite, so numerical blowups surface at the
 op that caused them. `backward` frees each tape node once its grads are
-out. Under `no_grad()` ops keep no tape: their results have no parents.
+out, and a second `backward` through a freed tape raises `UsageError`.
+Under `no_grad()`, or when no parent needs a grad, ops make no node.
 """
 
 from __future__ import annotations
@@ -77,44 +85,83 @@ def _operands(need: str, fits, *operands) -> tuple["Tensor", ...]:
     return tensors
 
 
-class Tensor:
-    """A dense float64 array plus the tape entry that produced it."""
+class _Node:
+    """A value's entry on the tape, without the value: its shape and grad,
+    the nodes of the parents that need a grad, and the closure that passes
+    its grad to them. Backward sets `parents` to None once the closure ran."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("shape", "grad", "parents", "backward", "__weakref__")
+
+    def __init__(self, shape: tuple[int, ...], parents: tuple["_Node", ...] = (), backward=None):
+        self.shape = shape
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+
+    def accumulate(self, grad: np.ndarray, index=...) -> None:
+        """Add `grad` into this grad at `index` (a basic index). A first
+        whole grad is copied, for an op may pass one array to two parents."""
+        if self.grad is None and index is ...:
+            self.grad = np.empty(self.shape)
+            np.copyto(self.grad, grad)
+            return
+        if self.grad is None:
+            self.grad = np.zeros(self.shape)
+        self.grad[index] += grad
+
+
+def _needs(*tensors: "Tensor") -> tuple[_Node | None, ...]:
+    """The tape node of each tensor that an op's backward must pass a grad
+    to, and None for the others and for every tensor under no_grad()."""
+    if not _grad_mode.enabled:
+        return (None,) * len(tensors)
+    return tuple(t._tape() if t.requires_grad else None for t in tensors)
+
+
+class Tensor:
+    """A dense float64 array and, once it needs a grad, its tape node."""
+
+    __slots__ = ("data", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise UsageError("tensor values must be finite")
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        """The output of an op: a node linking the parents that need a grad
+        to `backward`, or none when no parent does or under no_grad()."""
         out = Tensor.__new__(Tensor)
         out.data = np.ascontiguousarray(data, dtype=np.float64)
         if not np.all(np.isfinite(out.data)):
             raise UsageError("operation produced non-finite values")
-        out.grad = None
-        out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
-        out._parents = parents if out.requires_grad else ()
-        out._backward = backward if out.requires_grad else None
+        linked = tuple(p._tape() for p in parents if p.requires_grad) if _grad_mode.enabled else ()
+        out.requires_grad = bool(linked)
+        out._node = _Node(out.data.shape, linked, backward) if linked else None
         return out
 
+    def _tape(self) -> _Node:
+        """This tensor's tape node; a leaf's is made on first use."""
+        if self._node is None:
+            self._node = _Node(self.data.shape)
+        return self._node
+
     def _accumulate(self, grad: np.ndarray, index=...) -> None:
-        """Add `grad` into this tensor's grad at `index` (a basic index). A first
-        whole grad is copied, for an op may pass one array to two parents."""
-        if self.grad is None and index is ...:
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, grad)
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[index] += grad
+        """Add `grad` into this tensor's grad at `index` (a basic index)."""
+        self._tape().accumulate(grad, index)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._tape().grad = value
 
     # -- introspection ---------------------------------------------------------
 
@@ -138,23 +185,28 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         a, b = _operands("+ needs equal shapes", operator.eq, self, other)
+        na, nb = _needs(a, b)
 
         def backward(grad):
-            if a.requires_grad:
-                a._accumulate(grad)
-            if b.requires_grad:
-                b._accumulate(grad)
+            if na is not None:
+                na.accumulate(grad)
+            if nb is not None:
+                nb.accumulate(grad)
 
         return Tensor._result(a.data + b.data, (a, b), backward)
 
     def __mul__(self, other) -> "Tensor":
         a, b = _operands("* needs equal shapes", operator.eq, self, other)
+        na, nb = _needs(a, b)
+        # Each side's grad reads the other side's value.
+        a_data = a.data if nb is not None else None
+        b_data = b.data if na is not None else None
 
         def backward(grad):
-            if a.requires_grad:
-                a._accumulate(grad * b.data)
-            if b.requires_grad:
-                b._accumulate(grad * a.data)
+            if na is not None:
+                na.accumulate(grad * b_data)
+            if nb is not None:
+                nb.accumulate(grad * a_data)
 
         return Tensor._result(a.data * b.data, (a, b), backward)
 
@@ -168,8 +220,8 @@ class Tensor:
         # and when no tape keeps t the output reuses its buffer. So it makes
         # one or two arrays of x's size, not four; each big temporary is
         # fresh pages to fault in once freed memory has gone back to the OS.
-        a = self
-        x = a.data
+        (na,) = _needs(self)
+        x = self.data
         c = np.sqrt(2.0 / np.pi)
         t = x * x
         t *= x
@@ -177,40 +229,41 @@ class Tensor:
         t += x
         t *= c
         np.tanh(t, out=t)
-        data = t + 1.0 if _grad_mode.enabled and a.requires_grad else np.add(t, 1.0, out=t)
+        data = t + 1.0 if na is not None else np.add(t, 1.0, out=t)
         data *= x
         data *= 0.5
 
         def backward(grad):
             du = c * (1.0 + 3.0 * 0.044715 * (x * x))
             local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            a._accumulate(grad * local)
+            na.accumulate(grad * local)
 
-        return Tensor._result(data, (a,), backward)
+        return Tensor._result(data, (self,), backward)
 
     # -- shape manipulation ------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
-        a = self
-        data = a.data.reshape(shape)
+        (na,) = _needs(self)
+        before = self.shape
 
         def backward(grad):
-            a._accumulate(grad.reshape(a.shape))
+            na.accumulate(grad.reshape(before))
 
-        return Tensor._result(data, (a,), backward)
+        return Tensor._result(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         """Permute axes like numpy; no axes reverses them."""
-        a = self
-        axes = axes or tuple(reversed(range(a.data.ndim)))
-        if sorted(axes) != list(range(a.data.ndim)):
-            raise UsageError(f"axes {axes} do not permute a {a.data.ndim}-D tensor")
+        ndim = self.data.ndim
+        axes = axes or tuple(reversed(range(ndim)))
+        if sorted(axes) != list(range(ndim)):
+            raise UsageError(f"axes {axes} do not permute a {ndim}-D tensor")
         inverse = tuple(np.argsort(axes))
+        (na,) = _needs(self)
 
         def backward(grad):
-            a._accumulate(grad.transpose(inverse))
+            na.accumulate(grad.transpose(inverse))
 
-        return Tensor._result(a.data.transpose(axes), (a,), backward)
+        return Tensor._result(self.data.transpose(axes), (self,), backward)
 
     @property
     def T(self) -> "Tensor":
@@ -220,23 +273,23 @@ class Tensor:
 
     def rows(self, start: int, stop: int) -> "Tensor":
         """Contiguous row slice along the first axis."""
-        a = self
+        (na,) = _needs(self)
 
         def backward(grad):
-            a._accumulate(grad, index=slice(start, stop))
+            na.accumulate(grad, index=slice(start, stop))
 
-        return Tensor._result(a.data[start:stop], (a,), backward)
+        return Tensor._result(self.data[start:stop], (self,), backward)
 
     # -- reductions ---------------------------------------------------------------
 
     def sum(self) -> "Tensor":
         """The sum of every element."""
-        a = self
+        (na,) = _needs(self)
 
         def backward(grad):
-            a._accumulate(np.broadcast_to(grad, a.shape))
+            na.accumulate(np.broadcast_to(grad, na.shape))
 
-        return Tensor._result(a.data.sum(), (a,), backward)
+        return Tensor._result(self.data.sum(), (self,), backward)
 
     # -- linear algebra -------------------------------------------------------------
 
@@ -244,12 +297,16 @@ class Tensor:
         """Product of two matrices."""
         need = "@ needs [n, d] and [d, e] matrices"
         a, b = _operands(need, lambda a, b: len(a) == len(b) == 2 and a[1] == b[0], self, other)
+        na, nb = _needs(a, b)
+        # Each side's grad reads the other side's value.
+        a_data = a.data if nb is not None else None
+        b_data = b.data if na is not None else None
 
         def backward(grad):
-            if a.requires_grad:
-                a._accumulate(grad @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ grad)
+            if na is not None:
+                na.accumulate(grad @ b_data.T)
+            if nb is not None:
+                nb.accumulate(a_data.T @ grad)
 
         return Tensor._result(a.data @ b.data, (a, b), backward)
 
@@ -262,35 +319,41 @@ class Tensor:
         if not self.requires_grad:
             raise UsageError("backward() on a value detached from any graph")
 
-        topo: list[Tensor] = []
+        root = self._tape()
+        topo: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
+            if node.parents is None:
+                raise UsageError(
+                    "backward() through a graph whose tape an earlier backward() freed; "
+                    "run the forward again"
+                )
             if id(node) in visited:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+            for parent in node.parents:
+                if id(parent) not in visited:
                     stack.append((parent, False))
 
         # `topo` lists each node after all it was computed from, so a node is
         # popped once every consumer has passed it its grad. Having passed
         # that on, it drops its grad, parents and closure: the tape lets go.
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones(root.shape)
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue  # a leaf keeps its grad
-            node._backward(node.grad)
-            if node is not self:
+            node.backward(node.grad)
+            if node is not root:
                 node.grad = None
-            node._parents = ()
-            node._backward = None
+            node.parents = None
+            node.backward = None
 
 
 # -- free functions ------------------------------------------------------------
@@ -298,19 +361,23 @@ class Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for x [n, d], w [d, e] and b [e], as one op: the bias row
-    is added to every row of the product. The tape keeps only the inputs."""
+    is added to every row of the product. The tape keeps x only when w
+    needs a grad and w only when x does."""
     need = "affine needs x [n, d], w [d, e] and b [e]"
     x, w, b = _operands(need, lambda x, w, b: len(x) == 2 and x[1:] + b == w, x, w, b)
+    nx, nw, nb = _needs(x, w, b)
+    x_data = x.data if nw is not None else None
+    w_data = w.data if nx is not None else None
     data = x.data @ w.data
     data += b.data
 
     def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ grad)
-        if b.requires_grad:
-            b._accumulate(grad.sum(axis=0))
+        if nx is not None:
+            nx.accumulate(grad @ w_data.T)
+        if nw is not None:
+            nw.accumulate(x_data.T @ grad)
+        if nb is not None:
+            nb.accumulate(grad.sum(axis=0))
 
     return Tensor._result(data, (x, w, b), backward)
 
@@ -318,26 +385,29 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Each row of x [n, d] normalized to mean 0 and variance 1 (with `eps`
     added to the variance), times `gain` [d] plus `bias` [d]. The tape keeps
-    the normalized rows and each row's std; the backward is closed-form."""
+    the normalized rows, each row's std and, when x needs a grad, the gain;
+    the backward is closed-form."""
     need = "layer_norm needs x [n, d], gain [d] and bias [d]"
     x, gain, bias = _operands(need, lambda x, g, b: len(x) == 2 and g == b == x[1:], x, gain, bias)
+    nx, ng, nb = _needs(x, gain, bias)
+    gain_data = gain.data if nx is not None else None
     inv_d = 1.0 / x.shape[1]
     normed = x.data - x.data.sum(axis=1, keepdims=True) * inv_d
     std = np.sqrt((normed * normed).sum(axis=1, keepdims=True) * inv_d + eps)
     normed /= std
 
     def backward(grad):
-        if gain.requires_grad:
-            gain._accumulate((grad * normed).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=0))
-        if x.requires_grad:
-            d_normed = grad * gain.data
+        if ng is not None:
+            ng.accumulate((grad * normed).sum(axis=0))
+        if nb is not None:
+            nb.accumulate(grad.sum(axis=0))
+        if nx is not None:
+            d_normed = grad * gain_data
             mean_dn = (d_normed * normed).sum(axis=1, keepdims=True) * inv_d
             d_normed -= d_normed.sum(axis=1, keepdims=True) * inv_d
             d_normed -= normed * mean_dn
             d_normed /= std
-            x._accumulate(d_normed)
+            nx.accumulate(d_normed)
 
     return Tensor._result(normed * gain.data + bias.data, (x, gain, bias), backward)
 
@@ -390,14 +460,16 @@ def _plus(total, part):
     return total
 
 
-def _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse):
+def _attention_backward(nodes, q, k_t, v, blocks, weights_of, scale, grad, of_lse):
     """Pass the grad of `attention`'s out (or, with `of_lse`, of its lse) to
-    q, k_t and v, a block of query rows at a time, with each block's weights
-    rebuilt by `weights_of(rows)`: d_q takes the block's rows, d_k_t and d_v
-    sum over blocks."""
+    the nodes of q, k_t and v that are not None, a block of query rows at a
+    time, with each block's weights rebuilt by `weights_of(rows)`: d_q takes
+    the block's rows, d_k_t and d_v sum over blocks. q, k_t and v are the
+    arrays; v is read only when q or k_t takes a grad."""
+    nq, nk, nv = nodes
     # A contiguous k makes d_q equal a plain d_scores @ k bit for bit.
-    k = np.ascontiguousarray(np.swapaxes(k_t.data, -1, -2)) if q.requires_grad else None
-    d_q = np.empty(q.shape) if q.requires_grad else None
+    k = np.ascontiguousarray(np.swapaxes(k_t, -1, -2)) if nq is not None else None
+    d_q = np.empty(q.shape) if nq is not None else None
     d_k = d_v = None
     for rows in blocks:
         weights = weights_of(rows)
@@ -405,24 +477,24 @@ def _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse):
             d_scores = weights * grad[..., rows, None]
         else:
             g = grad[..., rows, :]
-            if v.requires_grad:
+            if nv is not None:
                 d_v = _plus(d_v, np.swapaxes(weights, -1, -2) @ g)
-            if not (q.requires_grad or k_t.requires_grad):
+            if nq is None and nk is None:
                 continue
-            d_scores = g @ np.swapaxes(v.data, -1, -2)
+            d_scores = g @ np.swapaxes(v, -1, -2)
             d_scores -= (d_scores * weights).sum(axis=-1, keepdims=True)
             d_scores *= weights
         d_scores *= scale
-        if q.requires_grad:
+        if nq is not None:
             d_q[..., rows, :] = d_scores @ k
-        if k_t.requires_grad:
-            d_k = _plus(d_k, np.swapaxes(d_scores, -1, -2) @ q.data[..., rows, :])
+        if nk is not None:
+            d_k = _plus(d_k, np.swapaxes(d_scores, -1, -2) @ q[..., rows, :])
     if d_v is not None:
-        v._accumulate(d_v)
+        nv.accumulate(d_v)
     if d_q is not None:
-        q._accumulate(d_q)
+        nq.accumulate(d_q)
     if d_k is not None:
-        k_t._accumulate(np.swapaxes(d_k, -1, -2))
+        nk.accumulate(np.swapaxes(d_k, -1, -2))
 
 
 def attention(q: Tensor, k_t, v, *, causal=None, keys=None, capture=None) -> tuple[Tensor, Tensor]:
@@ -481,15 +553,21 @@ def attention(q: Tensor, k_t, v, *, causal=None, keys=None, capture=None) -> tup
     if not taped:
         return Tensor._result(out, (), None), Tensor._result(lse, (), None)
 
+    nq, nk, nv = _needs(q, k_t, v)
+    queries = q.data
+    read_v = values if nq is not None or nk is not None else None  # only their grads read v
+
     def weights_of(rows):
         stats = peak[..., rows, :], total[..., rows, :]
-        return _weights(q.data[..., rows, :], k_t.data, scale, _allow(causal, keys, rows, m), stats)[0]
+        return _weights(queries[..., rows, :], keys_t, scale, _allow(causal, keys, rows, m), stats)[0]
 
     def out_backward(grad):
-        _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse=False)
+        args = queries, keys_t, read_v, blocks, weights_of, scale, grad
+        _attention_backward((nq, nk, nv), *args, of_lse=False)
 
     def lse_backward(grad):
-        _attention_backward(q, k_t, v, blocks, weights_of, scale, grad, of_lse=True)
+        args = queries, keys_t, None, blocks, weights_of, scale, grad
+        _attention_backward((nq, nk, None), *args, of_lse=True)
 
     return (
         Tensor._result(out, (q, k_t, v), out_backward),
@@ -515,29 +593,29 @@ def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     if targets[mask].min() < 0 or targets[mask].max() >= vocab:
         raise UsageError("target ids must lie in [0, vocab)")
 
-    a = logits
-    peak = a.data.max(axis=1, keepdims=True)
-    expd = np.exp(a.data - peak)
+    (na,) = _needs(logits)
+    peak = logits.data.max(axis=1, keepdims=True)
+    expd = np.exp(logits.data - peak)
     total = expd.sum(axis=1, keepdims=True)
-    logp = a.data - peak - np.log(total)
+    logp = logits.data - peak - np.log(total)
     rows = np.flatnonzero(mask)
     n = rows.size
     data = -logp[rows, targets[rows]].sum() / n
 
     def backward(grad):
         probs = expd / total
-        g = np.zeros_like(a.data)
+        g = np.zeros(na.shape)
         g[rows] = probs[rows]
         g[rows, targets[rows]] -= 1.0
-        a._accumulate(g * (float(np.ravel(grad)[0]) / n))
+        na.accumulate(g * (float(np.ravel(grad)[0]) / n))
 
-    return Tensor._result(np.asarray(data), (a,), backward)
+    return Tensor._result(np.asarray(data), (logits,), backward)
 
 
-def _add_rows(a: Tensor, indices: np.ndarray, grad: np.ndarray) -> None:
+def _add_rows(a: _Node, indices: np.ndarray, grad: np.ndarray) -> None:
     """Add the rows of `grad` into a's grad at the rows `indices` gathered."""
     if a.grad is None:
-        a.grad = np.zeros_like(a.data)
+        a.grad = np.zeros(a.shape)
     # A fancy-index += adds each row's first occurrence and np.add.at the
     # repeats in order: the same adds, in the same order, as np.add.at alone.
     flat, grad = indices.ravel(), grad.reshape((indices.size,) + a.shape[1:])
@@ -550,12 +628,12 @@ def _add_rows(a: Tensor, indices: np.ndarray, grad: np.ndarray) -> None:
 def take_rows(x: Tensor, indices) -> Tensor:
     """Gather rows along the first axis; duplicates allowed."""
     indices = np.asarray(indices, dtype=np.int64)
-    a = x
+    (na,) = _needs(x)
 
     def backward(grad):
-        _add_rows(a, indices, grad)
+        _add_rows(na, indices, grad)
 
-    return Tensor._result(a.data[indices], (a,), backward)
+    return Tensor._result(x.data[indices], (x,), backward)
 
 
 def take_rows_t(x: Tensor, indices) -> Tensor:
@@ -563,12 +641,12 @@ def take_rows_t(x: Tensor, indices) -> Tensor:
     swapped, [..., d, m], as one op: gathered keys come out in the layout
     `attention` reads, and the tape keeps no untransposed copy."""
     indices = np.asarray(indices, dtype=np.int64)
-    a = x
+    (na,) = _needs(x)
 
     def backward(grad):
-        _add_rows(a, indices, np.swapaxes(grad, -1, -2))
+        _add_rows(na, indices, np.swapaxes(grad, -1, -2))
 
-    return Tensor._result(np.swapaxes(a.data[indices], -1, -2), (a,), backward)
+    return Tensor._result(np.swapaxes(x.data[indices], -1, -2), (x,), backward)
 
 
 def put_rows(n_rows: int, indices, x: Tensor) -> Tensor:
@@ -576,14 +654,14 @@ def put_rows(n_rows: int, indices, x: Tensor) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
     if np.unique(indices).size != indices.size:
         raise UsageError("put_rows indices must be unique")
-    a = x
-    data = np.zeros((n_rows,) + a.shape[1:], dtype=np.float64)
-    data[indices] = a.data
+    (na,) = _needs(x)
+    data = np.zeros((n_rows,) + x.shape[1:], dtype=np.float64)
+    data[indices] = x.data
 
     def backward(grad):
-        a._accumulate(grad[indices])
+        na.accumulate(grad[indices])
 
-    return Tensor._result(data, (a,), backward)
+    return Tensor._result(data, (x,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -594,10 +672,11 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     except ValueError as exc:
         raise UsageError(f"concat: {exc}") from None
     splits = np.cumsum([t.shape[axis] for t in parents[:-1]])
+    nodes = _needs(*parents)
 
     def backward(grad):
-        for t, piece in zip(parents, np.split(grad, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
+        for node, piece in zip(nodes, np.split(grad, splits, axis=axis)):
+            if node is not None:
+                node.accumulate(piece)
 
     return Tensor._result(data, parents, backward)

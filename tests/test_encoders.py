@@ -208,7 +208,8 @@ def test_encoder_tape_budget_at_1024_patches():
     # The traced peak of one default encoder forward and backward bounds
     # what the tape keeps per patch. Composed norms and bias adds, with a
     # backward that held every node to the end, took 276 KiB per patch;
-    # gathered keys kept both untransposed and transposed, 115.5; now 110.5.
+    # gathered keys kept both untransposed and transposed, 115.5; parent
+    # links that held every intermediate value, 110.4; now 73.0.
     n = 1024
     enc = SlideEncoder(SlideEncoderConfig(positional="none"), seed=0)
     x = Tensor(stream(0, "tape-budget").normal(size=(n, 32)))
@@ -218,16 +219,12 @@ def test_encoder_tape_budget_at_1024_patches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 114 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
+    assert peak / n <= 76 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
 
 
-def test_full_model_loss_budget_at_1024_patches():
-    # The traced peak of one full-model loss forward and backward, default
-    # dims with grid positions. A decoder that ran every block over all rows
-    # kept the last block's prefix rows on the tape and took 268 KiB per
-    # patch; the prefix pass and text rows took 207, and 211 with the prefix
-    # pass's [H, p, p] weights on the tape; attention that rebuilds them in
-    # backward takes 148.
+def loss_budget_case():
+    """A default-dims model with grid positions, every group trainable, and
+    a 1024-patch slide for its loss."""
     from slidevlm.lm import Vocab
     from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
 
@@ -237,14 +234,43 @@ def test_full_model_loss_budget_at_1024_patches():
     model.set_trainable_groups({"slide_encoder", "projector", "lm"})
     emb = stream(0, "loss-budget").normal(size=(n, 32))
     coords = [(i // side, i % side) for i in range(n)]
-    inputs = SlideInputs(EmbeddingMatrix(n, 32, emb), coords)
+    return model, SlideInputs(EmbeddingMatrix(n, 32, emb), coords)
+
+
+def test_full_model_loss_budget_at_1024_patches():
+    # The traced peak of one full-model loss forward and backward, default
+    # dims with grid positions. A decoder that ran every block over all rows
+    # kept the last block's prefix rows on the tape and took 268 KiB per
+    # patch; the prefix pass and text rows took 207, and 211 with the prefix
+    # pass's [H, p, p] weights on the tape; attention that rebuilds them in
+    # backward took 147.7 with parent links that held every intermediate
+    # value, and takes 97.1 with a tape that keeps only what backward reads.
+    model, inputs = loss_budget_case()
+    n = inputs.embeddings.n_patches
     tracemalloc.start()
     try:
         model.loss(inputs, "the slide shows", "tumor tissue with stroma margin").backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 160 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
+    assert peak / n <= 102 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
+
+
+def test_taped_forward_budget_at_1024_patches():
+    # What a full-model loss forward holds with grad on and no backward, as
+    # any evaluation that does not turn grad off runs it. Parent links that
+    # held every intermediate value kept 130.8 KiB per patch; the tape keeps
+    # only what backward reads, 78.2.
+    model, inputs = loss_budget_case()
+    n = inputs.embeddings.n_patches
+    tracemalloc.start()
+    try:
+        loss = model.loss(inputs, "the slide shows", "tumor tissue with stroma margin")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held / n <= 82 * 1024, f"{held / n / 1024:.1f} KiB per patch"
 
 
 def test_encoder_memory_is_linear_at_4096_patches():

@@ -136,7 +136,7 @@ def test_generation_keeps_no_tape():
     model.generate(slide, PROMPTS[0], max_len=3)
     assert all(p.trainable for p in model.params() if not p.name.startswith("patch_encoder"))
     assert not model._prefix.visual.requires_grad
-    assert not model._prefix.visual._parents
+    assert model._prefix.visual._node is None
 
 
 def test_backward_releases_the_tape():
@@ -147,12 +147,12 @@ def test_backward_releases_the_tape():
     def run(watch):
         model = tiny_model(seed=6)
         loss = model.loss(slide, PROMPTS[0], PROMPTS[1])
-        refs, stack, node = {}, [loss] if watch else [], None
+        refs, stack, node = {}, [loss._node] if watch else [], None
         while stack:
             node = stack.pop()
-            if node._parents and id(node) not in refs:
+            if node.parents and id(node) not in refs:
                 refs[id(node)] = weakref.ref(node)
-                stack.extend(node._parents)
+                stack.extend(node.parents)
         node = None
         loss.backward()
         del loss

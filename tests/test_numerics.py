@@ -30,6 +30,7 @@ from slidevlm.numerics import (
     take_rows,
     take_rows_t,
 )
+from slidevlm.layers import HeadProjections, Linear
 from slidevlm.numerics.optim import EPS
 from slidevlm.numerics.tensor import _BLOCK_ROWS
 
@@ -214,9 +215,9 @@ def held_by(fn) -> list:
 
 
 def test_attention_tape_keeps_no_weights():
-    # Over several blocks of query rows, the tape holds the inputs and O(n)
-    # row statistics: no array ends in [n, m], and the weights that
-    # `capture` receives are not on it.
+    # Over several blocks of query rows, the tape holds the input arrays and
+    # O(n) row statistics, and no tensor: no array ends in [n, m], and the
+    # weights that `capture` receives are not on it.
     n, m = 2 * _BLOCK_ROWS + 3, 70
     rng = stream(7, "attention-tape")
     q = Tensor(rng.normal(size=(2, n, 4)), requires_grad=True)
@@ -226,11 +227,11 @@ def test_attention_tape_keeps_no_weights():
     out, lse = attention(q, k_t, v, causal=m - n, keys=np.arange(m) % 5 > 0, capture=capture)
     assert capture[0].shape == (2, n, m)
     for t in (out, lse):
-        held = held_by(t._backward)
-        arrays = [a.data if isinstance(a, Tensor) else a for a in held]
-        assert not any(a.shape[-2:] == (n, m) for a in arrays)
-        assert not any(a is capture[0] or a.base is capture[0] for a in arrays)
-        others = [a for a in held if not any(a is x for x in (q, k_t, v))]
+        held = held_by(t._node.backward)
+        assert not any(isinstance(a, Tensor) for a in held)
+        assert not any(a.shape[-2:] == (n, m) for a in held)
+        assert not any(a is capture[0] or a.base is capture[0] for a in held)
+        others = [a for a in held if not any(a is x.data for x in (q, k_t, v))]
         assert sum(a.size for a in others) <= 2 * 2 * n + m
 
 
@@ -306,11 +307,13 @@ def test_layer_norm_matches_composed_oracle():
 
 
 def test_layer_norm_tape_keeps_normed_rows_and_std():
+    # And the gain, which x's grad reads; never x itself nor a tensor.
     leaves = [Tensor(np.ones(s), requires_grad=True) for s in ((5, 8), 8, 8)]
     out = layer_norm(*leaves, 1e-5)
-    closure = [c.cell_contents for c in out._backward.__closure__]
-    held = sorted(a.shape for a in closure if isinstance(a, np.ndarray))
-    assert held == [(5, 1), (5, 8)]
+    held = held_by(out._node.backward)
+    assert not any(isinstance(a, Tensor) for a in held)
+    assert sorted(a.shape for a in held) == [(5, 1), (5, 8), (8,)]
+    assert any(a is leaves[1].data for a in held)
 
 
 def test_ops_reject_shapes_that_would_broadcast():
@@ -416,14 +419,95 @@ def test_backward_frees_each_node_once_its_grads_are_out():
 
     probe = Tensor._result(x.data.copy(), (x,), probe_backward)
     mid = probe * probe
-    mid_ref = weakref.ref(mid)
+    mid_ref = weakref.ref(mid._node)
     loss = mid.sum()
     del mid
+    assert mid_ref() is not None  # the tape holds mid's node, not its value
     loss.backward()
-    # `mid` passed its grad to `probe` and was gone before probe's turn.
+    # mid's node passed its grad to probe's and was gone before probe's turn.
     assert freed == [True]
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
-    assert loss.grad is not None and loss._parents == () and probe._parents == ()
+    assert loss.grad is not None and loss._node.parents is None and probe._node.parents is None
+
+
+def test_a_second_backward_raises():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    loss = (w * w).sum()
+    loss.backward()
+    first = w.grad.copy()
+    with pytest.raises(UsageError, match="earlier backward"):
+        loss.backward()
+    # So does a loss that shares a value whose tape another backward freed.
+    shared = w * w
+    shared.sum().backward()
+    with pytest.raises(UsageError, match="earlier backward"):
+        take_rows(shared, [0]).sum().backward()
+    np.testing.assert_array_equal(w.grad, 2.0 * first)
+
+
+def release_case(case, monkeypatch):
+    """A taped forward as `case` names it: its loss, the values in it that
+    no backward reads, and the leaves."""
+    rng = stream(14, "release", case)
+    a, b = (Tensor(rng.normal(size=(6, 4)), requires_grad=True) for _ in range(2))
+    if case == "add":
+        total = a + b
+        return take_rows(total, [0, 2, 2]).sum(), [total.data], (a, b)
+    if case == "reshape-transpose":
+        chain = [a + b]
+        chain.append(chain[-1].reshape(2, 3, 4))
+        chain.append(chain[-1].transpose(2, 0, 1))
+        chain.append(chain[-1].reshape(4, 6).T)
+        return take_rows(chain[-1], [1, 5]).sum(), [t.data for t in chain], (a, b)
+    # The q/k/v projections that `split` reshapes and transposes into heads.
+    projected = []
+    call = Linear.__call__
+
+    def watched(self, x):
+        out = call(self, x)
+        projected.append(out.data)
+        return out
+
+    monkeypatch.setattr(Linear, "__call__", watched)
+    proj = HeadProjections("attn", 4, 2, stream(15, "release", "weights"))
+    q, k, v = proj.split(a + b)
+    monkeypatch.undo()
+    out, _ = attention(q, k.transpose(0, 2, 1), v)
+    return out.sum(), projected, (a, b) + tuple(p.value for p in proj.params())
+
+
+@pytest.mark.parametrize("case", ["add", "reshape-transpose", "qkv-split"])
+def test_forward_frees_what_no_backward_reads(case, monkeypatch):
+    # Each value dies as soon as forward drops it, while the loss and its
+    # tape live on, and the grads equal those of a run that kept it alive.
+    loss, values, leaves = release_case(case, monkeypatch)
+    refs = [weakref.ref(v) for v in values]
+    del values
+    assert refs and loss.requires_grad and all(r() is None for r in refs)
+    loss.backward()
+    kept, values, kept_leaves = release_case(case, monkeypatch)
+    kept.backward()
+    assert len(values) == len(refs)
+    for leaf, want in zip(leaves, kept_leaves):
+        np.testing.assert_array_equal(leaf.grad, want.grad)
+
+
+def test_affine_keeps_x_only_for_the_weight_grad():
+    # A frozen weight (stage 1 freezes the decoder) keeps no input alive;
+    # a frozen input keeps no weight, only x itself for the weight's grad.
+    rng = stream(16, "affine-keeps")
+    a, b = (Tensor(rng.normal(size=(5, 3)), requires_grad=True) for _ in range(2))
+    w, bias = rng.normal(size=(3, 2)), Tensor(np.zeros(2), requires_grad=True)
+    x, frozen = a + b, Tensor(w)
+    x_ref = weakref.ref(x.data)
+    out = affine(x, frozen, bias)
+    del x
+    assert x_ref() is None and [id(h) for h in held_by(out._node.backward)] == [id(frozen.data)]
+    out.sum().backward()
+    np.testing.assert_array_equal(a.grad, np.ones((5, 2)) @ w.T)
+    x = Tensor(a.data)
+    out = affine(x, Tensor(w, requires_grad=True), bias)
+    assert [id(h) for h in held_by(out._node.backward)] == [id(x.data)]
 
 
 def test_rows_backward_adds_into_the_slice():
@@ -474,7 +558,7 @@ def test_take_rows_t_is_take_rows_transposed_bit_for_bit():
     got = take_rows_t(got_x, indices)
     want = take_rows(want_x, indices).transpose(0, 2, 1)
     assert np.array_equal(got.data, want.data) and got.data.flags.c_contiguous
-    assert len(got._parents) == 1 and got._parents[0] is got_x  # no untransposed copy between
+    assert got._node.parents == (got_x._node,)  # no untransposed copy between
     for t in (got, want):
         (t * Tensor(upstream)).sum().backward()
     np.testing.assert_array_equal(got_x.grad, want_x.grad)
@@ -529,13 +613,13 @@ def test_no_grad_results_keep_no_tape():
         att, lse = attention(out, out.T, out)
         loss = att.sum()
     for t in (out, att, lse, loss):
-        assert not t.requires_grad and t._parents == () and t._backward is None
+        assert not t.requires_grad and t._node is None
     with pytest.raises(UsageError):
         loss.backward()
     with no_grad(), np.errstate(over="ignore"), pytest.raises(UsageError):
         Tensor([1e300], requires_grad=True) * 1e300  # the finiteness check stays
     taped = (x @ w.value).sum()
-    assert taped.requires_grad and taped._parents
+    assert taped.requires_grad and taped._node.parents
 
 
 def test_no_grad_restores_the_flag_after_nesting_and_errors():
