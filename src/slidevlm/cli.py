@@ -103,14 +103,11 @@ def _slide_inputs(emb_path, grid_path, model: ModelConfig) -> SlideInputs:
     coords = None
     if grid_path is not None:
         coords = [(e.row, e.col) for e in PatchGrid.load(grid_path).tissue_entries()]
-        for axis, key in enumerate(("grid_rows", "grid_cols")):
-            size = getattr(model.encoder, key)
-            outside = next((c for c in coords if c[axis] >= size), None)
-            if model.needs_coords and outside is not None:
-                raise UsageError(
-                    f"{grid_path}: tissue tile at row {outside[0]}, col {outside[1]} "
-                    f"is outside model.encoder.{key} {size}"
-                )
+        if model.needs_coords:
+            try:
+                model.encoder.check_coords(coords)
+            except UsageError as exc:
+                raise UsageError(f"{grid_path}: {exc}") from exc
     try:
         return SlideInputs(emb, coords)
     except UsageError as exc:
@@ -338,9 +335,12 @@ def _cmd_interpret(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     sal = saliency(trace, k=args.k, renormalize=not args.no_renormalize)
     raster = read_raster(args.slide)
     grid = PatchGrid.load(args.grid)
-    overlay = render_overlay(thumbnail(raster, target=1024), grid, sal)
+    try:
+        overlay = render_overlay(thumbnail(raster, target=1024), grid, sal)
+    except UsageError as exc:
+        raise UsageError(f"{args.grid} does not match {args.trace}: {exc}") from exc
     write_raster(run.path("overlay.ppm"), overlay)
-    run.text("saliency.csv", saliency_csv(sal))
+    run.text("saliency.csv", saliency_csv(sal, grid))
     print(" ".join(str(i) for i, _ in sal.entries))
     return 0
 

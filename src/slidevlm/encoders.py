@@ -28,7 +28,6 @@ from .numerics import (
     put_rows,
     stream,
     take_rows,
-    take_rows_t,
 )
 from .slide_io import PatchGrid, Raster, box_weights, channel_range, stained
 
@@ -212,7 +211,7 @@ def dilated_branch(
     real = pos < n
     rows = np.repeat(np.arange(heads) * n, segments)[:, None] + np.minimum(pos, n - 1)
     qs, vs = (take_rows(t.reshape(heads * n, t.shape[-1]), rows) for t in (q, v))
-    ks_t = take_rows_t(k.reshape(heads * n, k.shape[-1]), rows)
+    ks_t = take_rows(k.reshape(heads * n, k.shape[-1]), rows).transpose(0, 2, 1)
     out, logden = attention(qs, ks_t, vs, keys=real)
     slots = np.flatnonzero(real)
     targets = rows.ravel()[slots]
@@ -260,6 +259,17 @@ class SlideEncoderConfig:
     @property
     def model_dim(self) -> int:
         return self.heads * self.head_dim
+
+    def check_coords(self, coords) -> np.ndarray:
+        """`coords` as an [N, 2] (row, col) array inside [0, grid_rows) x [0, grid_cols)."""
+        at = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+        for axis, key in enumerate(("grid_rows", "grid_cols")):
+            size = getattr(self, key)
+            outside = np.flatnonzero((at[:, axis] < 0) | (at[:, axis] >= size))
+            if outside.size:
+                row, col = at[outside[0]]
+                raise UsageError(f"tissue tile at row {row}, col {col} is outside model.encoder.{key} {size}")
+        return at
 
     def effective_branches(self, n: int) -> list[tuple[int, int]]:
         """Cap segment lengths at the sequence, keeping divisibility by r."""
@@ -357,11 +367,8 @@ class SlideEncoder:
         if self.cfg.positional == "grid":
             if coords is None:
                 raise UsageError("grid positional encoding needs patch coordinates")
-            rows = [c[0] for c in coords]
-            cols = [c[1] for c in coords]
-            if max(rows) >= self.cfg.grid_rows or max(cols) >= self.cfg.grid_cols:
-                raise UsageError("patch coordinate outside configured positional grid")
-            x = x + take_rows(self.row_embed.value, rows) + take_rows(self.col_embed.value, cols)
+            at = self.cfg.check_coords(coords)
+            x = x + take_rows(self.row_embed.value, at[:, 0]) + take_rows(self.col_embed.value, at[:, 1])
         for block in self.blocks:
             x = block(x)
         return x

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import UsageError, load_checkpoint, save_checkpoint
-from .slide_io import PatchGrid, Raster, letterbox
+from .slide_io import GridEntry, PatchGrid, Raster, letterbox
 
 __all__ = [
     "AttentionTrace",
@@ -34,12 +34,10 @@ class AttentionTrace:
 
     values: [gen_tokens, layers, heads, n_patches], each row the LM's
     attention restricted to the visual span (mass on text positions
-    discarded, rows not renormalized). coords maps patch index to the
-    grid's (row, col); tokens names the generating tokens.
+    discarded, rows not renormalized). tokens names the generating tokens.
     """
 
     values: np.ndarray
-    coords: list[tuple[int, int]] | None = None
     tokens: list[str] | None = None
 
     def __post_init__(self):
@@ -48,8 +46,6 @@ class AttentionTrace:
             raise UsageError("trace must be [tokens, layers, heads, patches]")
         if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
             raise UsageError("attention weights must lie in [0, 1]")
-        if self.coords is not None and len(self.coords) != self.n_patches:
-            raise UsageError("one coordinate per patch required")
 
     @property
     def n_patches(self) -> int:
@@ -58,12 +54,11 @@ class AttentionTrace:
 
 @dataclass
 class PatchSaliency:
-    """Ranked (patch index, score) pairs, scores non-increasing."""
+    """Ranked (patch index, score) pairs, scores non-increasing, indices in [0, n_patches)."""
 
     entries: list[tuple[int, float]]
     k: int
-    coords: list[tuple[int, int]] | None = None
-    tokens: list[str] | None = None
+    n_patches: int
 
     def __post_init__(self):
         scores = [s for _, s in self.entries]
@@ -71,6 +66,9 @@ class PatchSaliency:
             raise UsageError("saliency scores must be non-increasing")
         if len({i for i, _ in self.entries}) != len(self.entries):
             raise UsageError("duplicate patch index in saliency")
+        outside = next((i for i, _ in self.entries if not 0 <= i < self.n_patches), None)
+        if outside is not None:
+            raise UsageError(f"patch index {outside} outside [0, {self.n_patches})")
 
 
 def saliency(trace: AttentionTrace, k: int = 5, renormalize: bool = True) -> PatchSaliency:
@@ -95,7 +93,7 @@ def saliency(trace: AttentionTrace, k: int = 5, renormalize: bool = True) -> Pat
     scores = rows.mean(axis=0)
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     entries = [(i, float(scores[i])) for i in order[:k]]
-    return PatchSaliency(entries, k=k, coords=trace.coords, tokens=trace.tokens)
+    return PatchSaliency(entries, k=k, n_patches=n)
 
 
 # Border/tint colors by rank: red, orange, yellow, green, blue, repeating.
@@ -135,6 +133,15 @@ def _draw_digit(pixels: np.ndarray, digit: str, x: int, y: int, scale: int, colo
                 pixels[y0:y1, x0:x1] = color
 
 
+def _tissue_tiles(grid: PatchGrid, sal: PatchSaliency) -> list[GridEntry]:
+    """The grid's tissue tiles, tile i holding patch i: the order in which
+    `encode_grid` writes embedding rows, so positions come from the grid alone."""
+    tiles = grid.tissue_entries()
+    if len(tiles) != sal.n_patches:
+        raise UsageError(f"tissue tile count {len(tiles)} != trace patch count {sal.n_patches}")
+    return tiles
+
+
 def render_overlay(thumb: Raster, grid: PatchGrid, sal: PatchSaliency) -> Raster:
     """Mark top-k patches on a copy of the thumbnail.
 
@@ -143,22 +150,15 @@ def render_overlay(thumb: Raster, grid: PatchGrid, sal: PatchSaliency) -> Raster
     """
     if thumb.width != thumb.height:
         raise UsageError("overlay expects a square thumbnail")
-    if sal.entries and sal.coords is None:
-        raise UsageError("saliency carries no patch coordinates")
+    tiles = _tissue_tiles(grid, sal)
     pixels = thumb.pixels.copy()
     if pixels.shape[2] == 1:
         pixels = np.repeat(pixels, 3, axis=2)
     out_w, out_h, x_off, y_off = letterbox(grid.width, grid.height, thumb.width)
     sx, sy = out_w / grid.width, out_h / grid.height
     ps = grid.patch_size
-    by_coord = {(e.row, e.col): e for e in grid.entries}
     for rank, (patch_idx, _score) in enumerate(sal.entries, start=1):
-        if patch_idx >= len(sal.coords):
-            raise UsageError(f"patch index {patch_idx} has no coordinate")
-        coord = tuple(sal.coords[patch_idx])
-        if coord not in by_coord:
-            raise UsageError(f"patch {coord} not in grid")
-        entry = by_coord[coord]
+        entry = tiles[patch_idx]
         x1 = x_off + int(round(entry.x * sx))
         y1 = y_off + int(round(entry.y * sy))
         x2 = x_off + int(round((entry.x + ps) * sx))
@@ -181,29 +181,23 @@ def render_overlay(thumb: Raster, grid: PatchGrid, sal: PatchSaliency) -> Raster
     return Raster(thumb.width, thumb.height, 3, pixels)
 
 
-def saliency_csv(sal: PatchSaliency) -> str:
-    """CSV body `rank,patch_index,row,col,score`."""
+def saliency_csv(sal: PatchSaliency, grid: PatchGrid) -> str:
+    """CSV body `rank,patch_index,row,col,score`, row and col from the grid."""
+    tiles = _tissue_tiles(grid, sal)
     lines = ["rank,patch_index,row,col,score"]
     for rank, (idx, score) in enumerate(sal.entries, start=1):
-        row, col = (sal.coords[idx] if sal.coords is not None else (-1, -1))
-        lines.append(f"{rank},{idx},{row},{col},{score!r}")
+        lines.append(f"{rank},{idx},{tiles[idx].row},{tiles[idx].col},{score!r}")
     return "\n".join(lines) + "\n"
 
 
 def save_trace(path, trace: AttentionTrace) -> None:
-    meta = {
-        "kind": "attention-trace",
-        "coords": trace.coords,
-        "tokens": trace.tokens,
-    }
+    meta = {"kind": "attention-trace", "tokens": trace.tokens}
     save_checkpoint(path, {"trace": trace.values}, meta)
 
 
 def load_trace(path) -> AttentionTrace:
+    """A trace saved by `save_trace`; a `coords` key older traces carry is ignored."""
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != "attention-trace" or "trace" not in tensors:
         raise UsageError(f"{path}: not an attention trace file")
-    coords = meta.get("coords")
-    if coords is not None:
-        coords = [tuple(c) for c in coords]
-    return AttentionTrace(tensors["trace"], coords=coords, tokens=meta.get("tokens"))
+    return AttentionTrace(tensors["trace"], tokens=meta.get("tokens"))

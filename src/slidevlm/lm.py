@@ -78,15 +78,21 @@ class Vocab:
     """
 
     def __init__(self, words: list[str]):
-        for w in words:
-            if w in SPECIALS:
-                raise UsageError(f"{w!r} collides with a special token")
-            if not w or any(c.isspace() for c in w):
-                raise UsageError(f"invalid vocabulary word {w!r}")
-        if len(set(words)) != len(words):
-            raise UsageError("duplicate vocabulary word")
-        self._tokens = list(SPECIALS) + list(words)
+        self._tokens = list(SPECIALS)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
+        for w in words:
+            self._add(w)
+
+    def _add(self, w: str, where: str = "") -> None:
+        """Append `w`; `where` prefixes the error of a word it rejects."""
+        if w in SPECIALS:
+            raise UsageError(f"{where}{w!r} collides with a special token")
+        if not w or any(c.isspace() for c in w):
+            raise UsageError(f"{where}invalid vocabulary word {w!r}")
+        if w in self._ids:
+            raise UsageError(f"{where}duplicate vocabulary word {w!r}")
+        self._ids[w] = len(self._tokens)
+        self._tokens.append(w)
 
     @staticmethod
     def build(corpus) -> "Vocab":
@@ -116,7 +122,10 @@ class Vocab:
         tokens = Path(path).read_text().splitlines()
         if tuple(tokens[: len(SPECIALS)]) != SPECIALS:
             raise UsageError(f"{path}: vocab file missing special-token header")
-        return Vocab(tokens[len(SPECIALS) :])
+        vocab = Vocab([])
+        for lineno, w in enumerate(tokens[len(SPECIALS) :], start=len(SPECIALS) + 1):
+            vocab._add(w, where=f"{path}:{lineno}: ")
+        return vocab
 
 
 @dataclass

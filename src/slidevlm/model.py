@@ -186,8 +186,6 @@ class SlideVLM:
         ids, trace = self.lm.generate(
             seq, max_len=max_len, capture_attention=capture_attention, prefix=entry.cache
         )
-        if trace is not None and inputs.coords is not None:
-            trace.coords = list(inputs.coords)
         if trace is not None:
             trace.tokens = [self.vocab.token(i) for i in ids]
         return self.vocab.decode(ids), trace

@@ -14,7 +14,6 @@ from .tensor import (
     no_grad,
     put_rows,
     take_rows,
-    take_rows_t,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "save_checkpoint",
     "stream",
     "take_rows",
-    "take_rows_t",
 ]

@@ -42,7 +42,6 @@ __all__ = [
     "cross_entropy",
     "layer_norm",
     "take_rows",
-    "take_rows_t",
     "put_rows",
     "no_grad",
 ]
@@ -634,19 +633,6 @@ def take_rows(x: Tensor, indices) -> Tensor:
         _add_rows(na, indices, grad)
 
     return Tensor._result(x.data[indices], (x,), backward)
-
-
-def take_rows_t(x: Tensor, indices) -> Tensor:
-    """`take_rows` of x [R, d] at indices [..., m] with its last two axes
-    swapped, [..., d, m], as one op: gathered keys come out in the layout
-    `attention` reads, and the tape keeps no untransposed copy."""
-    indices = np.asarray(indices, dtype=np.int64)
-    (na,) = _needs(x)
-
-    def backward(grad):
-        _add_rows(na, indices, np.swapaxes(grad, -1, -2))
-
-    return Tensor._result(np.swapaxes(x.data[indices], -1, -2), (x,), backward)
 
 
 def put_rows(n_rows: int, indices, x: Tensor) -> Tensor:

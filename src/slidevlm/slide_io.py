@@ -95,18 +95,23 @@ class PatchGrid:
     def __post_init__(self):
         if self.patch_size < 1:
             raise UsageError(f"patch size {self.patch_size} must be >= 1")
-        seen = set()
-        for e in self.entries:
-            x, y = e.col * self.patch_size, e.row * self.patch_size
-            if (e.x, e.y) != (x, y):
-                raise UsageError(f"tile ({e.row},{e.col}) has origin ({e.x},{e.y}), not ({x},{y})")
-            if e.x + self.patch_size > self.width or e.y + self.patch_size > self.height:
-                raise UsageError(f"tile at ({e.x},{e.y}) exceeds raster bounds")
-            if (e.row, e.col) in seen:
-                raise UsageError(f"duplicate tile ({e.row},{e.col})")
-            seen.add((e.row, e.col))
-        if self.entries != sorted(self.entries, key=lambda e: (e.row, e.col)):
-            raise UsageError("grid entries must be sorted row-major")
+        entries, self.entries = self.entries, []
+        for e in entries:
+            self._add(e)
+
+    def _add(self, e: GridEntry) -> None:
+        """Append `e` after checking it against the grid and the last tile."""
+        if e.row < 0 or e.col < 0:
+            raise UsageError(f"tile ({e.row},{e.col}) has a negative row or col")
+        x, y = e.col * self.patch_size, e.row * self.patch_size
+        if (e.x, e.y) != (x, y):
+            raise UsageError(f"tile ({e.row},{e.col}) has origin ({e.x},{e.y}), not ({x},{y})")
+        if e.x + self.patch_size > self.width or e.y + self.patch_size > self.height:
+            raise UsageError(f"tile at ({e.x},{e.y}) exceeds raster bounds")
+        if self.entries and (e.row, e.col) <= (last := self.entries[-1])[:2]:
+            raise UsageError(f"tile ({e.row},{e.col}) follows tile ({last.row},{last.col}): "
+                             "grid entries must be sorted row-major without repeats")
+        self.entries.append(e)
 
     def tissue_entries(self) -> list[GridEntry]:
         return [e for e in self.entries if e.tissue]
@@ -124,25 +129,27 @@ class PatchGrid:
         if not lines:
             raise UsageError(f"{path}: empty grid file")
 
-        def ints(lineno: int, count: int) -> list[int]:
+        def ints(line: str, count: int) -> list[int]:
             try:
-                values = [int(f) for f in lines[lineno - 1].split()]
+                values = [int(f) for f in line.split()]
             except ValueError:
                 values = []
             if len(values) != count:
-                raise UsageError(f"{path}:{lineno}: expected {count} integers, got {lines[lineno - 1]!r}")
+                raise UsageError(f"expected {count} integers, got {line!r}")
             return values
 
-        patch_size, width, height = ints(1, 3)
-        entries = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line.strip():
-                row, col, x, y, tissue = ints(lineno, 5)
-                entries.append(GridEntry(row, col, x, y, bool(tissue)))
+        lineno = 1
         try:
-            return PatchGrid(patch_size, width, height, entries)
+            grid = PatchGrid(*ints(lines[0], 3))
+            for lineno, line in enumerate(lines[1:], start=2):
+                if line.strip():
+                    row, col, x, y, tissue = ints(line, 5)
+                    if tissue not in (0, 1):
+                        raise UsageError(f"tissue flag must be 0 or 1, got {tissue}")
+                    grid._add(GridEntry(row, col, x, y, tissue == 1))
         except UsageError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
+        return grid
 
 
 # -- PPM / PGM -----------------------------------------------------------------

@@ -14,9 +14,10 @@ from slidevlm.curation import filter_prompt
 from slidevlm.encoders import EmbeddingMatrix, load_embeddings, save_embeddings
 from slidevlm import jsonio
 from slidevlm.evaluation import JUDGE_PROMPT, NARROW_TO_BROAD, QARecord
-from slidevlm.lm import EOS, Vocab
+from slidevlm.lm import EOS, SPECIALS, Vocab
 from slidevlm.numerics import load_checkpoint, save_checkpoint
 from slidevlm.prompts import caption_prompt, qa_prompt, report_clean_prompt
+from slidevlm.slide_io import PatchGrid
 
 CONFIG = {
     "model": {
@@ -148,6 +149,43 @@ def test_interpret_runs_on_infer_trace(world, capsys):
     assert len(lines) == 4
     ranks = capsys.readouterr().out.split()
     assert len(ranks) == 3
+
+
+def test_interpret_reads_positions_from_the_grid_after_an_infer_without_one(world, tmp_path):
+    # With positional "none" infer needs no grid; interpret then takes every
+    # patch position from the grid it is given.
+    none = tmp_path / "none.json"
+    none.write_text(json.dumps(dict(CONFIG, model=dict(
+        CONFIG["model"], encoder=dict(CONFIG["model"]["encoder"], positional="none")))))
+    tensors, meta = load_checkpoint(world["train2"] / "stage2_best.ckpt")
+    for name in ("slide_encoder.pos_row", "slide_encoder.pos_col"):
+        del tensors[name]
+    ckpt = tmp_path / "none.ckpt"
+    save_checkpoint(ckpt, tensors, meta)
+    base = ["--config", str(none)]
+    assert main(["infer", *base, "--run-dir", str(tmp_path / "infer"), "--checkpoint", str(ckpt),
+                 "--vocab", str(world["train2"] / "vocab.txt"), "--emb", str(world["slides"] / "s1.emb"),
+                 "--prompt", "describe the tissue", "--max-len", "4"]) == 0
+    run, grid = tmp_path / "interpret", world["data"] / "grid.txt"
+    assert main(["interpret", *base, "--run-dir", str(run), "--trace", str(tmp_path / "infer" / "trace.ckpt"),
+                 "--slide", str(world["data"] / "slide.ppm"), "--grid", str(grid), "--k", "4"]) == 0
+    assert (run / "overlay.ppm").exists()
+    tiles = PatchGrid.load(grid).tissue_entries()
+    rows = [line.split(",") for line in (run / "saliency.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(tiles) == 4
+    for _rank, idx, row, col, _score in rows:
+        assert (int(row), int(col)) == (tiles[int(idx)].row, tiles[int(idx)].col)
+
+
+def test_interpret_names_the_trace_and_a_grid_of_another_tile_count(world, tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("16 64 64\n0 0 0 0 1\n0 1 16 0 0\n")
+    trace, run = world["infer"] / "trace.ckpt", tmp_path / "run"
+    assert main(["interpret", *world["base"], "--run-dir", str(run), "--trace", str(trace),
+                 "--slide", str(world["data"] / "slide.ppm"), "--grid", str(grid), "--k", "4"]) == 2
+    want = f"error: usage: {grid} does not match {trace}: tissue tile count 1 != trace patch count 4\n"
+    assert capsys.readouterr().err == want
+    assert list(run.iterdir()) == []
 
 
 def test_interpret_names_an_empty_trace(world, capsys):
@@ -596,6 +634,15 @@ _RECORD_ESSAY = json.dumps({
 }).encode() + b"\n"
 
 
+_VOCAB_HEADER = "".join(t + "\n" for t in SPECIALS).encode()
+
+
+def _vocab_argv(world, vocab):
+    return ["infer", "--checkpoint", str(world["train2"] / "stage2_best.ckpt"), "--vocab", vocab,
+            "--emb", str(world["slides"] / "s1.emb"), "--grid", str(world["slides"] / "s1.grid"),
+            "--prompt", "is tumor present"]
+
+
 # (case, bad file name, its bytes, line the error must name or None, key or value it must name
 #  or None, argv given the bad path)
 MALFORMED = [
@@ -632,6 +679,18 @@ MALFORMED = [
      lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
     ("grid-short-header", "grid.txt", b"16 64\n0 0 0 0 1\n", 1, None,
      lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("grid-negative-row", "grid.txt", b"16 64 64\n-1 0 0 -16 1\n", 2, None,
+     lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("grid-tissue-flag", "grid.txt", b"16 64 64\n0 0 0 0 7\n", 2, None,
+     lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("grid-duplicate-tile", "grid.txt", b"16 64 64\n0 0 0 0 1\n0 0 0 0 1\n", 3, None,
+     lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("grid-disorder", "grid.txt", b"16 64 64\n0 1 16 0 1\n0 0 0 0 1\n", 3, None,
+     lambda w, bad: ["encode", "--slide", str(w["data"] / "slide.ppm"), "--grid", bad]),
+    ("vocab-blank-line", "vocab.txt", _VOCAB_HEADER + b"tumor\n\nyes\n", 8, None,
+     _vocab_argv),
+    ("vocab-duplicate-word", "vocab.txt", _VOCAB_HEADER + b"tumor\nyes\ntumor\n", 9, "tumor",
+     _vocab_argv),
     ("ppm-header-non-integer", "slide.ppm", b"P6\n64 sixty\n255\n" + bytes(12), None, None,
      lambda w, bad: ["tile", "--slide", bad]),
     ("ppm-truncated", "slide.ppm", b"P6\n64 64\n255\n" + bytes(12), None, None,

@@ -21,7 +21,6 @@ from slidevlm.numerics import (
     put_rows,
     stream,
     take_rows,
-    take_rows_t,
 )
 from slidevlm.numerics.tensor import _BLOCK_ROWS
 
@@ -226,15 +225,6 @@ def test_take_put_concat(seed):
         return square(concat([taken, put], axis=0)).sum()
 
     check(build, [a, b])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_take_rows_t(seed):
-    rng = stream(seed, "gc", "gather-t")
-    a = rng.normal(size=(4, 3))
-    idx = rng.integers(0, 4, size=(2, 5))  # repeats likely
-    w = rng.normal(size=(2, 3, 5))
-    check(lambda ts: (take_rows_t(ts[0], idx) * Tensor(w)).sum(), [a])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -13,7 +13,16 @@ from slidevlm.interpret import (
     save_trace,
 )
 from slidevlm.numerics import UsageError, stream
-from slidevlm.slide_io import Raster, Region, SlideSpec, synth_slide, thumbnail, tile_slide
+from slidevlm.slide_io import (
+    GridEntry,
+    PatchGrid,
+    Raster,
+    Region,
+    SlideSpec,
+    synth_slide,
+    thumbnail,
+    tile_slide,
+)
 
 
 def random_trace(seed, g=4, layers=2, heads=3, n=6):
@@ -105,15 +114,19 @@ def test_trace_validation():
         AttentionTrace(np.zeros((2, 2, 4)))
     with pytest.raises(UsageError):
         AttentionTrace(np.full((1, 1, 1, 2), 1.5))
-    with pytest.raises(UsageError):
-        AttentionTrace(np.zeros((1, 1, 1, 2)), coords=[(0, 0)])
 
 
 def test_saliency_entry_validation():
     with pytest.raises(UsageError):
-        PatchSaliency([(0, 0.1), (1, 0.5)], k=2)
+        PatchSaliency([(0, 0.1), (1, 0.5)], k=2, n_patches=2)
     with pytest.raises(UsageError):
-        PatchSaliency([(0, 0.5), (0, 0.5)], k=2)
+        PatchSaliency([(0, 0.5), (0, 0.5)], k=2, n_patches=2)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_saliency_rejects_an_index_outside_its_patches(index):
+    with pytest.raises(UsageError, match=rf"patch index {index} outside \[0, 2\)"):
+        PatchSaliency([(index, 0.5)], k=1, n_patches=2)
 
 
 # -- overlay -------------------------------------------------------------------------
@@ -124,20 +137,19 @@ def overlay_world():
     raster, _ = synth_slide(2, spec)
     grid = tile_slide(raster)
     thumb = thumbnail(raster, target=128)
-    coords = [(e.row, e.col) for e in grid.tissue_entries()]
-    return raster, grid, thumb, coords
+    return raster, grid, thumb
 
 
 def test_overlay_k0_is_identical_copy():
-    _, grid, thumb, coords = overlay_world()
-    out = render_overlay(thumb, grid, PatchSaliency([], k=0, coords=coords))
+    _, grid, thumb = overlay_world()
+    out = render_overlay(thumb, grid, PatchSaliency([], k=0, n_patches=4))
     assert out.pixels.tobytes() == thumb.pixels.tobytes()
     assert out.pixels is not thumb.pixels
 
 
 def test_overlay_marks_only_the_ranked_quadrant():
-    _, grid, thumb, coords = overlay_world()
-    sal = PatchSaliency([(0, 1.0)], k=1, coords=coords)
+    _, grid, thumb = overlay_world()
+    sal = PatchSaliency([(0, 1.0)], k=1, n_patches=4)
     out = render_overlay(thumb, grid, sal)
     # Patch 0 is grid (0,0): top-left 64x64 of the 128 thumbnail.
     changed = (out.pixels != thumb.pixels).any(axis=2)
@@ -147,38 +159,38 @@ def test_overlay_marks_only_the_ranked_quadrant():
 
 
 def test_overlay_is_deterministic():
-    _, grid, thumb, coords = overlay_world()
-    sal = PatchSaliency([(i, 1.0 - 0.1 * i) for i in range(4)], k=4, coords=coords)
+    _, grid, thumb = overlay_world()
+    sal = PatchSaliency([(i, 1.0 - 0.1 * i) for i in range(4)], k=4, n_patches=4)
     a = render_overlay(thumb, grid, sal)
     b = render_overlay(thumb, grid, sal)
     assert a.pixels.tobytes() == b.pixels.tobytes()
 
 
 def test_overlay_rejects_unknown_patches():
-    _, grid, thumb, coords = overlay_world()
+    _, grid, thumb = overlay_world()
     with pytest.raises(UsageError):
-        render_overlay(thumb, grid, PatchSaliency([(9, 1.0)], k=1, coords=coords))
-    with pytest.raises(UsageError):
-        render_overlay(
-            thumb, grid, PatchSaliency([(0, 1.0)], k=1, coords=[(7, 7)])
-        )
-    with pytest.raises(UsageError):
-        render_overlay(thumb, grid, PatchSaliency([(0, 1.0)], k=1))
+        render_overlay(thumb, grid, PatchSaliency([(9, 1.0)], k=1, n_patches=4))
+    # A saliency over five patches does not fit the grid's four tissue tiles.
+    with pytest.raises(UsageError, match=r"tissue tile count 4 != trace patch count 5"):
+        render_overlay(thumb, grid, PatchSaliency([(0, 1.0)], k=1, n_patches=5))
 
 
 def test_overlay_requires_square_thumbnail():
-    _, grid, _, coords = overlay_world()
+    _, grid, _ = overlay_world()
     bad = Raster(10, 20, 3, np.zeros((20, 10, 3), dtype=np.uint8))
     with pytest.raises(UsageError):
-        render_overlay(bad, grid, PatchSaliency([], k=0, coords=coords))
+        render_overlay(bad, grid, PatchSaliency([], k=0, n_patches=4))
 
 
 # -- csv and persistence ------------------------------------------------------------
 
 
 def test_saliency_csv_format():
-    sal = PatchSaliency([(2, 0.5), (0, 0.25)], k=2, coords=[(0, 0), (0, 1), (1, 1)])
-    text = saliency_csv(sal)
+    # Tissue tiles (0,0), (0,1) and (1,1) are patches 0, 1 and 2.
+    tiles = [(0, 0, True), (0, 1, True), (1, 0, False), (1, 1, True)]
+    grid = PatchGrid(1, 2, 2, [GridEntry(r, c, c, r, t) for r, c, t in tiles])
+    sal = PatchSaliency([(2, 0.5), (0, 0.25)], k=2, n_patches=3)
+    text = saliency_csv(sal, grid)
     lines = text.splitlines()
     assert lines[0] == "rank,patch_index,row,col,score"
     assert lines[1] == "1,2,1,1,0.5"
@@ -187,14 +199,29 @@ def test_saliency_csv_format():
 
 def test_trace_round_trip(tmp_path):
     trace = random_trace(8)
-    trace.coords = [(i // 3, i % 3) for i in range(trace.n_patches)]
     trace.tokens = ["tumor", "tissue", "margin", "seen"]
     path = tmp_path / "trace.ckpt"
     save_trace(path, trace)
     back = load_trace(path)
     np.testing.assert_array_equal(back.values, trace.values)
-    assert back.coords == trace.coords
     assert back.tokens == trace.tokens
+
+
+def test_traces_carry_no_coordinates_and_older_ones_still_load(tmp_path):
+    from slidevlm.numerics import load_checkpoint, save_checkpoint
+
+    trace = random_trace(9)
+    path = tmp_path / "trace.ckpt"
+    save_trace(path, trace)
+    assert "coords" not in load_checkpoint(path)[1]
+    # A trace written when traces still held the grid coordinates.
+    coords = [[i // 3, i % 3] for i in range(trace.n_patches)]
+    meta = {"kind": "attention-trace", "coords": coords, "tokens": ["tumor"] * 4}
+    save_checkpoint(path, {"trace": trace.values}, meta)
+    back = load_trace(path)
+    np.testing.assert_array_equal(back.values, trace.values)
+    assert back.tokens == ["tumor"] * 4
+    assert not hasattr(back, "coords")
 
 
 def test_load_trace_rejects_other_checkpoints(tmp_path):

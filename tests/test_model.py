@@ -9,7 +9,7 @@ from test_lm import full_forward_greedy
 
 from slidevlm.encoders import Projector, SlideEncoder
 from slidevlm.lm import assemble
-from slidevlm.numerics import AdamW
+from slidevlm.numerics import AdamW, UsageError
 
 PROMPTS = ["describe the tissue", "tumor fills the slide", "stroma lines the margin"]
 
@@ -99,6 +99,19 @@ def test_changed_weights_or_slide_recompute_the_prefix(monkeypatch, edit):
     fresh.load_tensors(model.tensors())
     assert_same_answer(got, fresh.generate(slide, PROMPTS[0], max_len=5))
     assert not np.array_equal(got[1].values, before[1].values)
+
+
+@pytest.mark.parametrize("coord", [(-1, 0), (0, -1)])
+def test_a_negative_coordinate_is_rejected(coord):
+    # The positional lookup would otherwise wrap to the table's last row.
+    slide = one_slide()
+    slide.coords[2] = coord
+    model = tiny_model()
+    want = rf"tissue tile at row {coord[0]}, col {coord[1]} is outside model.encoder.grid_"
+    with pytest.raises(UsageError, match=want):
+        model.loss(slide, PROMPTS[0], "tumor")
+    with pytest.raises(UsageError, match=want):
+        model.generate(slide, PROMPTS[0], max_len=2)
 
 
 def test_a_wrapped_stage_recomputes_the_prefix(monkeypatch):

@@ -28,7 +28,6 @@ from slidevlm.numerics import (
     save_checkpoint,
     stream,
     take_rows,
-    take_rows_t,
 )
 from slidevlm.layers import HeadProjections, Linear
 from slidevlm.numerics.optim import EPS
@@ -545,23 +544,6 @@ def test_take_rows_backward_equals_add_at_bit_for_bit():
         np.add.at(want, indices, upstream)
         assert np.unique(indices).size < indices.size
         np.testing.assert_array_equal(x.grad, want)
-
-
-def test_take_rows_t_is_take_rows_transposed_bit_for_bit():
-    # The gathered keys of dilated_branch, straight into [G, d, m]: the bytes
-    # of take_rows(...).transpose(0, 2, 1) and the same grads, from one op.
-    rng = stream(13, "take-t")
-    x = rng.normal(size=(40, 5))
-    indices = np.minimum(np.arange(48).reshape(6, 8) * 3 % 45, 39)  # clipped repeats
-    upstream = rng.normal(size=(6, 5, 8))
-    got_x, want_x = (Tensor(x, requires_grad=True) for _ in range(2))
-    got = take_rows_t(got_x, indices)
-    want = take_rows(want_x, indices).transpose(0, 2, 1)
-    assert np.array_equal(got.data, want.data) and got.data.flags.c_contiguous
-    assert got._node.parents == (got_x._node,)  # no untransposed copy between
-    for t in (got, want):
-        (t * Tensor(upstream)).sum().backward()
-    np.testing.assert_array_equal(got_x.grad, want_x.grad)
 
 
 def test_take_rows_backward_scatters_into_the_grad():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -253,6 +254,26 @@ def test_grid_rejects_duplicates_and_disorder():
             224, 448, 448,
             [GridEntry(0, 1, 224, 0, True), GridEntry(0, 0, 0, 0, True)],
         )
+
+
+GRID_HEADER = "224 448 448\n"
+BAD_GRID_LINES = {
+    "negative-row": ("-1 0 0 -224 1\n", 2, "negative row or col"),
+    "negative-col": ("0 0 0 0 1\n0 -1 -224 0 1\n", 3, "negative row or col"),
+    "tissue-flag": ("0 0 0 0 7\n", 2, "tissue flag must be 0 or 1, got 7"),
+    "origin": ("0 0 0 0 1\n\n0 1 0 0 1\n", 4, r"has origin \(0,0\), not \(224,0\)"),
+    "bounds": ("0 2 448 0 1\n", 2, "exceeds raster bounds"),
+    "duplicate": ("0 0 0 0 1\n0 0 0 0 0\n", 3, r"tile \(0,0\) follows tile \(0,0\)"),
+    "order": ("0 1 224 0 1\n0 0 0 0 1\n", 3, r"tile \(0,0\) follows tile \(0,1\): .* row-major"),
+}
+
+
+@pytest.mark.parametrize("body,line,message", BAD_GRID_LINES.values(), ids=list(BAD_GRID_LINES))
+def test_grid_load_names_the_line_of_a_bad_tile(tmp_path, body, line, message):
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_HEADER + body)
+    with pytest.raises(UsageError, match=f"^{re.escape(str(path))}:{line}: .*{message}"):
+        PatchGrid.load(path)
 
 
 # -- PPM / PGM ---------------------------------------------------------------------

@@ -192,7 +192,8 @@ def test_run_stage_input_validation():
         )
     # A sample the model rejects mid-run stays a UsageError, naming its step and slide.
     slides["s0"].coords[-1] = (8, 0)  # outside tiny_config's 8-row positional grid
-    with pytest.raises(UsageError, match=r"^step 1 \(slide 's0'\): patch coordinate outside"):
+    want = r"^step 1 \(slide 's0'\): tissue tile at row 8, col 0 is outside model.encoder.grid_rows 8"
+    with pytest.raises(UsageError, match=want):
         run_stage(StageConfig(stage=1), samples_for(slides), model, slides)
 
 
