@@ -335,6 +335,11 @@ def _cmd_interpret(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     sal = saliency(trace, k=args.k, renormalize=not args.no_renormalize)
     raster = read_raster(args.slide)
     grid = PatchGrid.load(args.grid)
+    if (grid.width, grid.height) != (raster.width, raster.height):
+        raise UsageError(
+            f"{args.grid} was cut from a {grid.width}x{grid.height} raster, "
+            f"not from {args.slide}, which is {raster.width}x{raster.height}"
+        )
     try:
         overlay = render_overlay(thumbnail(raster, target=1024), grid, sal)
     except UsageError as exc:

@@ -3,8 +3,10 @@ filter text-answerable questions, split slides, and turn labels into VQA.
 
 Every stage asks its endpoint through a `Lane`, which holds a client of a
 tiny interface (scripted mocks in tests, JSON over HTTP in anger), its
-worker threads and the reply cache. Replies are cached by (template hash,
-input hash, model); re-running a finished pipeline touches the cache only.
+worker threads and the reply cache. A reply's key is the sha256 of the
+prompt sent, with the model: the cache and replay files share it, so an
+edited template or scope is a miss, and re-running a finished pipeline
+touches the cache only.
 """
 
 from __future__ import annotations
@@ -25,21 +27,16 @@ from typing import Callable, Generic, Protocol, Sequence, TypeVar
 from .evaluation import NARROW_BY_BROAD, NARROW_TO_BROAD, QARecord, extract_choice, option_letters
 from .jsonio import read_json, read_jsonl, write_jsonl
 from .numerics import UsageError, stream
-from .prompts import (
-    GENERAL_PROMPT,
-    OBJECTIVE_TEMPLATE,
-    SYSTEM_PROMPT,
-    TEMPLATE_HASHES,
-    caption_prompt,
-    label_question,
-    qa_prompt,
-    report_clean_prompt,
-    template_hash,
-)
+from .prompts import caption_prompt, label_question, qa_prompt, report_clean_prompt
 
 
 class ClientError(RuntimeError):
     """A chat call failed for good, retries included."""
+
+
+def prompt_hash(prompt: str) -> str:
+    """A reply's key, with its model: the sha256 of the prompt sent."""
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 class ChatClient(Protocol):
@@ -153,13 +150,13 @@ class MockChatClient:
 
     @classmethod
     def from_replay(cls, path, model: str = "replay") -> "MockChatClient":
-        """Replay file: JSON object mapping sha256(prompt) to reply."""
+        """Replay file: JSON object mapping `prompt_hash(prompt)` to reply."""
         return cls(model=model, by_hash=read_replay(path))
 
     def complete(self, prompt: str, temperature: float = 0.0) -> str:
         self.calls.append(prompt)
         if self.by_hash is not None:
-            key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+            key = prompt_hash(prompt)
             if key not in self.by_hash:
                 raise ClientError(f"no replay entry for prompt hash {key[:12]}")
             return self.by_hash[key]
@@ -181,13 +178,13 @@ class MockChatClient:
 
 # -- reply cache --------------------------------------------------------------------
 
-_ENTRY = {"template_hash": str, "input_hash": str, "model": str, "reply": str}
+_ENTRY = {"prompt_hash": str, "model": str, "reply": str}
 
 
 class PromptCache:
-    """Replies by (template hash, input hash, model), in one append-only log.
+    """Replies by (prompt hash, model), in one append-only log.
 
-    `cache.jsonl` under `root` holds one entry per line: the three key
+    `cache.jsonl` under `root` holds one entry per line: the two key
     fields and the reply. Opening the cache reads the log into a dict that
     lookups use. Each store appends its line with a single `os.write` on an
     `O_APPEND` descriptor, under an instance lock and an exclusive `flock`,
@@ -211,13 +208,13 @@ class PromptCache:
             rows = read_jsonl(self.path, _ENTRY)
         finally:
             os.close(fd)
-        self._replies = {(r["template_hash"], r["input_hash"], r["model"]): r["reply"] for r in rows}
+        self._replies = {(r["prompt_hash"], r["model"]): r["reply"] for r in rows}
 
-    def lookup(self, template_h: str, input_h: str, model: str) -> str | None:
-        return self._replies.get((template_h, input_h, model))
+    def lookup(self, key: str, model: str) -> str | None:
+        return self._replies.get((key, model))
 
-    def store(self, template_h: str, input_h: str, model: str, reply: str) -> None:
-        entry = {"template_hash": template_h, "input_hash": input_h, "model": model, "reply": reply}
+    def store(self, key: str, model: str, reply: str) -> None:
+        entry = {"prompt_hash": key, "model": model, "reply": reply}
         line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
@@ -228,11 +225,7 @@ class PromptCache:
                 os.close(fd)
             if written != len(line):
                 raise OSError(f"{self.path}: wrote {written} of {len(line)} bytes")
-            self._replies[(template_h, input_h, model)] = reply
-
-
-def _input_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+            self._replies[(key, model)] = reply
 
 
 # -- call lanes ---------------------------------------------------------------------
@@ -255,12 +248,11 @@ class Lane(ThreadPoolExecutor):
         self.client = client
         self.cache = cache
 
-    def ask(self, template_h: str, input_text: str, prompt: str) -> Future:
+    def ask(self, prompt: str) -> Future:
         """The reply to `prompt`, as a future: settled at once on a cache hit,
         else asked of the endpoint on a worker, which stores the reply."""
-        input_h = _input_hash(input_text)
-        model = self.client.model
-        hit = None if self.cache is None else self.cache.lookup(template_h, input_h, model)
+        key, model = prompt_hash(prompt), self.client.model
+        hit = None if self.cache is None else self.cache.lookup(key, model)
         if hit is not None:
             done = Future()
             done.set_result(hit)
@@ -269,7 +261,7 @@ class Lane(ThreadPoolExecutor):
         def fetch() -> str:
             reply = self.client.complete(prompt)
             if self.cache is not None:
-                self.cache.store(template_h, input_h, model, reply)
+                self.cache.store(key, model, reply)
             return reply
 
         return self.submit(fetch)
@@ -308,8 +300,9 @@ class ReportRecord:
 @dataclass
 class QACandidate:
     """A generated question before filtering, with its provenance: the
-    source report and, in report order, every slide it links
-    (`record.slide_id` is the first)."""
+    source report, the hash of the QA prompt it came from (its reply's
+    key) and, in report order, every slide it links (`record.slide_id` is
+    the first)."""
 
     record: QARecord
     reasoning: str | None
@@ -342,9 +335,7 @@ def clean_report(record: ReportRecord, lane: Lane) -> str:
     """Strip boilerplate from one report via the pinned cleaning template."""
     if not record.report_text.strip():
         raise UsageError(f"report {record.patient_id!r} is empty")
-    reply = lane.ask(
-        TEMPLATE_HASHES["report_clean"], record.report_text, report_clean_prompt(record.report_text)
-    )
+    reply = lane.ask(report_clean_prompt(record.report_text))
     return reply.result().strip()
 
 
@@ -357,13 +348,9 @@ def gen_caption(cleaned: str, lane: Lane) -> Pending[str]:
     """Summarize a cleaned report; multi-paragraph replies collapse to one."""
     if not cleaned.strip():
         raise UsageError("cannot caption an empty report")
-    reply = lane.ask(TEMPLATE_HASHES["caption"], cleaned, caption_prompt(cleaned))
+    reply = lane.ask(caption_prompt(cleaned))
     return Pending(lambda: _one_paragraph(reply.result()))
 
-
-QA_TEMPLATE_HASH = template_hash(
-    SYSTEM_PROMPT + "\n" + OBJECTIVE_TEMPLATE + "\n" + GENERAL_PROMPT
-)
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 
@@ -482,12 +469,14 @@ def gen_qas(
         raise UsageError(f"unknown broad category {broad!r}")
     if not cleaned.strip():
         raise UsageError("cannot generate questions from an empty report")
-    reply = lane.ask(QA_TEMPLATE_HASH, cleaned + "\n" + broad, qa_prompt(cleaned, broad))
-    return Pending(lambda: _parse_qas(reply.result(), broad, source_report, slide_ids))
+    prompt = qa_prompt(cleaned, broad)
+    reply = lane.ask(prompt)
+    key = prompt_hash(prompt)
+    return Pending(lambda: _parse_qas(reply.result(), broad, source_report, slide_ids, key))
 
 
 def _parse_qas(
-    reply: str, broad: str, source_report: str, slide_ids: Sequence[str]
+    reply: str, broad: str, source_report: str, slide_ids: Sequence[str], prompt_h: str
 ) -> tuple[list[QACandidate], list[DropReason]]:
     candidates: list[QACandidate] = []
     drops: list[DropReason] = []
@@ -501,9 +490,7 @@ def _parse_qas(
         except json.JSONDecodeError as exc:
             drops.append(DropReason(index, f"invalid JSON: {exc}", span[:200]))
             continue
-        result = _candidate_from_item(
-            raw, broad, source_report, slide_ids, len(candidates), QA_TEMPLATE_HASH
-        )
+        result = _candidate_from_item(raw, broad, source_report, slide_ids, len(candidates), prompt_h)
         if isinstance(result, str):
             drops.append(DropReason(index, result, span[:200]))
         else:
@@ -516,8 +503,6 @@ def _parse_qas(
 FILTER_PROMPT_TEMPLATE = (
     "{question}\n{options}\nAnswer with the letter of the correct option."
 )
-
-FILTER_TEMPLATE_HASH = template_hash(FILTER_PROMPT_TEMPLATE)
 
 
 def filter_prompt(record: QARecord) -> str:
@@ -542,7 +527,7 @@ def ensemble_filter(qa: QACandidate, lanes: Sequence[Lane]) -> Pending[FilterVer
     if qa.record.qtype != "multi-choice":
         raise UsageError("ensemble filter applies to multi-choice candidates")
     prompt = filter_prompt(qa.record)
-    asked = [lane.ask(FILTER_TEMPLATE_HASH, prompt, prompt) for lane in lanes]
+    asked = [lane.ask(prompt) for lane in lanes]
 
     def answer(reply: Future) -> str | None:
         try:

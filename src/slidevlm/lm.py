@@ -119,7 +119,10 @@ class Vocab:
 
     @staticmethod
     def load(path) -> "Vocab":
-        tokens = Path(path).read_text().splitlines()
+        try:
+            tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: vocab file is not UTF-8: {exc}") from exc
         if tuple(tokens[: len(SPECIALS)]) != SPECIALS:
             raise UsageError(f"{path}: vocab file missing special-token header")
         vocab = Vocab([])

@@ -1,13 +1,11 @@
-"""Pinned chat prompt templates with content hashes.
+"""Pinned chat prompt templates and the functions that fill them.
 
-Every template is stored byte-exact, typos and double spaces included, and
-hashed at import. Results carry these hashes so a silently edited template
-shows up as a cache miss and a changed hash rather than as quiet drift.
+Every template is stored byte-exact, typos and double spaces included. A
+reply is keyed by the sha256 of the whole prompt sent, so an edited
+template or scope text shows up as a cache miss rather than as quiet drift.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from .evaluation import NARROW_BY_BROAD
 from .numerics import UsageError
@@ -21,8 +19,6 @@ SYSTEM_PROMPT = "You are an AI assistant proficient in digital pathology. You wi
 GENERAL_PROMPT = "Based on the above pathological report content, your task is to use the provided information, create 2 multi-choice questions amd 2 short-answer questions for each narrow category. The design question should be able to be answered based on the content of the image. Design medical questions very carefully and only ask questions when you are sure of the answer.  Answers should be specific and avoid ambiguity. When generating questions, it is necessary to indicate their broad category and narrow category.  For multi-choice questions, you should (1) “question type” is “multi-choice questions”.  (2) Provide the options and answer and reasoning. Provide four answer choices (A, B, C, and D), ensuring that one choice is correct and the other three are plausible but incorrect. (3) Aim to include one answer that is incorrect but very similar to the correct one to increase the difficulty level.  For short-answer questions: (1) “question type” is “short-answer questions”. (2) Generating questions with different content from multiple-choice questions. For all questions: (1) Do not mention that the information source is report in “question”, “anwser”. (2) Return JSON format in {“question type”: xxx, “question”: xxx, “options”: [], “answer”: xxx, “broad category”: xxx, “narrow category”: xxx} for each question. The “options” section is empty for short-answer questions."
 
 OBJECTIVE_TEMPLATE = "Definition of Broad Category and its corresponding Narrow Categories. “ The required broad category is {broad}, which {broad_scope}. For the narrow category:  {narrow_lines}”"
-
-LABEL_TRANSFORM_PROMPT = "Please create prompts for pathology image classification tasks concerning <Task>, transforming traditional labels into a multi-choice question-and-answer format. The original labels include <label 1>, <label 2>, ..."
 
 LABEL_QUESTION_TEMPLATE = "What is the {task} shown in this whole slide image?"
 
@@ -48,21 +44,6 @@ NARROW_SCOPES: dict[str, str] = {
     "Biomarker Analysis": "Questions should evaluate the ability to identify and interpret biomarkers relevant to the diagnosis, prognosis, or treatment of diseases, emphasizing their role in personalized medicine and targeted therapy.",
     "Risk Factors": "Questions should test the model's knowledge of risk factors associated with specific diseases, including genetic, environmental, and lifestyle factors that may influence disease development or progression.",
     "Prognostic Assessment": "Questions should focus on evaluating the model's ability to predict the likely course and outcome of a disease, including survival rates, potential complications, and long-term outcomes based on clinical and pathological data.",
-}
-
-
-def template_hash(template: str) -> str:
-    return hashlib.sha256(template.encode("utf-8")).hexdigest()
-
-
-TEMPLATE_HASHES: dict[str, str] = {
-    "report_clean": template_hash(REPORT_CLEAN_PROMPT),
-    "caption": template_hash(CAPTION_PROMPT),
-    "system": template_hash(SYSTEM_PROMPT),
-    "general": template_hash(GENERAL_PROMPT),
-    "objective": template_hash(OBJECTIVE_TEMPLATE),
-    "label_transform": template_hash(LABEL_TRANSFORM_PROMPT),
-    "label_question": template_hash(LABEL_QUESTION_TEMPLATE),
 }
 
 

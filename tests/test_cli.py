@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,10 @@ def write_jsonl(path, rows):
 
 
 def write_replay(path, table):
-    hashed = {hashlib.sha256(k.encode()).hexdigest(): v for k, v in table.items()}
+    return write_replay_hashed(path, {hashlib.sha256(k.encode()).hexdigest(): v for k, v in table.items()})
+
+
+def write_replay_hashed(path, hashed):
     path.write_text(json.dumps(hashed))
     return str(path)
 
@@ -185,6 +190,20 @@ def test_interpret_names_the_trace_and_a_grid_of_another_tile_count(world, tmp_p
                  "--slide", str(world["data"] / "slide.ppm"), "--grid", str(grid), "--k", "4"]) == 2
     want = f"error: usage: {grid} does not match {trace}: tissue tile count 1 != trace patch count 4\n"
     assert capsys.readouterr().err == want
+    assert list(run.iterdir()) == []
+
+
+def test_interpret_names_a_grid_cut_from_another_raster(world, tmp_path, capsys):
+    # Four tissue tiles, as many as the trace has patches, but of a 128x64 slide.
+    grid = tmp_path / "grid.txt"
+    grid.write_text("16 128 64\n0 0 0 0 1\n0 1 16 0 1\n1 0 0 16 1\n1 1 16 16 1\n")
+    slide, run = world["data"] / "slide.ppm", tmp_path / "run"
+    assert main(["interpret", *world["base"], "--run-dir", str(run),
+                 "--trace", str(world["infer"] / "trace.ckpt"),
+                 "--slide", str(slide), "--grid", str(grid), "--k", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage:") and str(grid) in err and str(slide) in err
+    assert "128x64" in err and "64x64" in err
     assert list(run.iterdir()) == []
 
 
@@ -501,15 +520,46 @@ def test_curate_reports_a_failed_filter_model(world):
 
 
 def test_curate_names_a_malformed_cache_line(world, tmp_path, capsys):
-    entry = json.dumps({"input_hash": "i", "model": "m", "reply": "r", "template_hash": "t"})
+    entry = json.dumps({"model": "m", "prompt_hash": "k", "reply": "r"}) + "\n"
+    # The last input is a log written when replies were keyed by template and input hashes.
+    old = json.dumps({"input_hash": "i", "model": "m", "reply": "r", "template_hash": "t"}) + "\n"
     log = tmp_path / "cache" / "cache.jsonl"
     log.parent.mkdir()
-    log.write_text(entry + "\n{not json\n" + entry + "\n")
-    argv = [*_curate_argv(world), *world["base"], "--run-dir", str(tmp_path / "run"),
-            "--cache-dir", str(log.parent)]
-    assert main(argv) == 2
-    assert f"{log}:2:" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "manifest.json").exists()
+    for lines, bad_line in ((entry + "{not json\n" + entry, 2), (old + entry, 1)):
+        log.write_text(lines)
+        argv = [*_curate_argv(world), *world["base"], "--run-dir", str(tmp_path / "run"),
+                "--cache-dir", str(log.parent)]
+        assert main(argv) == 2
+        assert f"{log}:{bad_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_one_models_cache_rows_form_its_replay_file(world, tmp_path):
+    reports, replay, filters = curate_world(tmp_path)
+
+    def curate(name, replay, filters):
+        argv = ["curate", *world["base"], "--reports", str(reports), "--replay", replay,
+                "--run-dir", str(tmp_path / name), "--cache-dir", str(tmp_path / name / "cache")]
+        for f in filters:
+            argv += ["--filter-replay", f]
+        assert main(argv) == 0
+        return tmp_path / name
+
+    first = curate("first", replay, filters)
+    rows = [json.loads(line) for line in (first / "cache" / "cache.jsonl").read_text().splitlines()]
+
+    def replay_of(model):
+        table = {r["prompt_hash"]: r["reply"] for r in rows if r["model"] == model}
+        assert table
+        return write_replay_hashed(tmp_path / f"{model}.json", table)
+
+    # A fresh cache, so every call goes to the replay files cut from the
+    # first cache; a miss would flag the report or fail a filter model.
+    second = curate("second", replay_of("replay"), [replay_of(f"filter{i}") for i in range(4)])
+    assert json.loads((second / "flagged.json").read_text()) == {}
+    verdicts = (second / "verdicts.jsonl").read_text().splitlines()
+    assert [json.loads(v)["failed"] for v in verdicts] == [[False] * 4]
+    assert manifest(second) == manifest(first)
 
 
 def test_curate_flags_reports_missing_from_replay(world, capsys):
@@ -691,6 +741,7 @@ MALFORMED = [
      _vocab_argv),
     ("vocab-duplicate-word", "vocab.txt", _VOCAB_HEADER + b"tumor\nyes\ntumor\n", 9, "tumor",
      _vocab_argv),
+    ("vocab-not-utf8", "vocab.txt", _VOCAB_HEADER + b"tum\xffor\n", None, None, _vocab_argv),
     ("ppm-header-non-integer", "slide.ppm", b"P6\n64 sixty\n255\n" + bytes(12), None, None,
      lambda w, bad: ["tile", "--slide", bad]),
     ("ppm-truncated", "slide.ppm", b"P6\n64 64\n255\n" + bytes(12), None, None,
@@ -964,9 +1015,11 @@ def test_seed_flag_overrides_config(world):
 
 
 def test_module_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "slidevlm.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout or "synth" in proc.stdout

@@ -12,7 +12,7 @@ from contextlib import ExitStack, contextmanager
 import pytest
 import requests
 
-from slidevlm import curation
+from slidevlm import curation, prompts
 from slidevlm.curation import (
     BCNB_TASK_CATEGORIES,
     BCNB_TASKS,
@@ -30,6 +30,7 @@ from slidevlm.curation import (
     gen_caption,
     gen_qas,
     labels_to_vqa,
+    prompt_hash,
     run_curation,
     save_candidates,
     split_assign,
@@ -40,13 +41,11 @@ from slidevlm.prompts import (
     CAPTION_PROMPT,
     GENERAL_PROMPT,
     REPORT_CLEAN_PROMPT,
-    TEMPLATE_HASHES,
     caption_prompt,
     label_question,
     objective_prompt,
     qa_prompt,
     report_clean_prompt,
-    template_hash,
 )
 
 
@@ -58,16 +57,6 @@ def lanes(*clients, cache=None):
 
 
 # -- pinned templates ------------------------------------------------------------------
-
-
-def test_template_hashes_match_recomputation():
-    assert set(TEMPLATE_HASHES) == {
-        "report_clean", "caption", "system", "general",
-        "objective", "label_transform", "label_question",
-    }
-    want = hashlib.sha256(REPORT_CLEAN_PROMPT.encode("utf-8")).hexdigest()
-    assert TEMPLATE_HASHES["report_clean"] == want
-    assert template_hash(CAPTION_PROMPT) == TEMPLATE_HASHES["caption"]
 
 
 def test_templates_keep_their_quirks():
@@ -277,14 +266,13 @@ def test_live_client_does_not_retry_malformed_replies(reply, live_client):
 
 def test_cache_round_trip_and_key_sensitivity(tmp_path):
     cache = PromptCache(tmp_path)
-    assert cache.lookup("t", "i", "m") is None
-    cache.store("t", "i", "m", "reply")
-    assert cache.lookup("t", "i", "m") == "reply"
-    assert cache.lookup("t2", "i", "m") is None
-    assert cache.lookup("t", "i2", "m") is None
-    assert cache.lookup("t", "i", "m2") is None
+    assert cache.lookup("k", "m") is None
+    cache.store("k", "m", "reply")
+    assert cache.lookup("k", "m") == "reply"
+    assert cache.lookup("k2", "m") is None
+    assert cache.lookup("k", "m2") is None
     entry = json.loads((tmp_path / "cache.jsonl").read_text())
-    assert entry == {"template_hash": "t", "input_hash": "i", "model": "m", "reply": "reply"}
+    assert entry == {"prompt_hash": "k", "model": "m", "reply": "reply"}
 
 
 def test_cache_survives_concurrent_writers(tmp_path):
@@ -294,8 +282,8 @@ def test_cache_survives_concurrent_writers(tmp_path):
     def work(t):
         for k in range(200):
             key = f"k{k}" if k % 2 == 0 else f"k{k}-t{t}"
-            cache.store("t", key, "m", f"reply {key}")
-            assert cache.lookup("t", key, "m") == f"reply {key}"
+            cache.store(key, "m", f"reply {key}")
+            assert cache.lookup(key, "m") == f"reply {key}"
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -310,40 +298,40 @@ def test_cache_survives_concurrent_writers(tmp_path):
     keys = {f"k{k}" if k % 2 == 0 else f"k{k}-t{t}" for t in range(8) for k in range(200)}
     assert len(keys) == 100 + 8 * 100
     reopened = PromptCache(tmp_path)
-    assert all(reopened.lookup("t", key, "m") == f"reply {key}" for key in keys)
+    assert all(reopened.lookup(key, "m") == f"reply {key}" for key in keys)
 
 
 def test_cache_seen_by_a_second_instance(tmp_path):
     first = PromptCache(tmp_path)
-    first.store("t", "i", "m", "one")
-    first.store("t", "i2", "m", "two\nlines")
+    first.store("k", "m", "one")
+    first.store("k2", "m", "two\nlines")
     second = PromptCache(tmp_path)
-    assert second.lookup("t", "i", "m") == "one"
-    assert second.lookup("t", "i2", "m") == "two\nlines"
+    assert second.lookup("k", "m") == "one"
+    assert second.lookup("k2", "m") == "two\nlines"
     # Old file-per-entry caches are not read.
     (tmp_path / "0123abcd.json").write_text(json.dumps(
-        {"template_hash": "t", "input_hash": "old", "model": "m", "reply": "stale"}
+        {"prompt_hash": "old", "model": "m", "reply": "stale"}
     ))
-    assert PromptCache(tmp_path).lookup("t", "old", "m") is None
+    assert PromptCache(tmp_path).lookup("old", "m") is None
 
 
 def test_cache_drops_a_torn_final_line(tmp_path):
-    PromptCache(tmp_path).store("t", "i", "m", "kept")
+    PromptCache(tmp_path).store("k", "m", "kept")
     log = tmp_path / "cache.jsonl"
     whole = log.read_bytes()
     log.write_bytes(whole + whole[: len(whole) // 2])  # a store cut short
     cache = PromptCache(tmp_path)
-    assert cache.lookup("t", "i", "m") == "kept"
-    cache.store("t", "i2", "m", "after")
+    assert cache.lookup("k", "m") == "kept"
+    cache.store("k2", "m", "after")
     assert [json.loads(line)["reply"] for line in log.read_text().splitlines()] == ["kept", "after"]
-    assert PromptCache(tmp_path).lookup("t", "i2", "m") == "after"
+    assert PromptCache(tmp_path).lookup("k2", "m") == "after"
 
 
 def test_cache_names_a_malformed_line(tmp_path):
-    PromptCache(tmp_path).store("t", "i", "m", "kept")
+    PromptCache(tmp_path).store("k", "m", "kept")
     log = tmp_path / "cache.jsonl"
     good = log.read_text()
-    for bad in ('{"template_hash": "t"}\n', "not json\n", '["a list"]\n'):
+    for bad in ('{"prompt_hash": "k"}\n', "not json\n", '["a list"]\n'):
         log.write_text(good + bad + good)
         with pytest.raises(UsageError, match=re.escape(f"{log}:2:")):
             PromptCache(tmp_path)
@@ -425,7 +413,26 @@ def test_gen_qas_parses_fenced_items():
     # Braces inside a JSON string must not confuse the object scanner.
     assert sa.record.question == "Name the {primary} diagnosis."
     assert mc.record.slide_id == "s1" and mc.slide_ids == ["s1"]
-    assert mc.prompt_hash == candidates[1].prompt_hash
+    assert mc.prompt_hash == sa.prompt_hash == prompt_hash(qa_prompt("cleaned", "Diagnosis"))
+
+
+def test_an_edited_scope_is_a_cache_miss(tmp_path, monkeypatch):
+    cache = PromptCache(tmp_path)
+    reply = qa_reply(MC_ITEM)
+    with Lane(MockChatClient(default=reply), 1, cache) as lane:
+        gen_qas("cleaned", "Diagnosis", lane).result()
+    again = MockChatClient(default=reply)
+    with Lane(again, 1, cache) as lane:
+        gen_qas("cleaned", "Diagnosis", lane).result()
+    assert again.calls == []  # the unchanged prompt is a hit
+    monkeypatch.setitem(prompts.NARROW_SCOPES, "Staging", "Questions should ask for the stage.")
+    edited = MockChatClient(default=reply)
+    with Lane(edited, 1, cache) as lane:
+        candidates, _ = gen_qas("cleaned", "Diagnosis", lane).result()
+    assert edited.calls == [qa_prompt("cleaned", "Diagnosis")]
+    assert "Questions should ask for the stage." in edited.calls[0]
+    want = hashlib.sha256(edited.calls[0].encode("utf-8")).hexdigest()
+    assert [c.prompt_hash for c in candidates] == [want]
 
 
 def test_gen_qas_drop_reasons():
