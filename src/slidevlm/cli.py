@@ -354,6 +354,7 @@ def _cmd_curate(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     reports = read_jsonl(
         args.reports, {"patient_id": str, "report_text": str, "slide_ids": list[str]}, ReportRecord
     )
+    split = split_assign(reports, seed=seed)
     client = _chat_client(cfg, args.replay, True, "curate without --replay")
     filter_clients = None
     if args.filter_replay:
@@ -372,7 +373,6 @@ def _cmd_curate(args, cfg: RunConfig, run: RunDir, seed: int) -> int:
     write_jsonl(run.path("drops.jsonl"), (d.__dict__ for d in result.drops))
     write_jsonl(run.path("verdicts.jsonl"), (dict(v.__dict__, id=k) for k, v in sorted(result.verdicts.items())))
     run.json("flagged.json", result.flagged)
-    split = split_assign(reports, seed=seed)
     run.json("split.json", {"train": sorted(split.train), "test": sorted(split.test)})
     print(
         f"reports={len(reports)} candidates={len(result.candidates)} "

@@ -61,6 +61,12 @@ class EndpointConfig:
     timeout: float = 60.0
     max_retries: int = 3
 
+    def __post_init__(self):
+        if self.timeout <= 0:
+            raise UsageError(f"timeout must be > 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise UsageError(f"max_retries must be >= 0, got {self.max_retries}")
+
 
 class LiveChatClient:
     """Chat-completion endpoint speaking the usual JSON contract.

@@ -1,13 +1,13 @@
 """Patch featurization, the dilated-attention slide encoder, and the projector.
 
 Three stages: a frozen per-patch featurizer (stand-in for a pretrained
-patch model, never trained), a sequence encoder over all patch features
-of one slide built from multi-branch dilated attention, and an affine or
-two-layer projector into the language model's embedding width. A config
-flag can bypass the slide encoder entirely, feeding patch features
-straight to the projector. The featurizer takes the tissue tiles of one
-strip of tile rows as a batch; a single patch is a batch of one and gets
-the same bytes.
+patch model, plain numpy that runs once ahead of training and is not part
+of the model), a sequence encoder over all patch features of one slide
+built from multi-branch dilated attention, and an affine or two-layer
+projector into the language model's embedding width. A config flag can
+bypass the slide encoder entirely, feeding patch features straight to the
+projector. The featurizer takes the tissue tiles of one strip of tile rows
+as a batch; a single patch is a batch of one and gets the same bytes.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def load_embeddings(path) -> EmbeddingMatrix:
 class PatchEncoder:
     """Fixed random projection of pooled patch statistics.
 
-    The projection matrix is drawn once from the seed and marked
-    non-trainable; identical patches always map to identical vectors.
+    The projection is a plain array drawn once from the seed, outside the
+    model; identical patches always map to identical vectors.
     Statistics: per-channel mean and spread, a 4x4 grid of cell means,
     and two saturation summaries, 56 values in total.
     """
@@ -107,13 +107,8 @@ class PatchEncoder:
         self.patch_size = patch_size
         rng = stream(seed, "patch-encoder")
         scale = 1.0 / math.sqrt(self.N_STATS)
-        weight = rng.uniform(-scale, scale, size=(self.N_STATS, dim))
-        self.weight = Parameter("patch_encoder.weight", weight, trainable=False)
-        self.bias = Parameter("patch_encoder.bias", np.zeros(dim), trainable=False)
+        self.weight = rng.uniform(-scale, scale, size=(self.N_STATS, dim))
         self._cell_w = box_weights(patch_size, 4)
-
-    def params(self) -> list[Parameter]:
-        return [self.weight, self.bias]
 
     def _features(self, tiles: np.ndarray) -> np.ndarray:
         """Feature rows of a batch of [n, ps, ps, channels] uint8 tiles.
@@ -149,7 +144,7 @@ class PatchEncoder:
             ],
             axis=1,
         )
-        return (stats[:, None, :] @ self.weight.value.data)[:, 0] + self.bias.value.data
+        return (stats[:, None, :] @ self.weight)[:, 0]
 
     def encode_grid(self, raster: Raster, grid: PatchGrid) -> EmbeddingMatrix:
         """Featurize every tissue tile, row-major order, one strip of tiles at a time."""

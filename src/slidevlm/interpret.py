@@ -200,4 +200,7 @@ def load_trace(path) -> AttentionTrace:
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != "attention-trace" or "trace" not in tensors:
         raise UsageError(f"{path}: not an attention trace file")
-    return AttentionTrace(tensors["trace"], tokens=meta.get("tokens"))
+    try:
+        return AttentionTrace(tensors["trace"], tokens=meta.get("tokens"))
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from exc

@@ -1,10 +1,10 @@
 """The assembled pipeline: patch features -> slide encoder -> projector -> LM.
 
-Parameters live in four named groups (patch_encoder, slide_encoder,
-projector, lm) so the training stages can freeze and thaw them as sets.
-The patch encoder group is permanently frozen. With the bypass flag the
-slide encoder is never constructed and patch features feed the projector
-directly.
+The model starts at patch features: the frozen featurizer runs once, ahead
+of training (`encoders.PatchEncoder`), and is not part of it. Parameters
+live in three named groups (slide_encoder, projector, lm), the sets the two
+training stages freeze and thaw. With the bypass flag the slide encoder is
+never constructed and patch features feed the projector directly.
 
 Generation keeps no autodiff tape and remembers the last slide's visual
 prefix: its visual tokens and the decoder's key/value cache of the prefix
@@ -26,7 +26,6 @@ import numpy as np
 
 from .encoders import (
     EmbeddingMatrix,
-    PatchEncoder,
     Projector,
     SlideEncoder,
     SlideEncoderConfig,
@@ -37,7 +36,7 @@ from .numerics import Parameter, Tensor, UsageError, no_grad
 
 __all__ = ["ModelConfig", "SlideVLM", "SlideInputs"]
 
-GROUPS = ("patch_encoder", "slide_encoder", "projector", "lm")
+GROUPS = ("slide_encoder", "projector", "lm")
 
 
 @dataclass
@@ -109,7 +108,6 @@ class SlideVLM:
     def __init__(self, cfg: ModelConfig, vocab: Vocab, seed: int = 0):
         self.cfg = cfg
         self.vocab = vocab
-        self.patch_encoder = PatchEncoder(cfg.patch_dim, cfg.patch_size, seed=seed)
         self.slide_encoder = None
         proj_in = cfg.patch_dim
         if not cfg.bypass_slide_encoder:
@@ -120,12 +118,8 @@ class SlideVLM:
         self._prefix: _Prefix | None = None
 
     def params(self) -> list[Parameter]:
-        out = list(self.patch_encoder.params())
-        if self.slide_encoder is not None:
-            out.extend(self.slide_encoder.params())
-        out.extend(self.projector.params())
-        out.extend(self.lm.params())
-        return out
+        stages = [m for m in (self.slide_encoder, self.projector, self.lm) if m is not None]
+        return [p for m in stages for p in m.params()]
 
     def param_groups(self) -> dict[str, list[Parameter]]:
         groups: dict[str, list[Parameter]] = {g: [] for g in GROUPS}
@@ -134,8 +128,6 @@ class SlideVLM:
         return {g: ps for g, ps in groups.items() if ps}
 
     def set_trainable_groups(self, trainable: set[str]) -> None:
-        if "patch_encoder" in trainable:
-            raise UsageError("the patch encoder is permanently frozen")
         unknown = trainable - set(GROUPS)
         if unknown:
             raise UsageError(f"unknown parameter groups: {sorted(unknown)}")

@@ -13,7 +13,7 @@ EPS = 1e-8
 
 
 class Parameter:
-    """A named weight tensor with a freeze flag.
+    """A named weight tensor with a freeze flag; it starts trainable.
 
     Frozen parameters never accumulate gradient and are skipped by the
     optimizer, so their bytes are identical before and after any number
@@ -21,10 +21,9 @@ class Parameter:
     that only runs inference holds none.
     """
 
-    def __init__(self, name: str, value, trainable: bool = True):
+    def __init__(self, name: str, value):
         self.name = name
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.value.requires_grad = bool(trainable)
+        self.value = Tensor(value, requires_grad=True)
         self.value.grad = None
 
     @property

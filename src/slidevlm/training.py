@@ -1,9 +1,9 @@
 """Two-stage training schedule with exact freeze masks.
 
 Stage 1 trains the slide encoder and projector on caption data; stage 2
-additionally thaws the LM for instruction data. The patch encoder never
-trains in either stage. Shuffling, checkpoints, and the loss log are all
-deterministic functions of the stage seed.
+additionally thaws the LM for instruction data, so it trains every model
+parameter (the model starts at patch features). Shuffling, checkpoints,
+and the loss log are all deterministic functions of the stage seed.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class StageConfig:
             self.epochs = default_epochs
         if self.lr < 0 or self.epochs < 1 or self.accum_steps < 1:
             raise UsageError("lr must be >= 0, epochs and accum_steps >= 1")
+        if self.weight_decay < 0:
+            raise UsageError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     @property
     def trainable_groups(self) -> frozenset[str]:

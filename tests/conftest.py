@@ -10,7 +10,7 @@ import numpy as np
 
 import slidevlm
 
-from slidevlm.encoders import EmbeddingMatrix, SlideEncoderConfig
+from slidevlm.encoders import EmbeddingMatrix, PatchEncoder, SlideEncoderConfig
 from slidevlm.lm import DecoderConfig, Vocab
 from slidevlm.model import ModelConfig, SlideInputs, SlideVLM
 from slidevlm.numerics import Tensor, stream
@@ -97,16 +97,16 @@ PROBE_PROMPT = "describe the tissue shown in this whole slide image"
 def probe_world(seed=11):
     """Model, samples, and slide inputs for the eight-slide memorization run."""
     vocab = Vocab.build(PROBE_CAPTIONS + [PROBE_PROMPT])
-    model = SlideVLM(
-        ModelConfig(encoder=SlideEncoderConfig(positional="grid")), vocab, seed=seed
-    )
+    cfg = ModelConfig(encoder=SlideEncoderConfig(positional="grid"))
+    model = SlideVLM(cfg, vocab, seed=seed)
+    encoder = PatchEncoder(cfg.patch_dim, cfg.patch_size, seed=seed)
     slides = {}
     samples = []
     for i, (caption, layout) in enumerate(zip(PROBE_CAPTIONS, PROBE_LAYOUTS)):
         spec = SlideSpec(448, 448, 224, [Region(*r) for r in layout])
         raster, _ = synth_slide(100 + i, spec)
         grid = tile_slide(raster)
-        emb = model.patch_encoder.encode_grid(raster, grid)
+        emb = encoder.encode_grid(raster, grid)
         coords = [(e.row, e.col) for e in grid.tissue_entries()]
         slides[f"s{i}"] = SlideInputs(emb, coords)
         samples.append(TrainSample(f"s{i}", "caption", PROBE_PROMPT, caption))

@@ -186,17 +186,16 @@ def test_criterion_04_freeze_contract():
     model = tiny_model(seed=3)
     slides = random_slides(3, seed=3)
     samples = [TrainSample(sid, "caption", TINY_TEXTS[0], TINY_TEXTS[1]) for sid in slides]
-    init = {g: group_bytes(model, g) for g in ("patch_encoder", "slide_encoder", "projector", "lm")}
+    assert set(model.param_groups()) == {"slide_encoder", "projector", "lm"}
+    init = {g: group_bytes(model, g) for g in ("slide_encoder", "projector", "lm")}
 
     run_stage(StageConfig(stage=1, lr=1e-3, epochs=2, seed=0), samples, model, slides)
-    assert group_bytes(model, "patch_encoder") == init["patch_encoder"]
     assert group_bytes(model, "lm") == init["lm"]
     assert group_bytes(model, "slide_encoder") != init["slide_encoder"]
     assert group_bytes(model, "projector") != init["projector"]
 
     after_stage1_lm = group_bytes(model, "lm")
     run_stage(StageConfig(stage=2, lr=1e-3, epochs=1, seed=0), samples, model, slides)
-    assert group_bytes(model, "patch_encoder") == init["patch_encoder"]
     assert group_bytes(model, "lm") != after_stage1_lm
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

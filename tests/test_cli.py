@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,20 @@ def test_curate_needs_four_filter_replays(world, capsys):
     assert "exactly 4 times" in capsys.readouterr().err
 
 
+def test_curate_rejects_a_shared_slide_before_asking(world, tmp_path, capsys):
+    # Two reports linked to one slide: the split fails before any client,
+    # cache or output is made, so no call is asked and nothing is written.
+    reports = tmp_path / "reports.jsonl"
+    write_jsonl(reports, [{"patient_id": p, "report_text": f"{p} body", "slide_ids": ["s1"]}
+                          for p in ("p1", "p2")])
+    run = tmp_path / "run"
+    argv = _curate_argv(world, reports=reports, replay=write_replay(tmp_path / "empty.json", {}))
+    assert main([argv[0], *world["base"], *argv[1:], "--run-dir", str(run)]) == 2
+    assert "slide 's1' linked to reports 'p1' and 'p2'" in capsys.readouterr().err
+    assert not (run / "cleaned.jsonl").exists()
+    assert not (run / "cache").exists()
+
+
 def test_curate_reports_a_failed_filter_model(world):
     root = world["root"]
     reports, replay, filters = curate_world(root)
@@ -606,26 +621,30 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-# Values of the right type that no model can be built with: each once ended
-# in a traceback when train built the model, or passed synth and failed later
-# without naming its key.
+# Values of the right type that no run can use: each once ended in a
+# traceback when train built the model or curate made its first request,
+# passed synth and failed later without naming its key, or was never
+# checked at all.
 BAD_VALUES = {
-    "branch-not-a-pair": ("model.encoder", "branch", {"encoder": {"branches": [[16]]}}),
-    "negative-grid-rows": ("model.encoder", "grid_rows", {"encoder": {"grid_rows": -1}}),
-    "negative-max-positions": ("model.lm", "max_positions", {"lm": {"max_positions": -2}}),
-    "zero-ffn-mult": ("model.lm", "ffn_mult", {"lm": {"ffn_mult": 0}}),
-    "three-projector-layers": ("model", "projector_layers", {"projector_layers": 3}),
-    "zero-patch-dim": ("model", "patch_dim", {"patch_dim": 0}),
-    "zero-patch-size": ("model", "patch_size", {"patch_size": 0}),
+    "branch-not-a-pair": ("model.encoder", "branch", {"model": {"encoder": {"branches": [[16]]}}}),
+    "negative-grid-rows": ("model.encoder", "grid_rows", {"model": {"encoder": {"grid_rows": -1}}}),
+    "negative-max-positions": ("model.lm", "max_positions", {"model": {"lm": {"max_positions": -2}}}),
+    "zero-ffn-mult": ("model.lm", "ffn_mult", {"model": {"lm": {"ffn_mult": 0}}}),
+    "three-projector-layers": ("model", "projector_layers", {"model": {"projector_layers": 3}}),
+    "zero-patch-dim": ("model", "patch_dim", {"model": {"patch_dim": 0}}),
+    "zero-patch-size": ("model", "patch_size", {"model": {"patch_size": 0}}),
+    "negative-max-retries": ("clients.chat", "max_retries", {"clients": {"chat": {"max_retries": -1}}}),
+    "zero-timeout": ("clients.chat", "timeout", {"clients": {"chat": {"timeout": 0}}}),
+    "negative-weight-decay": ("stages.1", "weight_decay", {"stages": {"1": {"weight_decay": -0.5}}}),
 }
 
 
 @pytest.mark.parametrize("command", ["synth", "tile", "train"])
-@pytest.mark.parametrize("section,key,model", BAD_VALUES.values(), ids=BAD_VALUES)
-def test_bad_config_value_exits_two_naming_its_section(world, tmp_path, capsys, command, section, key, model):
+@pytest.mark.parametrize("section,key,tree", BAD_VALUES.values(), ids=BAD_VALUES)
+def test_bad_config_value_exits_two_naming_its_section(world, tmp_path, capsys, command, section, key, tree):
     # Every command builds the typed configs at load, so even synth rejects them.
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"model": model}))
+    bad.write_text(json.dumps(tree))
     rest = {"synth": [], "tile": ["--slide", str(world["data"] / "slide.ppm")],
             "train": ["--stage", "1", "--samples", str(world["root"] / "samples.jsonl"),
                       "--slides-dir", str(world["slides"])]}[command]
@@ -685,6 +704,19 @@ _RECORD_ESSAY = json.dumps({
 
 
 _VOCAB_HEADER = "".join(t + "\n" for t in SPECIALS).encode()
+
+
+def _trace_bytes(values):
+    """A trace file holding `values`, which need not make a valid trace."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ckpt"
+        save_checkpoint(path, {"trace": values}, {"kind": "attention-trace"})
+        return path.read_bytes()
+
+
+def _interpret_argv(world, trace):
+    return ["interpret", "--trace", trace, "--slide", str(world["data"] / "slide.ppm"),
+            "--grid", str(world["data"] / "grid.txt")]
 
 
 def _vocab_argv(world, vocab):
@@ -767,6 +799,9 @@ MALFORMED = [
     ("reports-no-slides", "reports.jsonl",
      b'{"patient_id": "p1", "report_text": "r", "slide_ids": []}\n', 1, "p1",
      lambda w, bad: _curate_argv(w, reports=bad)),
+    ("trace-not-4d", "trace.ckpt", _trace_bytes(np.zeros((1, 1, 4))), None, None, _interpret_argv),
+    ("trace-out-of-range", "trace.ckpt", _trace_bytes(np.full((1, 1, 1, 4), 2.0)), None, None,
+     _interpret_argv),
 ]
 
 

@@ -42,6 +42,9 @@ def test_schema_rejects_wrong_types_by_path(tree, message):
     ({"model": {"lm": {"layers": -1}}},
      "model.lm: heads, head_dim, ffn_mult, max_positions must be >= 1, layers >= 0"),
     ({"stages": {"1": {"epochs": 0}}}, "stages.1: lr must be >= 0, epochs and accum_steps >= 1"),
+    ({"stages": {"1": {"weight_decay": -0.5}}}, "stages.1: weight_decay must be >= 0, got -0.5"),
+    ({"clients": {"chat": {"max_retries": -1}}}, "clients.chat: max_retries must be >= 0, got -1"),
+    ({"clients": {"chat": {"timeout": 0}}}, "clients.chat: timeout must be > 0, got 0"),
 ])
 def test_build_rejects_bad_values_by_section(tree, message):
     with pytest.raises(ConfigError) as info:

@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import oracle_rasters, oracle_saturation, run_capped
-from slidevlm.numerics import Tensor, UsageError, attention, concat, stream
+from conftest import oracle_rasters, oracle_saturation, run_capped, tiny_model
+from slidevlm.numerics import Parameter, Tensor, UsageError, attention, concat, stream
 from slidevlm.encoders import (
     EMBEDDINGS_MAGIC,
     DilatedSelfAttention,
@@ -457,8 +457,10 @@ def test_patch_encoder_deterministic_and_injective_on_constants():
 
 
 def test_patch_encoder_is_frozen():
+    # The featurizer holds no Parameter, and the model holds none of it.
     enc = PatchEncoder(dim=4, patch_size=8, seed=0)
-    assert all(not p.trainable for p in enc.params())
+    assert not any(isinstance(v, Parameter) for v in vars(enc).values())
+    assert not [p.name for p in tiny_model().params() if p.name.startswith("patch_encoder")]
 
 
 def test_patch_encoder_rejects_grids_that_do_not_fit():
@@ -480,7 +482,7 @@ def test_patch_statistics_equal_exact_rationals():
     """Channel means and variances are the correctly rounded exact fractions."""
     ps = 224
     enc = PatchEncoder(dim=PatchEncoder.N_STATS, patch_size=ps, seed=0)
-    enc.weight.value.data[...] = np.eye(PatchEncoder.N_STATS)  # the features are the statistics
+    enc.weight[...] = np.eye(PatchEncoder.N_STATS)  # the features are the statistics
     rng = stream(3, "exact-stats")
     checker = np.where((np.arange(ps)[:, None] + np.arange(ps)) % 2, 255, 0)
     tiles = [
@@ -511,7 +513,7 @@ def oracle_features(enc, patch):
     stats = np.concatenate(
         [x.mean(axis=(0, 1)), x.std(axis=(0, 1)), cells.reshape(-1), [sat.mean(), float(np.mean(sat > 0.08))]]
     )
-    return stats @ enc.weight.value.data + enc.bias.value.data
+    return stats @ enc.weight
 
 
 def test_strip_featurizer_matches_per_patch_oracle():

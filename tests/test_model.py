@@ -7,8 +7,9 @@ import pytest
 from conftest import random_slides, run_capped, tiny_model
 from test_lm import full_forward_greedy
 
-from slidevlm.encoders import Projector, SlideEncoder
-from slidevlm.lm import assemble
+from slidevlm.encoders import Projector, SlideEncoder, SlideEncoderConfig
+from slidevlm.lm import Vocab, assemble
+from slidevlm.model import ModelConfig, SlideVLM
 from slidevlm.numerics import AdamW, UsageError
 
 PROMPTS = ["describe the tissue", "tumor fills the slide", "stroma lines the margin"]
@@ -147,9 +148,21 @@ def test_generation_keeps_no_tape():
     slide = one_slide()
     model = tiny_model(seed=6)
     model.generate(slide, PROMPTS[0], max_len=3)
-    assert all(p.trainable for p in model.params() if not p.name.startswith("patch_encoder"))
+    assert all(p.trainable for p in model.params())
     assert not model._prefix.visual.requires_grad
     assert model._prefix.visual._node is None
+
+
+def test_one_backward_reaches_every_parameter():
+    # A stage the model builds but never runs would hold parameters that no
+    # loss reaches; they would still fill checkpoints and optimizer state.
+    vocab = Vocab.build(["the slide shows tumor tissue with stroma margin"])
+    model = SlideVLM(ModelConfig(encoder=SlideEncoderConfig(positional="grid")), vocab, seed=0)
+    model.set_trainable_groups({"slide_encoder", "projector", "lm"})
+    inputs = random_slides(1, n_patches=64, dim=32)["s0"]
+    model.loss(inputs, "the slide shows", "tumor tissue with stroma margin").backward()
+    untouched = [p.name for p in model.params() if p.value.grad is None or not p.value.grad.any()]
+    assert untouched == []
 
 
 def test_backward_releases_the_tape():

@@ -684,7 +684,8 @@ def test_adamw_single_scalar_hand_step():
 
 
 def test_adamw_skips_frozen_parameters():
-    p = Parameter("w", np.array([1.0, 2.0]), trainable=False)
+    p = Parameter("w", np.array([1.0, 2.0]))
+    p.set_trainable(False)
     before = p.value.data.tobytes()
     opt = AdamW([p], lr=0.5)
     p.value.grad = np.array([10.0, 10.0])
