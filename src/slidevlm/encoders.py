@@ -25,6 +25,7 @@ from .numerics import (
     UsageError,
     attention,
     concat,
+    ffn,
     put_rows,
     stream,
     take_rows,
@@ -397,4 +398,5 @@ class Projector:
         x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         if self.layers == 1:
             return self.maps[0](x)
-        return self.maps[1](self.maps[0](x).gelu())
+        first, second = self.maps
+        return ffn(x, first.weight.value, first.bias.value, second.weight.value, second.bias.value)

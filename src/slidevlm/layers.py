@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .numerics import Parameter, Tensor, affine, layer_norm
+from .numerics import Parameter, Tensor, affine, ffn, layer_norm
 
 __all__ = ["Linear", "LayerNorm", "FeedForward", "HeadProjections", "PostNormBlock"]
 
@@ -56,7 +56,8 @@ class FeedForward:
         self.down = Linear(f"{prefix}.down", mult * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.down(self.up(x).gelu())
+        up, down = self.up, self.down
+        return ffn(x, up.weight.value, up.bias.value, down.weight.value, down.bias.value)
 
     def params(self) -> list[Parameter]:
         return self.up.params() + self.down.params()

@@ -115,7 +115,7 @@ class Vocab:
         return " ".join(self._tokens[i] for i in ids)
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self._tokens) + "\n")
+        Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
 
     @staticmethod
     def load(path) -> "Vocab":

@@ -10,6 +10,7 @@ from .tensor import (
     attention,
     concat,
     cross_entropy,
+    ffn,
     layer_norm,
     no_grad,
     put_rows,
@@ -26,6 +27,7 @@ __all__ = [
     "attention",
     "concat",
     "cross_entropy",
+    "ffn",
     "layer_norm",
     "load_checkpoint",
     "no_grad",

@@ -2,21 +2,24 @@
 
 Just enough array machinery to train every block in this repo at desk
 scale: row-major numpy storage, a taped backward pass, and the fused ops
-(affine maps, layer norm, attention, cross entropy, row gather/scatter)
-that the two stacks need. The tape is kept apart from the values: a
-tensor that needs a grad points to a small node holding its shape, grad,
-the nodes of the parents that need a grad and a backward closure, and
-each closure holds only the arrays its backward reads. `affine` and `@`
-keep x only when the weight needs a grad and the weight only when x
-does; `+`, the shape ops, the row gathers and scatters, `sum`, `concat`
-and `cross_entropy` keep no parent value. A value thus lives only while
-its caller or some backward holds it, and forward frees the rest as it
-goes. `attention` holds the only softmax over scores and takes its keys
-transposed. It scores a block of query rows at a time under a structural
-mask (a causal offset, a key-validity vector), and its tape keeps its
-inputs and O(n) row statistics, from which backward rebuilds each block's
-weights; given plain arrays, such as a decoder's in-place cache, it reads
-them where they lie and keeps no tape. Nothing broadcasts: `+` and `*`
+(affine maps, the feed-forward, layer norm, attention, cross entropy, row
+gather/scatter) that the two stacks need. The tape is kept apart from the
+values: a tensor that needs a grad points to a small node holding its
+shape, grad, the nodes of the parents that need a grad and a backward
+closure, and each closure holds only the arrays its backward reads.
+`affine` and `@` keep x only when the weight needs a grad and the weight
+only when x does; `ffn`, GELU between two affine maps, keeps what those
+maps would and its pre-activation, and backward rebuilds the tanh term
+and the activation from it; `+`, the shape ops, the row gathers and
+scatters, `sum`, `concat` and `cross_entropy` keep no parent value. A
+value thus lives only while its caller or some backward holds it, and
+forward frees the rest as it goes. `attention` holds the only softmax
+over scores and takes its keys transposed. It scores a block of query
+rows at a time under a structural mask (a causal offset, a key-validity
+vector), and its tape keeps its inputs and O(n) row statistics, from
+which backward rebuilds each block's weights; given plain arrays, such as
+a decoder's in-place cache, it reads them where they lie and keeps no
+tape. Nothing broadcasts: `+` and `*`
 take equal shapes and `@` two matrices, and a mismatch raises
 `UsageError` instead of summing a gradient down to a wrong shape. Every
 op checks that its output is finite, so numerical blowups surface at the
@@ -40,6 +43,7 @@ __all__ = [
     "attention",
     "concat",
     "cross_entropy",
+    "ffn",
     "layer_norm",
     "take_rows",
     "put_rows",
@@ -109,6 +113,13 @@ class _Node:
         self.grad[index] += grad
 
 
+def _finite(data: np.ndarray) -> np.ndarray:
+    """`data`, once checked to hold only finite values."""
+    if not np.all(np.isfinite(data)):
+        raise UsageError("operation produced non-finite values")
+    return data
+
+
 def _needs(*tensors: "Tensor") -> tuple[_Node | None, ...]:
     """The tape node of each tensor that an op's backward must pass a grad
     to, and None for the others and for every tensor under no_grad()."""
@@ -136,9 +147,7 @@ class Tensor:
         """The output of an op: a node linking the parents that need a grad
         to `backward`, or none when no parent does or under no_grad()."""
         out = Tensor.__new__(Tensor)
-        out.data = np.ascontiguousarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(out.data)):
-            raise UsageError("operation produced non-finite values")
+        out.data = _finite(np.ascontiguousarray(data, dtype=np.float64))
         linked = tuple(p._tape() for p in parents if p.requires_grad) if _grad_mode.enabled else ()
         out.requires_grad = bool(linked)
         out._node = _Node(out.data.shape, linked, backward) if linked else None
@@ -208,36 +217,6 @@ class Tensor:
                 nb.accumulate(grad * a_data)
 
         return Tensor._result(a.data * b.data, (a, b), backward)
-
-    def gelu(self) -> "Tensor":
-        # tanh-form GELU; smooth everywhere, which keeps finite-difference
-        # gradient checks clean (no ReLU kinks).
-        # Powers are written as products: numpy's `x**3` calls pow(), which
-        # is some forty times slower than two multiplies. The forward runs in
-        # place, each step rounding as the plain expression would (halving
-        # last is exact): t takes c * (x + 0.044715 * x**3), then its tanh,
-        # and when no tape keeps t the output reuses its buffer. So it makes
-        # one or two arrays of x's size, not four; each big temporary is
-        # fresh pages to fault in once freed memory has gone back to the OS.
-        (na,) = _needs(self)
-        x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        t = x * x
-        t *= x
-        t *= 0.044715
-        t += x
-        t *= c
-        np.tanh(t, out=t)
-        data = t + 1.0 if na is not None else np.add(t, 1.0, out=t)
-        data *= x
-        data *= 0.5
-
-        def backward(grad):
-            du = c * (1.0 + 3.0 * 0.044715 * (x * x))
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            na.accumulate(grad * local)
-
-        return Tensor._result(data, (self,), backward)
 
     # -- shape manipulation ------------------------------------------------------
 
@@ -371,14 +350,108 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
 
     def backward(grad):
-        if nx is not None:
-            nx.accumulate(grad @ w_data.T)
-        if nw is not None:
-            nw.accumulate(x_data.T @ grad)
-        if nb is not None:
-            nb.accumulate(grad.sum(axis=0))
+        _affine_backward(grad, nx, nw, nb, x_data, w_data)
 
     return Tensor._result(data, (x, w, b), backward)
+
+
+def _affine_backward(grad, nx, nw, nb, x_data, w_data) -> None:
+    """Pass the grad of x @ w + b to the nodes of x, w and b that are not
+    None; x's grad reads w_data and w's grad x_data."""
+    if nx is not None:
+        nx.accumulate(grad @ w_data.T)
+    if nw is not None:
+        nw.accumulate(x_data.T @ grad)
+    if nb is not None:
+        nb.accumulate(grad.sum(axis=0))
+
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _tanh_term(u: np.ndarray) -> np.ndarray:
+    """tanh(c * (u + 0.044715 * u**3)), the tanh in tanh-form GELU, as a new
+    array. Powers are written as products: numpy's `u**3` calls pow(), some
+    forty times slower than two multiplies. Each in-place step rounds as the
+    plain expression would."""
+    t = u * u
+    t *= u
+    t *= 0.044715
+    t += u
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu(t: np.ndarray, u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """0.5 * u * (1 + t), GELU from u and its tanh term, into `out` (which
+    may be t, or None for a new array). Halving last is exact."""
+    out = np.add(t, 1.0, out=out)
+    out *= u
+    out *= 0.5
+    return out
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 for x [n, d], w1 [d, h], b1 [h], w2 [h, e]
+    and b2 [e], as one op, with GELU in its tanh form: smooth everywhere,
+    which keeps finite-difference gradient checks clean.
+
+    The tape keeps what two `affine` ops would, x only when w1 needs a grad
+    and each weight only when a grad below it is needed, and beyond that the
+    pre-activation u = x @ w1 + b1 alone: no tanh term and no activation.
+    Backward rebuilds them from u by the forward's own operations and forms
+    the GELU derivative in place in the plain expression's rounding order,
+    so values and grads equal those of `affine`, GELU and `affine` bit for
+    bit. u, the activation and the output are each checked finite."""
+    need = "ffn needs x [n, d], w1 [d, h], b1 [h], w2 [h, e] and b2 [e]"
+
+    def fits(x, w1, b1, w2, b2):
+        return len(x) == len(w1) == len(w2) == 2 and x[1:] + b1 == w1 and b1 + b2 == w2
+
+    x, w1, b1, w2, b2 = _operands(need, fits, x, w1, b1, w2, b2)
+    nx, nw1, nb1, nw2, nb2 = _needs(x, w1, b1, w2, b2)
+    below = nx is not None or nw1 is not None or nb1 is not None  # u needs its grad
+    x_data = x.data if nw1 is not None else None
+    w1_data = w1.data if nx is not None else None
+    w2_data = w2.data if below else None
+    u = x.data @ w1.data
+    u += b1.data
+    _finite(u)
+    pre = u if below or nw2 is not None else None
+    t = _tanh_term(u)
+    h = _finite(_gelu(t, u, out=t))
+    del u, t
+    data = h @ w2.data
+    data += b2.data
+
+    def backward(grad):
+        t = None if pre is None else _tanh_term(pre)
+        h = None if nw2 is None else _gelu(t, pre, out=None if below else t)
+        _affine_backward(grad, None, nw2, nb2, h, None)
+        if not below:
+            return
+        # d gelu / du = 0.5 * (1 + t) + 0.5 * u * (1 - t * t) * du_inner,
+        # du_inner = c * (1 + 3 * 0.044715 * (u * u)), in that order.
+        part = np.multiply(t, t, out=h)
+        np.subtract(1.0, part, out=part)
+        scratch = np.multiply(pre, 0.5)
+        part *= scratch
+        du_inner = np.multiply(pre, pre, out=scratch)
+        du_inner *= 3.0 * 0.044715
+        du_inner += 1.0
+        du_inner *= _GELU_C
+        part *= du_inner
+        del scratch, du_inner
+        t += 1.0
+        t *= 0.5
+        t += part
+        del part
+        d_u = grad @ w2_data.T
+        d_u *= t
+        del t
+        _affine_backward(d_u, nx, nw1, nb1, x_data, w1_data)
+
+    return Tensor._result(data, (x, w1, b1, w2, b2), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:

@@ -120,7 +120,7 @@ class PatchGrid:
         lines = [f"{self.patch_size} {self.width} {self.height}"]
         for e in self.entries:
             lines.append(f"{e.row} {e.col} {e.x} {e.y} {1 if e.tissue else 0}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @staticmethod
     def load(path) -> "PatchGrid":
@@ -190,6 +190,8 @@ def read_raster(path) -> Raster:
                 raise UsageError(f"{path}: header field {token!r} is not a non-negative integer")
             fields.append(int(token))
         width, height, maxval = fields
+        if width < 1 or height < 1:
+            raise UsageError(f"{path}: raster must be non-empty, got {width}x{height}")
         if maxval != 255:
             raise UsageError(f"{path}: only max value 255 is supported")
         expected = width * height * channels

@@ -81,7 +81,7 @@ class RunResult:
 
 
 def _write_loss_csv(path: Path, rows: list[tuple[int, int, float]]) -> None:
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         fh.write("step,stage,loss\n")
         for step, stage, loss in rows:
             fh.write(f"{step},{stage},{loss!r}\n")

@@ -725,6 +725,12 @@ def _vocab_argv(world, vocab):
             "--prompt", "is tumor present"]
 
 
+def _thumbnail_argv(world, slide):
+    replay = world["root"] / "thumbnail_replay.json"
+    replay.write_text(json.dumps({"default": "A"}))
+    return ["baseline", "--kind", "thumbnail", "--slide", slide, "--options", "a|b", "--replay", str(replay)]
+
+
 # (case, bad file name, its bytes, line the error must name or None, key or value it must name
 #  or None, argv given the bad path)
 MALFORMED = [
@@ -778,6 +784,9 @@ MALFORMED = [
      lambda w, bad: ["tile", "--slide", bad]),
     ("ppm-truncated", "slide.ppm", b"P6\n64 64\n255\n" + bytes(12), None, None,
      lambda w, bad: ["tile", "--slide", bad]),
+    ("ppm-zero-size", "slide.ppm", b"P6\n0 0\n255\n", None, None, _thumbnail_argv),
+    ("ppm-zero-width", "slide.ppm", b"P6\n0 5\n255\n", None, None, _thumbnail_argv),
+    ("ppm-zero-height", "slide.ppm", b"P6\n5 0\n255\n", None, None, _thumbnail_argv),
     ("samples-prompt-not-string", "samples.jsonl",
      b'{"slide_id": "s1", "kind": "vqa", "prompt": 5, "target": "t"}\n', 1, "prompt",
      lambda w, bad: ["train", "--stage", "1", "--samples", bad, "--slides-dir", str(w["slides"])]),

@@ -209,7 +209,8 @@ def test_encoder_tape_budget_at_1024_patches():
     # what the tape keeps per patch. Composed norms and bias adds, with a
     # backward that held every node to the end, took 276 KiB per patch;
     # gathered keys kept both untransposed and transposed, 115.5; parent
-    # links that held every intermediate value, 110.4; now 73.0.
+    # links that held every intermediate value, 110.4; a feed-forward that
+    # kept its tanh term and activation, 73.0; now 50.0.
     n = 1024
     enc = SlideEncoder(SlideEncoderConfig(positional="none"), seed=0)
     x = Tensor(stream(0, "tape-budget").normal(size=(n, 32)))
@@ -219,7 +220,7 @@ def test_encoder_tape_budget_at_1024_patches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 76 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
+    assert peak / n <= 53 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
 
 
 def loss_budget_case():
@@ -244,7 +245,8 @@ def test_full_model_loss_budget_at_1024_patches():
     # patch; the prefix pass and text rows took 207, and 211 with the prefix
     # pass's [H, p, p] weights on the tape; attention that rebuilds them in
     # backward took 147.7 with parent links that held every intermediate
-    # value, and takes 97.1 with a tape that keeps only what backward reads.
+    # value, and took 97.1 with a tape that keeps only what backward reads
+    # while each feed-forward kept its tanh term and activation; now 66.0.
     model, inputs = loss_budget_case()
     n = inputs.embeddings.n_patches
     tracemalloc.start()
@@ -253,14 +255,15 @@ def test_full_model_loss_budget_at_1024_patches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 102 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
+    assert peak / n <= 70 * 1024, f"{peak / n / 1024:.1f} KiB per patch"
 
 
 def test_taped_forward_budget_at_1024_patches():
     # What a full-model loss forward holds with grad on and no backward, as
     # any evaluation that does not turn grad off runs it. Parent links that
     # held every intermediate value kept 130.8 KiB per patch; the tape keeps
-    # only what backward reads, 78.2.
+    # only what backward reads, 78.2, and without the feed-forwards' tanh
+    # terms and activations, 54.0.
     model, inputs = loss_budget_case()
     n = inputs.embeddings.n_patches
     tracemalloc.start()
@@ -270,7 +273,7 @@ def test_taped_forward_budget_at_1024_patches():
     finally:
         tracemalloc.stop()
     assert loss.requires_grad
-    assert held / n <= 82 * 1024, f"{held / n / 1024:.1f} KiB per patch"
+    assert held / n <= 57 * 1024, f"{held / n / 1024:.1f} KiB per patch"
 
 
 def test_encoder_memory_is_linear_at_4096_patches():

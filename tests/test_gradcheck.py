@@ -17,6 +17,7 @@ from slidevlm.numerics import (
     attention,
     concat,
     cross_entropy,
+    ffn,
     layer_norm,
     put_rows,
     stream,
@@ -118,9 +119,18 @@ def test_layer_norm(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tanh_gelu(seed):
+    # GELU in its tanh form alone: `ffn` between identity maps.
     rng = stream(seed, "gc", "act")
     a = rng.normal(size=(2, 6))
-    check(lambda ts: ts[0].gelu().sum(), [a])  # GELU in its tanh form
+    eye, zero = Tensor(np.eye(6)), Tensor(np.zeros(6))
+    check(lambda ts: ffn(ts[0], eye, zero, eye, zero).sum(), [a])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ffn(seed):
+    rng = stream(seed, "gc", "ffn")
+    arrays = [rng.normal(size=s) for s in ((3, 4), (4, 6), (6,), (6, 2), (2,))]
+    check(lambda ts: square(ffn(*ts)).sum(), arrays)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

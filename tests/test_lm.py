@@ -3,7 +3,11 @@
 import contextlib
 import copy
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from slidevlm.lm import (
     assemble,
     text_positions,
 )
+import slidevlm
 from slidevlm import lm as lm_module
 from conftest import reference_attention, run_capped, structural_mask
 from slidevlm.numerics import (
@@ -110,6 +115,23 @@ def test_vocab_save_load(tmp_path):
     path.write_text("tumor\nstroma\n")
     with pytest.raises(UsageError):
         Vocab.load(path)
+
+
+def test_vocab_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # A child whose locale encoding is ASCII saves and reloads a word
+    # outside ASCII; the file holds its UTF-8 bytes.
+    code = (
+        "from slidevlm.lm import UNK, Vocab\n"
+        "v = Vocab.build(['5 \\u00b5m'])\n"
+        "v.save('vocab.txt')\n"
+        "assert Vocab.load('vocab.txt').encode('\\u00b5m') == v.encode('\\u00b5m') != [UNK]\n"
+    )
+    src = str(Path(slidevlm.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "\u00b5m\n".encode("utf-8") in (tmp_path / "vocab.txt").read_bytes()
 
 
 def test_vocab_build_sorts_corpus_words():

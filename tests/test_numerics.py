@@ -21,6 +21,7 @@ from slidevlm.numerics import (
     attention,
     concat,
     cross_entropy,
+    ffn,
     layer_norm,
     load_checkpoint,
     no_grad,
@@ -31,7 +32,7 @@ from slidevlm.numerics import (
 )
 from slidevlm.layers import HeadProjections, Linear
 from slidevlm.numerics.optim import EPS
-from slidevlm.numerics.tensor import _BLOCK_ROWS
+from slidevlm.numerics.tensor import _BLOCK_ROWS, _needs
 
 
 # -- attention -------------------------------------------------------------------
@@ -315,6 +316,109 @@ def test_layer_norm_tape_keeps_normed_rows_and_std():
     assert any(a is leaves[1].data for a in held)
 
 
+def composed_gelu(x: Tensor) -> Tensor:
+    """Tanh-form GELU as an op of its own, the one `ffn` fused between its
+    two affine maps: its tape keeps x and the tanh t."""
+    (na,) = _needs(x)
+    u = x.data
+    c = np.sqrt(2.0 / np.pi)
+    t = u * u
+    t *= u
+    t *= 0.044715
+    t += u
+    t *= c
+    np.tanh(t, out=t)
+    data = t + 1.0 if na is not None else np.add(t, 1.0, out=t)
+    data *= u
+    data *= 0.5
+
+    def backward(grad):
+        du = c * (1.0 + 3.0 * 0.044715 * (u * u))
+        local = 0.5 * (1.0 + t) + 0.5 * u * (1.0 - t * t) * du
+        na.accumulate(grad * local)
+
+    return Tensor._result(data, (x,), backward)
+
+
+# Which of x, w1, b1, w2 and b2 need a grad, and which of x, w1, w2 and the
+# pre-activation u the tape then keeps.
+FFN_PATTERNS = {
+    "all-trainable": ((True,) * 5, ("x", "w1", "w2", "u")),
+    "frozen-weights": ((True, False, False, False, False), ("w1", "w2", "u")),  # stage 1's decoder
+    "frozen-input": ((False, True, True, True, True), ("x", "w2", "u")),
+    "second-map-only": ((False, False, False, True, True), ("u",)),
+    "output-bias-only": ((False, False, False, False, True), ()),
+}
+
+
+def ffn_operands(rows, needs, seed=0):
+    rng = stream(seed, "ffn", str(rows))
+    d, hidden, e = 32, 128, 24
+    shapes = ((rows, d), (d, hidden), (hidden,), (hidden, e), (e,))
+    scales = (1.0, d**-0.5, 0.5, hidden**-0.5, 0.5)
+    return [Tensor(rng.normal(scale=s, size=shape), requires_grad=r) for s, shape, r in zip(scales, shapes, needs)]
+
+
+@pytest.mark.parametrize("rows", [37, 1024])
+@pytest.mark.parametrize("pattern", ["all-trainable", "frozen-weights", "frozen-input"])
+def test_ffn_matches_composed_oracle(rows, pattern):
+    # `affine`, GELU and `affine` as three ops give the same values, with
+    # grad on and under no_grad(), and the same grads, bit for bit.
+    needs = FFN_PATTERNS[pattern][0]
+    g = Tensor(stream(1, "ffn-grad", str(rows)).normal(size=(rows, 24)))
+
+    def composed(x, w1, b1, w2, b2):
+        return affine(composed_gelu(affine(x, w1, b1)), w2, b2)
+
+    results = []
+    for op in (ffn, composed):
+        leaves = ffn_operands(rows, needs)
+        out = op(*leaves)
+        (out * g).sum().backward()
+        with no_grad():
+            plain = op(*leaves)
+        results.append((out.data, plain.data, [leaf.grad for leaf in leaves]))
+    (got, got_plain, got_grads), (want, want_plain, want_grads) = results
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_plain, want)
+    for need, got_grad, want_grad in zip(needs, got_grads, want_grads):
+        assert (got_grad is None) == (want_grad is None) == (not need)
+        if need:
+            np.testing.assert_array_equal(got_grad, want_grad)
+
+
+@pytest.mark.parametrize("pattern", FFN_PATTERNS)
+def test_ffn_keeps_its_input_and_pre_activation_only(pattern, monkeypatch):
+    # The tape holds x only for w1's grad, each weight only for a grad below
+    # it, and the pre-activation u, and no tanh term or activation: the
+    # buffer tanh wrote, which becomes the activation, dies with forward.
+    needs, kept = FFN_PATTERNS[pattern]
+    x, w1, b1, w2, b2 = leaves = ffn_operands(5, needs)
+    tanh, written = np.tanh, []
+
+    def spy(*args, **kwargs):
+        result = tanh(*args, **kwargs)
+        written.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(np, "tanh", spy)
+    out = ffn(*leaves)
+    monkeypatch.undo()
+    assert len(written) == 1 and written[0]() is None
+    held = held_by(out._node.backward)
+    named = {"x": x.data, "w1": w1.data, "w2": w2.data}
+    assert not any(isinstance(a, Tensor) for a in held)
+    assert sorted(n for n, a in named.items() if any(h is a for h in held)) == sorted(set(kept) - {"u"})
+    rest = [h for h in held if not any(h is a for a in named.values())]
+    if "u" in kept:
+        assert len(rest) == 1
+        np.testing.assert_array_equal(rest[0], x.data @ w1.data + b1.data)
+    else:
+        assert rest == []
+    out.sum().backward()
+    assert all((leaf.grad is not None) == need for leaf, need in zip(leaves, needs))
+
+
 def test_ops_reject_shapes_that_would_broadcast():
     a, row, col = Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones((3, 1)))
     heads, flat = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4)))
@@ -333,6 +437,10 @@ def test_ops_reject_shapes_that_would_broadcast():
         lambda: affine(heads, Tensor(np.ones((4, 2))), Tensor(np.ones(2))),
         lambda: layer_norm(a, Tensor(np.ones((1, 4))), row, 1e-5),
         lambda: layer_norm(heads, row, row, 1e-5),
+        lambda: ffn(a, Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2))), Tensor(np.ones((2, 3))), Tensor(np.ones(3))),
+        lambda: ffn(a, Tensor(np.ones((4, 2))), Tensor(np.ones(2)), Tensor(np.ones((3, 3))), Tensor(np.ones(3))),
+        lambda: ffn(heads, Tensor(np.ones((4, 2))), Tensor(np.ones(2)), Tensor(np.ones((2, 3))), Tensor(np.ones(3))),
+        lambda: ffn(a, Tensor(np.ones(4)), Tensor(np.ones(())), Tensor(np.ones(3)), Tensor(np.ones(3))),
     ]
     for call in calls:
         with pytest.raises(UsageError, match="shapes"):
@@ -392,7 +500,7 @@ def test_backward_composite_matches_finite_difference():
 
     def loss_at(arr):
         x = Tensor(arr, requires_grad=True)
-        y = (x @ Tensor(w)).gelu()
+        y = ffn(x, Tensor(w), Tensor(np.zeros(2)), Tensor(np.eye(2)), Tensor(np.zeros(2)))
         return x, (y * y).sum() * (1.0 / y.size)
 
     x, loss = loss_at(base)
@@ -591,7 +699,8 @@ def test_no_grad_results_keep_no_tape():
     w = Parameter("w", np.arange(6.0).reshape(3, 2))
     x = Tensor(np.ones((4, 3)))
     with no_grad():
-        out = concat([take_rows(x @ w.value, [0, 2]).gelu(), x.rows(0, 1) @ w.value], axis=0)
+        hidden = ffn(take_rows(x @ w.value, [0, 2]), w.value.T, Tensor(np.zeros(3)), w.value, Tensor(np.zeros(2)))
+        out = concat([hidden, x.rows(0, 1) @ w.value], axis=0)
         att, lse = attention(out, out.T, out)
         loss = att.sum()
     for t in (out, att, lse, loss):
@@ -645,11 +754,14 @@ def test_gather_scatter_concat_round_trips():
 
 
 def test_gelu_matches_pow_form():
-    # The op spells x**3 and x**2 as products; the textbook pow form is the oracle.
+    # `ffn` spells x**3 and x**2 as products; the textbook pow form is the
+    # oracle. Identity maps and zero biases pass x and the grads through
+    # exactly, so this checks the activation alone.
     x = stream(3, "gelu").normal(scale=3.0, size=(1040, 64))
     x[0, :3] = [0.0, -12.0, 12.0]
     a = Tensor(x, requires_grad=True)
-    out = a.gelu()
+    eye, zero = Tensor(np.eye(64)), Tensor(np.zeros(64))
+    out = ffn(a, eye, zero, eye, zero)
     out.sum().backward()
     c = np.sqrt(2.0 / np.pi)
     t = np.tanh(c * (x + 0.044715 * x**3))
