@@ -19,11 +19,10 @@ rows at a time under a structural mask (a causal offset, a key-validity
 vector), and its tape keeps its inputs and O(n) row statistics, from
 which backward rebuilds each block's weights; given plain arrays, such as
 a decoder's in-place cache, it reads them where they lie and keeps no
-tape. Nothing broadcasts: `+` and `*`
-take equal shapes and `@` two matrices, and a mismatch raises
-`UsageError` instead of summing a gradient down to a wrong shape. Every
-op checks that its output is finite, so numerical blowups surface at the
-op that caused them. `backward` frees each tape node once its grads are
+tape. Nothing broadcasts: `+` and `*` take equal shapes and `@` two
+matrices, and a mismatch raises `UsageError` instead of summing a
+gradient down to a wrong shape. Every op checks that its output is
+finite, so numerical blowups surface at the op that caused them. `backward` frees each tape node once its grads are
 out, and a second `backward` through a freed tape raises `UsageError`.
 Under `no_grad()`, or when no parent needs a grad, ops make no node.
 """

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slidevlm
 from slidevlm.lm import (
     BOS,
     EOS,
@@ -31,7 +32,6 @@ from slidevlm.lm import (
     assemble,
     text_positions,
 )
-import slidevlm
 from slidevlm import lm as lm_module
 from conftest import reference_attention, run_capped, structural_mask
 from slidevlm.numerics import (
