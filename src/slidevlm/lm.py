@@ -4,11 +4,9 @@ Sequences carry a visual prefix: [IMG_START, v_1..v_N, IMG_END, BOS,
 prompt..., answer..., EOS]. A sequence holds the token ids of its text
 rows alone, BOS onward; the prefix rows' inputs are the image marks and
 the visual tokens. The loss mask covers the answer span plus EOS only.
-Text positions attend causally; every text position sees every visual
-position; visual positions attend bidirectionally among themselves
-unless the fully-causal flag is set, so the prefix rows
-(IMG_START, visual tokens, IMG_END) never see text: their keys and values
-depend only on the visual tokens and the weights.
+Every position attends causally, the position at i to those at 0..i, so
+the prefix rows (IMG_START, visual tokens, IMG_END) never see text: their
+keys and values depend only on the visual tokens and the weights.
 
 Training and decoding share one path. A prefix pass runs the prefix rows
 through the blocks and keeps each block's keys and values; in the last
@@ -16,11 +14,11 @@ block, whose prefix outputs nothing reads, it computes only those. The
 text rows then run against that cache. Only text rows have logits.
 Keys are transposed per head, [H, dh, positions], from the key projection
 on: on the tape, in the cache and in the decode buffer alike, so the one
-attention op scores them where they lie. Its masks are structural: the
-prefix rows see every prefix key (or are causal from position 0), and
-rows from position m on are causal from m. It scores a block of query
-rows at a time and tapes no weights, so the prefix pass tapes O(N·d)
-values per decoder block, not its [H, N, N] weights.
+attention op scores them where they lie. Its mask is one causal offset:
+0 for the prefix rows and m for rows from position m on. It scores a
+block of query rows at a time over the keys that block can see and tapes
+no weights, so the prefix pass tapes O(N·d) values per decoder block, not
+its [H, N, N] weights.
 
 Generation is greedy with ties broken by the lowest token id, and keeps
 no autodiff tape. Each request decodes into a key/value buffer of its
@@ -169,8 +167,8 @@ class MultimodalSequence:
 
     @property
     def n_prefix(self) -> int:
-        """Positions up to and including IMG_END (the bidirectional block);
-        also the index of BOS, where learned positions begin."""
+        """Positions up to and including IMG_END, the rows of the prefix
+        pass; also the index of BOS, where learned positions begin."""
         return self.n_visual + 2
 
     def visual_slice(self) -> slice:
@@ -197,8 +195,6 @@ class DecoderConfig:
     layers: int = 2
     ffn_mult: int = 4
     max_positions: int = 256
-    tied_head: bool = False
-    causal_visual: bool = False   # True drops the bidirectional visual block
 
     def __post_init__(self):
         if min(self.heads, self.head_dim, self.ffn_mult, self.max_positions) < 1 or self.layers < 0:
@@ -258,17 +254,16 @@ class _InPlaceKV:
 
 
 class _MaskedSelfAttention(HeadProjections):
-    """Multi-head attention, causal from position `causal` on or, when it is
-    None, over every key.
+    """Multi-head causal attention over rows at positions `causal` on.
 
-    The rows of `x` come after the positions cached in `past`, this
-    block's [k_t, v] cache entry (empty before the first rows): they attend
-    to those too, and `past` then holds the keys and values of all of
-    them. A decode buffer's entry takes the rows' keys and values in place,
-    at positions `causal` on.
+    The rows of `x` come after the `causal` positions cached in `past`,
+    this block's [k_t, v] cache entry (empty before the first rows): the
+    row at position i attends to those at 0..i, and `past` then holds the
+    keys and values of all of them. A decode buffer's entry takes the rows'
+    keys and values in place, at positions `causal` on.
     """
 
-    def __call__(self, x: Tensor, causal: int | None, capture: list | None, past) -> Tensor:
+    def __call__(self, x: Tensor, causal: int, capture: list | None, past) -> Tensor:
         q, v = self.project(x, self.wq, self.wv)
         k_t = self.keys_t(x)
         if isinstance(past, _InPlaceKV):
@@ -285,7 +280,7 @@ class DecoderLM:
     """Tiny decoder-only transformer over multimodal sequences.
 
     Learned absolute positions apply to the text span (BOS onward); the
-    visual block is position-free and ordered by patch index.
+    visual tokens are position-free and ordered by patch index.
     """
 
     GROUP = "lm"
@@ -313,16 +308,13 @@ class DecoderLM:
             )
             for i in range(cfg.layers)
         ]
-        self.head = None
-        if not cfg.tied_head:
-            self.head = Linear(f"{self.GROUP}.head", dim, vocab_size, rng)
+        self.head = Linear(f"{self.GROUP}.head", dim, vocab_size, rng)
 
     def params(self) -> list[Parameter]:
         out = [self.tok_embed, self.pos_embed]
         for block in self.blocks:
             out.extend(block.params())
-        if self.head is not None:
-            out.extend(self.head.params())
+        out.extend(self.head.params())
         return out
 
     def _visual_rows(self, visual) -> Tensor:
@@ -340,14 +332,13 @@ class DecoderLM:
         """The cache of rows 0..N+1 (IMG_START, the visual tokens, IMG_END),
         on the tape when grad is on.
 
-        Those rows attend only among themselves. Nothing reads their
+        Those rows attend causally among themselves. Nothing reads their
         outputs of the last block, so there they get only keys and values.
         """
         x = self._visual_rows(visual)
-        causal = 0 if self.cfg.causal_visual else None
         kv: list[list[Tensor]] = [[] for _ in self.blocks]
         for block, past in zip(self.blocks[:-1], kv):
-            x = block(x, causal, None, past)
+            x = block(x, 0, None, past)
         if self.blocks:
             attn = self.blocks[-1].attn
             kv[-1][:] = [attn.keys_t(x), *attn.project(x, attn.wv)]
@@ -390,8 +381,7 @@ class DecoderLM:
         for block, past in zip(self.blocks, cache.kv):
             x = block(x, start, capture, past)
         cache.length = t
-        logits = x @ self.tok_embed.value.T if self.head is None else self.head(x)
-        return logits, capture
+        return self.head(x), capture
 
     def loss(self, seq: MultimodalSequence) -> Tensor:
         """Mean cross-entropy of next-token prediction over the answer span."""
@@ -414,19 +404,26 @@ class DecoderLM:
         `prefix`, the `prefix_cache` of the sequence's visual tokens
         (computed here when not given), so the prefill runs only BOS and
         the prompt, and each step, the sequence grown by one token, runs
-        that token's row alone.
+        that token's row alone. Decoding stops after `max_len` tokens or
+        once BOS, the prompt and the answer fill `max_positions`.
         """
         if max_len < 1:
             raise UsageError("max_len must be >= 1")
         if seq.answer_ids is not None:
             raise UsageError("generation starts from a sequence without an answer")
+        p, m = seq.n_prefix, seq.total_len
+        if m - p >= self.cfg.max_positions:
+            raise UsageError(
+                f"BOS and the prompt take {m - p} text positions of max positions "
+                f"{self.cfg.max_positions}, leaving none for an answer"
+            )
+        max_len = min(max_len, self.cfg.max_positions - (m - p))
         if prefix is None:
             prefix = self.prefix_cache(seq.visual)
-        if prefix.length != seq.n_prefix:
-            raise UsageError(f"prefix cache holds {prefix.length} rows, not {seq.n_prefix}")
-        p, m = seq.n_prefix, seq.total_len
+        if prefix.length != p:
+            raise UsageError(f"prefix cache holds {prefix.length} rows, not {p}")
         # The trace forward reaches row m + max_len - 1, the furthest any forward here runs.
-        cache = prefix.buffer(p + min(m - p + max_len, self.cfg.max_positions))
+        cache = prefix.buffer(m + max_len)
         logits, _ = self.forward(seq, cache=cache)  # prefill BOS and the prompt
         generated: list[int] = []
         while (next_id := int(np.argmax(logits.data[-1]))) != EOS:

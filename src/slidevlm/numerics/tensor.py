@@ -15,11 +15,11 @@ scatters, `sum`, `concat` and `cross_entropy` keep no parent value. A
 value thus lives only while its caller or some backward holds it, and
 forward frees the rest as it goes. `attention` holds the only softmax
 over scores and takes its keys transposed. It scores a block of query
-rows at a time under a structural mask (a causal offset, a key-validity
-vector), and its tape keeps its inputs and O(n) row statistics, from
-which backward rebuilds each block's weights; given plain arrays, such as
-a decoder's in-place cache, it reads them where they lie and keeps no
-tape. Nothing broadcasts: `+` and `*` take equal shapes and `@` two
+rows at a time, over the keys that block can see, under a structural
+mask (a causal offset, a key-validity vector), and its tape keeps its
+inputs and O(n) row statistics, from which backward rebuilds each block's
+weights; given plain arrays, such as a decoder's in-place cache, it reads
+them where they lie and keeps no tape. Nothing broadcasts: `+` and `*` take equal shapes and `@` two
 matrices, and a mismatch raises `UsageError` instead of summing a
 gradient down to a wrong shape. Every op checks that its output is
 finite, so numerical blowups surface at the op that caused them. `backward` frees each tape node once its grads are
@@ -489,32 +489,50 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
 _BLOCK_ROWS = 64
 
 
-def _allow(causal, keys, rows: slice, m: int):
-    """The mask of one block of query rows over m keys, or None when every
-    row sees every key."""
-    allow = None if causal is None else np.tri(rows.stop - rows.start, m, causal + rows.start, dtype=bool)
+def _blocks(n: int, m: int, causal) -> list[tuple[slice, int]]:
+    """The blocks of _BLOCK_ROWS query rows out of n, each with the end of
+    the m keys its rows can see: under `causal`, none past causal + its
+    last row."""
+    blocks = []
+    for lo in range(0, max(n, 1), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        blocks.append((slice(lo, hi), m if causal is None else min(m, max(0, causal + hi))))
+    return blocks
+
+
+def _allow(causal, keys, rows: slice, stop: int):
+    """The mask of one block of query rows over its first `stop` keys as
+    (lo, mask): every row sees every key before lo, and the [..., b, stop -
+    lo] booleans `mask`, None when they see every one, say which of the
+    rest each row sees. A causal block without `keys` masks only the keys
+    past its first row's last."""
+    b = rows.stop - rows.start
     if keys is not None:
-        allow = keys[..., None, :] if allow is None else allow & keys[..., None, :]
-    return allow
+        mask = keys[..., None, :stop]
+        return 0, mask if causal is None else mask & np.tri(b, stop, causal + rows.start, dtype=bool)
+    if causal is None:
+        return stop, None
+    lo = min(stop, max(0, causal + rows.start + 1))
+    return lo, np.tri(b, stop - lo, causal + rows.start - lo, dtype=bool)
 
 
 def _weights(q_rows, k_t, scale, allow, stats=None):
-    """One block's softmax weights, [..., b, m], and each row's peak and
+    """One block's softmax weights, [..., b, stop], and each row's peak and
     denominator, [..., b, 1], from the scores q·k, which become the weights
-    in place. Given `stats`, the peaks and denominators found before, it
-    rebuilds the same weights by the same operations."""
+    in place; `allow` is the block's (lo, mask). Given `stats`, the peaks
+    and denominators found before, it rebuilds the same weights by the same
+    operations."""
     weights = q_rows @ k_t
     weights *= scale
+    lo, mask = allow
+    if mask is not None:
+        np.copyto(weights[..., lo:], -np.inf, where=~mask)
     if stats is not None:
         peak, total = stats
-    elif allow is None:
-        peak = weights.max(axis=-1, keepdims=True)
     else:
-        peak = np.max(weights, axis=-1, keepdims=True, where=allow, initial=-np.inf)
+        peak = weights.max(axis=-1, keepdims=True, initial=-np.inf)
         peak[peak == -np.inf] = 0.0
     weights -= peak
-    if allow is not None:
-        np.copyto(weights, -np.inf, where=~allow)
     np.exp(weights, out=weights)
     if stats is None:
         total = weights.sum(axis=-1, keepdims=True)
@@ -523,43 +541,50 @@ def _weights(q_rows, k_t, scale, allow, stats=None):
     return weights, peak, total
 
 
-def _plus(total, part):
-    """Sum `part` into a running `total`, None before the first part."""
+def _plus(total, part, m: int):
+    """Sum `part`, the grads of the first rows of m, into a running
+    `total` of all m, None before the first part. A first part of all m
+    rows becomes the total, so blocks that skip no key sum as they did."""
+    stop = part.shape[-2]
     if total is None:
-        return part
-    total += part
+        if stop == m:
+            return part
+        total = np.zeros(part.shape[:-2] + (m, part.shape[-1]))
+    total[..., :stop, :] += part
     return total
 
 
 def _attention_backward(nodes, q, k_t, v, blocks, weights_of, scale, grad, of_lse):
     """Pass the grad of `attention`'s out (or, with `of_lse`, of its lse) to
     the nodes of q, k_t and v that are not None, a block of query rows at a
-    time, with each block's weights rebuilt by `weights_of(rows)`: d_q takes
-    the block's rows, d_k_t and d_v sum over blocks. q, k_t and v are the
-    arrays; v is read only when q or k_t takes a grad."""
+    time, with each block's weights over its first `stop` keys rebuilt by
+    `weights_of(rows, stop)`: d_q takes the block's rows, d_k_t and d_v sum
+    over blocks. q, k_t and v are the arrays; v is read only when q or k_t
+    takes a grad."""
     nq, nk, nv = nodes
+    m = k_t.shape[-1]
     # A contiguous k makes d_q equal a plain d_scores @ k bit for bit.
     k = np.ascontiguousarray(np.swapaxes(k_t, -1, -2)) if nq is not None else None
     d_q = np.empty(q.shape) if nq is not None else None
     d_k = d_v = None
-    for rows in blocks:
-        weights = weights_of(rows)
+    for rows, stop in blocks:
+        weights = weights_of(rows, stop)
         if of_lse:
             d_scores = weights * grad[..., rows, None]
         else:
             g = grad[..., rows, :]
             if nv is not None:
-                d_v = _plus(d_v, np.swapaxes(weights, -1, -2) @ g)
+                d_v = _plus(d_v, np.swapaxes(weights, -1, -2) @ g, m)
             if nq is None and nk is None:
                 continue
-            d_scores = g @ np.swapaxes(v, -1, -2)
+            d_scores = g @ np.swapaxes(v[..., :stop, :], -1, -2)
             d_scores -= (d_scores * weights).sum(axis=-1, keepdims=True)
             d_scores *= weights
         d_scores *= scale
         if nq is not None:
-            d_q[..., rows, :] = d_scores @ k
+            d_q[..., rows, :] = d_scores @ k[..., :stop, :]
         if nk is not None:
-            d_k = _plus(d_k, np.swapaxes(d_scores, -1, -2) @ q[..., rows, :])
+            d_k = _plus(d_k, np.swapaxes(d_scores, -1, -2) @ q[..., rows, :], m)
     if d_v is not None:
         nv.accumulate(d_v)
     if d_q is not None:
@@ -580,10 +605,12 @@ def attention(q: Tensor, k_t, v, *, causal=None, keys=None, capture=None) -> tup
     denominator; a row that sees no key gives zeros in both.
 
     Query rows are scored _BLOCK_ROWS at a time, each block's mask built for
-    its rows alone. The tape keeps q, k_t, v and each row's peak and
-    denominator, no [n, m] array: backward rebuilds each block's weights from
-    them by the forward's own operations. `capture` receives the [..., n, m]
-    weights.
+    its rows alone. Under `causal` a block scores only the keys its rows can
+    see, none past causal + its last row, in forward and in backward. The
+    tape keeps q, k_t, v and each row's peak and denominator, no [n, m]
+    array: backward rebuilds each block's weights from them by the forward's
+    own operations. `capture` receives the [..., n, m] weights, zero at the
+    keys a block skipped.
 
     k_t and v may be plain arrays, such as views of a decoder's in-place
     cache: they are read where they lie, neither copied nor scanned, and
@@ -608,18 +635,20 @@ def attention(q: Tensor, k_t, v, *, causal=None, keys=None, capture=None) -> tup
     if not taped and _grad_mode.enabled and any(getattr(t, "requires_grad", False) for t in (q, k_t, v)):
         raise UsageError("attention over plain arrays keeps no tape; run it under no_grad()")
     keys_t, values = (t.data if isinstance(t, Tensor) else t for t in (k_t, v))
-    blocks = [slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, max(n, 1), _BLOCK_ROWS)]
+    blocks = _blocks(n, m, causal)
     out = np.empty(qs[:-1] + vs[-1:])
     peak, total = np.empty(qs[:-1] + (1,)), np.empty(qs[:-1] + (1,))
-    seen = []
-    for rows in blocks:
-        allow = _allow(causal, keys, rows, m)
-        weights, peak[..., rows, :], total[..., rows, :] = _weights(q.data[..., rows, :], keys_t, scale, allow)
-        out[..., rows, :] = weights @ values
-        if capture is not None:
-            seen.append(weights)
-    if capture is not None:
-        capture.append(seen[0] if len(seen) == 1 else np.concatenate(seen, axis=-2))
+    seen = np.zeros(qs[:-1] + (m,)) if capture is not None else None
+    for rows, stop in blocks:
+        allow = _allow(causal, keys, rows, stop)
+        weights, peak[..., rows, :], total[..., rows, :] = _weights(
+            q.data[..., rows, :], keys_t[..., :stop], scale, allow
+        )
+        out[..., rows, :] = weights @ values[..., :stop, :]
+        if seen is not None:
+            seen[..., rows, :stop] = weights
+    if seen is not None:
+        capture.append(seen)
     lse = (peak + np.log(total))[..., 0]
     if not taped:
         return Tensor._result(out, (), None), Tensor._result(lse, (), None)
@@ -628,9 +657,10 @@ def attention(q: Tensor, k_t, v, *, causal=None, keys=None, capture=None) -> tup
     queries = q.data
     read_v = values if nq is not None or nk is not None else None  # only their grads read v
 
-    def weights_of(rows):
+    def weights_of(rows, stop):
         stats = peak[..., rows, :], total[..., rows, :]
-        return _weights(queries[..., rows, :], keys_t, scale, _allow(causal, keys, rows, m), stats)[0]
+        allow = _allow(causal, keys, rows, stop)
+        return _weights(queries[..., rows, :], keys_t[..., :stop], scale, allow, stats)[0]
 
     def out_backward(grad):
         args = queries, keys_t, read_v, blocks, weights_of, scale, grad

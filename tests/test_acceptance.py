@@ -137,10 +137,7 @@ def projector_case(seed):
 
 def lm_case(seed):
     vocab = Vocab.build(["tumor tissue present in the sample"])
-    cfg = DecoderConfig(
-        heads=2, head_dim=4, layers=1, ffn_mult=2, max_positions=32,
-        tied_head=False, causal_visual=False,
-    )
+    cfg = DecoderConfig(heads=2, head_dim=4, layers=1, ffn_mult=2, max_positions=32)
     lm = DecoderLM(cfg, len(vocab), seed=seed)
     visual = stream(seed, "acceptance", "lm-visual").standard_normal((3, 8))
     return lm.params(), lambda: lm.loss(

@@ -32,7 +32,7 @@ CONFIG = {
         },
         "lm": {
             "heads": 2, "head_dim": 4, "layers": 1, "ffn_mult": 2,
-            "max_positions": 64, "tied_head": False, "causal_visual": False,
+            "max_positions": 64,
         },
     },
     "stages": {
@@ -610,6 +610,12 @@ def test_bad_config_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert "model.epoches" in err
+    # Keys of decoder options since removed: the visual block is causal
+    # and the head untied, whatever an old config says.
+    for key in ("causal_visual", "tied_head"):
+        bad.write_text(json.dumps({"model": {"lm": {key: False}}}))
+        assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
+        assert f"model.lm.{key}: unknown key" in capsys.readouterr().err
     bad.write_text(json.dumps({"paths": {"outputs": "out"}}))
     assert main(["synth", "--config", str(bad), "--run-dir", str(tmp_path)]) == 2
     assert "paths" in capsys.readouterr().err
@@ -1033,7 +1039,13 @@ def test_bad_region_exits_two(world, capsys):
 def test_foreign_checkpoint_exits_two(world, capsys):
     fake = world["root"] / "fake.ckpt"
     whole = (world["train2"] / "stage2_best.ckpt").read_bytes()
-    for content in (b"not a checkpoint", whole[: len(whole) // 2]):
+    # A model with a tied head saved no lm.head.* tensors.
+    tensors, meta = load_checkpoint(world["train2"] / "stage2_best.ckpt")
+    save_checkpoint(fake, {k: v for k, v in tensors.items() if not k.startswith("lm.head.")}, meta)
+    tied = fake.read_bytes()
+    for content, named in ((b"not a checkpoint", "not a checkpoint"),
+                           (whole[: len(whole) // 2], "corrupt or truncated"),
+                           (tied, "missing ['lm.head.bias', 'lm.head.weight']")):
         fake.write_bytes(content)
         assert main(["infer", *world["base"], "--run-dir", str(world["root"] / "x"),
                      "--checkpoint", str(fake), "--vocab", str(world["train2"] / "vocab.txt"),
@@ -1041,7 +1053,7 @@ def test_foreign_checkpoint_exits_two(world, capsys):
                      "--grid", str(world["slides"] / "s1.grid"),
                      "--prompt", "hi"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:") and str(fake) in err
+        assert err.startswith("error: usage:") and str(fake) in err and named in err, err
 
 
 def test_seed_flag_overrides_config(world):

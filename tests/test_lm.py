@@ -52,8 +52,7 @@ def vocab():
 
 
 def tiny_lm(**kw):
-    cfg = dict(heads=2, head_dim=4, layers=2, ffn_mult=2, max_positions=32,
-               tied_head=False, causal_visual=False)
+    cfg = dict(heads=2, head_dim=4, layers=2, ffn_mult=2, max_positions=32)
     cfg.update(kw)
     return DecoderLM(DecoderConfig(**cfg), len(SPECIALS) + len(WORDS), seed=0)
 
@@ -229,35 +228,25 @@ def layout(monkeypatch, lm, seq) -> np.ndarray:
     return np.vstack([np.hstack([prefix, np.zeros((p, t - p), dtype=bool)]), text])
 
 
-def test_prefix_block_is_bidirectional_by_default(monkeypatch):
+def test_prefix_block_is_causal(monkeypatch):
     lm = tiny_lm()
     seq = assemble(visual(3), "the slide", "tumor", vocab())
     allow = layout(monkeypatch, lm, seq)
     p = seq.n_prefix
-    assert allow[:p, :p].all()  # visual block sees itself fully
-    assert not allow[:p, p:].any()  # and no text
+    assert not allow[1, 2]  # an earlier visual position cannot see a later one
+    assert allow[2, :3].all()  # and a later one sees every earlier one
+    assert not allow[:p, p:].any()  # the prefix sees no text
     assert not allow[p, p + 1]  # text stays causal
     assert allow[p + 1, :p].all()  # text sees all visual positions
 
 
-def test_causal_visual_flag_drops_the_block(monkeypatch):
-    lm = tiny_lm(causal_visual=True)
-    seq = assemble(visual(3), "the slide", "tumor", vocab())
-    allow = layout(monkeypatch, lm, seq)
-    assert not allow[1, 2]  # earlier visual position cannot see a later one
-    np.testing.assert_array_equal(allow, np.tril(allow))
-
-
-@pytest.mark.parametrize("causal_visual", [False, True])
-def test_layout_mask_rows_from_any_start(monkeypatch, causal_visual):
+def test_layout_mask_rows_from_any_start(monkeypatch):
     # A forward from a cache of any length past the prefix attends under
-    # the rows of the full layout from that length on.
-    lm = tiny_lm(causal_visual=causal_visual)
+    # the rows of the full causal layout from that length on.
+    lm = tiny_lm()
     seq = assemble(visual(3), "the slide", "tumor", vocab())
     t, p = seq.total_len, seq.n_prefix
     want = np.tril(np.ones((t, t), dtype=bool))
-    if not causal_visual:
-        want[:p, :p] = True
     np.testing.assert_array_equal(layout(monkeypatch, lm, seq), want)
     calls = spy_on_attention(monkeypatch)
     for start in range(p, t + 1):
@@ -300,13 +289,6 @@ def test_forward_rejects_a_cache_longer_than_the_sequence(in_place):
         with pytest.raises(UsageError, match=f"cache holds {m} rows; .* {shorter.total_len} in all"):
             lm.forward(shorter, cache=cache)
     assert cache.length == m
-
-
-def test_visual_attention_flag_changes_forward():
-    seq = assemble(visual(4), "the slide", None, vocab())
-    a, _ = tiny_lm().forward(seq)
-    b, _ = tiny_lm(causal_visual=True).forward(seq)
-    assert np.abs(a.data - b.data).max() > 1e-9
 
 
 def test_causality_future_perturbation():
@@ -472,15 +454,6 @@ def test_trace_shape_and_raw_attention_rows():
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_tied_head_shares_embedding():
-    lm = tiny_lm(tied_head=True)
-    assert lm.head is None
-    assert not any(p.name.startswith("lm.head") for p in lm.params())
-    seq = assemble(visual(2), "the slide", None, vocab())
-    logits, _ = lm.forward(seq)
-    assert logits.shape == (seq.total_len - seq.n_prefix, len(SPECIALS) + len(WORDS))
-
-
 def test_batched_masked_attention_matches_per_head_oracle():
     heads, dh, t = 3, 4, 9
     dim = heads * dh
@@ -533,11 +506,9 @@ def dense_forward(lm, seq, capture=None):
     text = take_rows(tok, ids[p:]) + take_rows(lm.pos_embed.value, range(t - p))
     x = concat([take_rows(tok, [IMG_START]), vis, take_rows(tok, [IMG_END]), text], axis=0)
     allow = np.tri(t, t, dtype=bool)
-    if not lm.cfg.causal_visual:
-        allow[:p, :p] = True
     for block in lm.blocks:
         x = dense_block(block, x, allow, capture)
-    return lm.head(x) if lm.head is not None else x @ tok.T
+    return lm.head(x)
 
 
 def dense_loss(lm, seq):
@@ -554,8 +525,8 @@ def grads_of(loss, tensors):
     return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
 
-SPLIT_CASES = [{}, {"causal_visual": True}, {"tied_head": True}, {"layers": 0}, {"layers": 1}]
-SPLIT_IDS = ["default", "causal-visual", "tied-head", "no-layers", "one-layer"]
+SPLIT_CASES = [{}, {"layers": 0}, {"layers": 1}]
+SPLIT_IDS = ["default", "no-layers", "one-layer"]
 
 
 @pytest.mark.parametrize("kw", SPLIT_CASES, ids=SPLIT_IDS)
@@ -639,11 +610,9 @@ def assert_matches_oracle(lm, seq, max_len):
 
 @pytest.mark.parametrize("kw,max_len,tokens", [
     ({}, 6, 6),
-    ({"causal_visual": True}, 6, 6),
-    ({"tied_head": True}, 6, 6),
     ({"layers": 0}, 6, 3),  # this model emits EOS after three tokens
     ({}, 1, 1),
-], ids=["default", "causal-visual", "tied-head", "no-layers", "max-len-1"])
+], ids=["default", "no-layers", "max-len-1"])
 def test_cached_generate_matches_full_forward_oracle(kw, max_len, tokens):
     seq = assemble(visual(3), "the slide shows", None, vocab())
     assert len(assert_matches_oracle(tiny_lm(**kw), seq, max_len)) == tokens
@@ -757,14 +726,11 @@ def eos_mid_decode(lm, seq):
 
 @pytest.mark.parametrize("kw,max_len,tokens", [
     ({}, 6, 6),
-    ({"causal_visual": True}, 6, 6),
-    ({"tied_head": True}, 6, 6),
     ({"layers": 0}, 6, 6),
     ({}, 1, 1),
     ({"eos": True}, 6, None),
     ({"heads": 4, "head_dim": 32, "max_positions": 256}, 9, 9),
-], ids=["default", "causal-visual", "tied-head", "no-layers", "max-len-1", "eos-mid-decode",
-        "default-dims"])
+], ids=["default", "no-layers", "max-len-1", "eos-mid-decode", "default-dims"])
 def test_in_place_decode_is_bit_identical_to_the_joined_cache(kw, max_len, tokens):
     kw = dict(kw)
     eos = kw.pop("eos", False)
@@ -772,7 +738,7 @@ def test_in_place_decode_is_bit_identical_to_the_joined_cache(kw, max_len, token
     seq = assemble(visual(37, dim=lm.cfg.dim), "the slide shows the tissue", None, vocab())
     if eos:
         tokens = eos_mid_decode(lm, seq)
-    elif lm.head is not None:
+    else:
         lm.head.bias.value.data[EOS] = -1e9  # decode all max_len tokens
     want_ids, want_trace = joined_cache_generate(lm, seq, max_len)
     ids, trace = lm.generate(seq, max_len=max_len)
@@ -812,20 +778,24 @@ def test_generate_leaves_the_prefix_cache_unwritten():
     assert np.array_equal(first[1].values, second[1].values)
 
 
-def test_generate_past_max_positions_fails_at_the_same_step():
-    # BOS, three prompt words and three tokens fill 7 positions. A fourth
-    # token is emitted without running its row, unless the trace reruns it;
-    # the step that would run a fourth token's row fails, as a forward over
-    # the whole sequence does.
+def test_generate_stops_when_the_answer_fills_max_positions():
+    # BOS, three prompt words and three tokens fill 7 positions: decoding
+    # stops there, with the trace or without, however many tokens max_len
+    # allows. A prompt that leaves no position fails before any work.
     lm = tiny_lm(max_positions=7)
-    for p in lm.params():
-        p.value.data[...] = 0.0
-    seq = assemble(visual(2), "the slide shows", None, vocab())
-    ids, _ = lm.generate(seq, max_len=4, capture_attention=False)
-    assert len(ids) == 4
-    for max_len, capture in ((4, True), (5, False)):
-        with pytest.raises(UsageError, match="text span 8 exceeds max positions 7"):
-            lm.generate(seq, max_len=max_len, capture_attention=capture)
+    lm.head.bias.value.data[EOS] = -1e9  # decode until a limit stops it
+    v = vocab()
+    seq = assemble(visual(2), "the slide shows", None, v)
+    for capture in (False, True):
+        ids, trace = lm.generate(seq, max_len=2, capture_attention=capture)
+        assert len(ids) == 2
+        for max_len in (3, 4, 20):
+            ids, trace = lm.generate(seq, max_len=max_len, capture_attention=capture)
+            assert len(ids) == 3
+            assert len(trace.values) == 3 if capture else trace is None
+    full = assemble(visual(2), "the slide shows the tumor tissue", None, v)
+    with pytest.raises(UsageError, match="take 7 text positions of max positions 7"):
+        lm.generate(full, max_len=1)
 
 
 def test_one_decode_step_copies_no_key_cache():

@@ -40,11 +40,9 @@ def assert_same_answer(got, want):
 
 @pytest.mark.parametrize("kw", [
     {},
-    {"lm": {"causal_visual": True}},
     {"bypass_slide_encoder": True},
-    {"lm": {"tied_head": True}},
     {"lm": {"layers": 0}},
-], ids=["default", "causal-visual", "bypass-slide-encoder", "tied-head", "no-layers"])
+], ids=["default", "bypass-slide-encoder", "no-layers"])
 def test_prefix_hit_matches_a_fresh_model(monkeypatch, kw):
     slide = one_slide()
     model = tiny_model(seed=3, **kw)

@@ -168,16 +168,19 @@ def test_attention_matches_composed_oracle():
 
 @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
 def test_attention_matches_dense_reference_across_blocks(n):
-    # Query rows in blocks against the dense op they replace: out, lse, the
-    # captured weights and every gradient agree within 1e-12 over several
-    # blocks, and bit for bit when the rows fit in one.
+    # Query rows in blocks, each over the keys it can see, against the dense
+    # op they replace: out, lse, the captured weights and every gradient
+    # agree within 1e-12 over several blocks or skipped keys, and bit for
+    # bit when the rows fit in one block that sees every key.
     rng = stream(n, "attention-blocks")
     heads, m, d, e = 2, n + 3, 5, 4
     valid = rng.random(size=(heads, m)) < 0.8
     valid[1] = False  # a head whose rows see no key
-    # No mask; decoder-like rows after m - n keys; the first three rows
-    # blind; a key mask; both.
-    for causal, keys in ((None, None), (m - n, None), (-3, None), (None, valid), (m - n, valid)):
+    # No causal offset; causal from 0, the decoder's prefix rows; rows after
+    # m - n keys, its text rows; the first three rows blind. Each without
+    # and with a key mask.
+    cases = [(causal, keys) for causal in (None, 0, m - n, -3) for keys in (None, valid)]
+    for causal, keys in cases:
         arrays = rng.normal(size=(heads, n, d)), rng.normal(size=(heads, d, m)), rng.normal(size=(heads, m, e))
         g_out, g_lse = Tensor(rng.normal(size=(heads, n, e))), Tensor(rng.normal(size=(heads, n)))
         allow = structural_mask(n, m, causal, keys)
@@ -191,14 +194,33 @@ def test_attention_matches_dense_reference_across_blocks(n):
             out, lse = op(*leaves, capture=capture)
             ((out * g_out).sum() + (lse * g_lse).sum()).backward()
             results.append([out.data, lse.data, capture[0]] + [t.grad for t in leaves])
+        skips = causal is not None and causal + n < m
         for got, want in zip(*results):
-            if n <= _BLOCK_ROWS:
+            if n <= _BLOCK_ROWS and not skips:
                 np.testing.assert_array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         out, lse = results[0][:2]
         blind = ~np.broadcast_to(allow, (heads, n, m)).any(axis=-1)
         assert (out[blind] == 0.0).all() and (lse[blind] == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, 2 * _BLOCK_ROWS + 5])
+def test_attention_reads_no_key_past_the_causal_stop(n):
+    # Keys and values no query row can see hold NaN; a block that read them
+    # would raise, as any op does on a non-finite output.
+    rng = stream(n, "attention-stop")
+    heads, m, d, causal = 2, n + 9, 4, 3
+    q = rng.normal(size=(heads, n, d))
+    keys_t, values = rng.normal(size=(heads, d, m)), rng.normal(size=(heads, m, d))
+    want, _ = reference_attention(q, keys_t[..., : causal + n], values[:, : causal + n],
+                                  structural_mask(n, causal + n, causal))
+    keys_t[..., causal + n :] = np.nan
+    values[:, causal + n :] = np.nan
+    with no_grad():
+        out, lse = attention(Tensor(q), keys_t, values, causal=causal)
+    assert np.isfinite(out.data).all() and np.isfinite(lse.data).all()
+    np.testing.assert_allclose(out.data, want.data, rtol=0, atol=1e-12)
 
 
 def held_by(fn) -> list:
