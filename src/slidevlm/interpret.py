@@ -44,7 +44,7 @@ class AttentionTrace:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 4:
             raise UsageError("trace must be [tokens, layers, heads, patches]")
-        if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
+        if not ((self.values >= 0.0) & (self.values <= 1.0)).all():
             raise UsageError("attention weights must lie in [0, 1]")
 
     @property

@@ -59,7 +59,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = No
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; a corrupt or truncated file raises CheckpointError."""
+    """Read a checkpoint; a corrupt or truncated file, or a tensor holding
+    NaN or inf, raises CheckpointError."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -90,6 +91,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             name = bytes(take(*u32s(1))).decode("utf-8")
             shape = u32s(*u32s(1))
             arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds NaN or inf")
             tensors[name] = arr.copy()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint meta or tensor name: {exc}") from exc

@@ -158,10 +158,6 @@ class Tensor:
             self._node = _Node(self.data.shape)
         return self._node
 
-    def _accumulate(self, grad: np.ndarray, index=...) -> None:
-        """Add `grad` into this tensor's grad at `index` (a basic index)."""
-        self._tape().accumulate(grad, index)
-
     @property
     def grad(self) -> np.ndarray | None:
         return None if self._node is None else self._node.grad

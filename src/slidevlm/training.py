@@ -15,7 +15,7 @@ from pathlib import Path
 from .model import SlideInputs, SlideVLM
 from .numerics import AdamW, UsageError, save_checkpoint, stream
 
-__all__ = ["StageConfig", "TrainSample", "RunResult", "run_stage", "overfit_probe"]
+__all__ = ["StageConfig", "TrainSample", "RunResult", "run_stage"]
 
 TRAINABLE_BY_STAGE = {
     1: frozenset({"slide_encoder", "projector"}),
@@ -118,30 +118,28 @@ def run_stage(
             len(samples)
         )
         epoch_sum = 0.0
-        opt.zero_grad()
-        pending = 0
-        for rank, idx in enumerate(order):
-            sample = samples[int(idx)]
-            step += 1
-            # Mean over the accumulation group, so lr keeps its meaning when
-            # accum_steps changes.  The tail group may be shorter.
-            group_start = (rank // cfg.accum_steps) * cfg.accum_steps
-            group_len = min(cfg.accum_steps, len(order) - group_start)
-            try:
-                loss = model.loss(slides[sample.slide_id], sample.prompt, sample.target)
-                value = loss.item()
-                scaled = loss * (1.0 / group_len) if group_len > 1 else loss
-                scaled.backward()
-            except UsageError as exc:
-                raise UsageError(f"step {step} (slide {sample.slide_id!r}): {exc}") from exc
-            pending += 1
-            if pending == cfg.accum_steps or rank == len(order) - 1:
-                opt.step()
-                opt.zero_grad()
-                pending = 0
-            result.losses.append((step, cfg.stage, value))
-            epoch_sum += value
+        for start in range(0, len(order), cfg.accum_steps):
+            # One AdamW step per group of shuffled samples, on the mean of
+            # their losses, so lr keeps its meaning when accum_steps
+            # changes.  The last group may be shorter.
+            group = order[start : start + cfg.accum_steps]
+            opt.zero_grad()
+            for idx in group:
+                sample = samples[int(idx)]
+                step += 1
+                try:
+                    loss = model.loss(slides[sample.slide_id], sample.prompt, sample.target)
+                    value = loss.item()
+                    (loss * (1.0 / len(group))).backward()
+                except UsageError as exc:
+                    raise UsageError(f"step {step} (slide {sample.slide_id!r}): {exc}") from exc
+                result.losses.append((step, cfg.stage, value))
+                epoch_sum += value
+            opt.step()
         epoch_loss = epoch_sum / len(samples)
+        improved = epoch_loss < result.best_epoch_loss
+        if improved:
+            result.best_epoch_loss = epoch_loss
         if out_dir is not None:
             meta = {
                 "stage": cfg.stage,
@@ -153,66 +151,11 @@ def run_stage(
             ckpt = out_dir / f"stage{cfg.stage}_epoch{epoch}.ckpt"
             save_checkpoint(ckpt, model.tensors(), meta)
             result.checkpoints.append(str(ckpt))
-            if epoch_loss < result.best_epoch_loss:
-                result.best_epoch_loss = epoch_loss
+            if improved:
                 best = out_dir / f"stage{cfg.stage}_best.ckpt"
                 shutil.copyfile(ckpt, best)
                 result.best_checkpoint = str(best)
-        elif epoch_loss < result.best_epoch_loss:
-            result.best_epoch_loss = epoch_loss
     if out_dir is not None:
         _write_loss_csv(out_dir / "loss.csv", result.losses)
     return result
 
-
-@dataclass
-class ProbeResult:
-    final_ce: float
-    exact_matches: int
-    total: int
-    losses: list[tuple[int, int, float]]
-
-
-def overfit_probe(
-    model: SlideVLM,
-    samples: list[TrainSample],
-    slides: dict[str, SlideInputs],
-    stage1_epochs: int = 20,
-    stage2_epochs: int = 50,
-    stage1_lr: float = 0.001,
-    stage2_lr: float = 0.001,
-    seed: int = 0,
-    max_len: int = 48,
-) -> ProbeResult:
-    """Memorization check on a handful of slides.
-
-    Runs both stages at probe-scale learning rates with weight decay off
-    (decay fights memorization), then reports the mean answer-span cross
-    entropy and how many samples greedy decoding reproduces exactly.
-    Slides whose captions mention layout need a model with grid positions,
-    or the probe has no signal to tell same-content slides apart.
-    """
-    if len(samples) > 16:
-        raise UsageError("probe is meant for at most 16 samples")
-    losses: list[tuple[int, int, float]] = []
-    for stage, epochs, lr in (
-        (1, stage1_epochs, stage1_lr),
-        (2, stage2_epochs, stage2_lr),
-    ):
-        cfg = StageConfig(stage=stage, lr=lr, epochs=epochs, seed=seed, weight_decay=0.0)
-        result = run_stage(cfg, samples, model, slides)
-        losses.extend(result.losses)
-    ce_total = 0.0
-    exact = 0
-    for sample in samples:
-        inputs = slides[sample.slide_id]
-        ce_total += model.loss(inputs, sample.prompt, sample.target).item()
-        text, _ = model.generate(inputs, sample.prompt, max_len=max_len, capture_attention=False)
-        if text == sample.target:
-            exact += 1
-    return ProbeResult(
-        final_ce=ce_total / len(samples),
-        exact_matches=exact,
-        total=len(samples),
-        losses=losses,
-    )

@@ -12,7 +12,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from conftest import TINY_TEXTS, probe_world, random_slides, tiny_model
+from conftest import TINY_TEXTS, memorize, probe_world, random_slides, tiny_model
 from test_evaluation import oracle_bleu, oracle_rouge, random_text
 
 from slidevlm.curation import Lane, MockChatClient, QACandidate, ReportRecord, ensemble_filter, split_assign
@@ -31,7 +31,7 @@ from slidevlm.interpret import AttentionTrace, saliency
 from slidevlm.lm import DecoderConfig, DecoderLM, Vocab, assemble
 from slidevlm.numerics import Tensor, stream
 from slidevlm.slide_io import Raster, Region, SlideSpec, synth_slide, tile_slide
-from slidevlm.training import StageConfig, TrainSample, overfit_probe, run_stage
+from slidevlm.training import StageConfig, TrainSample, run_stage
 
 NARROWS = list(NARROW_TO_BROAD)
 
@@ -202,15 +202,15 @@ def test_criterion_04_freeze_contract():
 def test_criterion_05_overfit_smoke():
     start = time.perf_counter()
     model, samples, slides = probe_world()
-    result = overfit_probe(model, samples, slides)
-    assert result.total == 8
-    assert result.final_ce < 0.1
-    assert result.exact_matches >= 7
+    assert len(samples) == 8
+    ce, exact = memorize(model, samples, slides)
+    assert ce < 0.1
+    assert exact >= 7
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     print(
-        f"PASS criterion 5: two-stage overfit on 8 slides, CE {result.final_ce:.4f}, "
-        f"{result.exact_matches}/8 exact ({elapsed:.1f}s)"
+        f"PASS criterion 5: two-stage overfit on 8 slides, CE {ce:.4f}, "
+        f"{exact}/8 exact ({elapsed:.1f}s)"
     )
 
 

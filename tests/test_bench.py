@@ -5,6 +5,7 @@ from pathlib import Path
 
 from conftest import random_slides, tiny_model
 
+from slidevlm import training
 from slidevlm.lm import EOS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -58,3 +59,31 @@ def test_the_tracer_sees_every_decoder_forward_of_a_caption(monkeypatch):
     assert [f["attrs"] for f in forwards] == (
         [{"n": n, "capture": False}] * 5 + [{"n": n, "capture": True}]
     )
+
+
+def test_a_traced_stage_records_the_spans_the_bench_reads(monkeypatch, tmp_path):
+    # The bench's train figures come from these spans; a stage that saved
+    # its checkpoints past training's module global would record no save.
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    slides = random_slides(3)
+    samples = [training.TrainSample(sid, "caption", "describe the tissue", "tumor fills the slide")
+               for sid in sorted(slides)]
+    cfg = training.StageConfig(stage=1, epochs=2, accum_steps=2)
+
+    rec = spans.SpanRecorder()
+    try:
+        spans.instrument(rec)
+        training.run_stage(cfg, samples, tiny_model(), slides, out_dir=tmp_path)
+    finally:
+        rec.restore()
+    (stage,) = rec.named("training.run_stage")
+    saves = rec.named("numerics.save_checkpoint")
+    assert [s["attrs"]["bytes"] for s in saves] == [
+        (tmp_path / f"stage1_epoch{epoch}.ckpt").stat().st_size for epoch in range(2)
+    ]
+    steps = rec.named("numerics.adamw_step")
+    backwards = rec.named("numerics.backward")
+    assert len(steps) == 4  # groups of 2 and 1 in each epoch
+    assert len(backwards) == 6  # one per sample in each epoch
+    assert all(s["parent"] == stage["id"] for s in saves + steps + backwards)

@@ -817,6 +817,8 @@ MALFORMED = [
     ("trace-not-4d", "trace.ckpt", _trace_bytes(np.zeros((1, 1, 4))), None, None, _interpret_argv),
     ("trace-out-of-range", "trace.ckpt", _trace_bytes(np.full((1, 1, 1, 4), 2.0)), None, None,
      _interpret_argv),
+    ("trace-nan", "trace.ckpt", _trace_bytes(np.full((1, 1, 1, 4), np.nan)), None, "trace",
+     _interpret_argv),
 ]
 
 
@@ -999,6 +1001,23 @@ def test_checkpoint_of_another_vocabulary_exits_two_before_writing(world, tmp_pa
         assert main(argv) == 2, run
         assert capsys.readouterr().err == want
         assert list((tmp_path / run).iterdir()) == []  # no vocab.txt, no checkpoint
+
+
+def test_non_finite_checkpoint_exits_two_naming_file_and_tensor(world, tmp_path, capsys):
+    tensors, meta = load_checkpoint(world["train2"] / "stage2_best.ckpt")
+    tensors["projector.map.weight"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, tensors, meta)
+    want = f"error: usage: {ckpt}: tensor 'projector.map.weight' holds NaN or inf\n"
+    train = [*_train_argv(world, tmp_path / "train", world["root"] / "samples.jsonl", world["slides"]),
+             "--init", str(ckpt)]
+    infer = _infer_argv(world, tmp_path / "infer", world["base"],
+                        world["slides"] / "s1.emb", world["slides"] / "s1.grid")
+    infer[infer.index("--checkpoint") + 1] = str(ckpt)
+    for run, argv in (("train", train), ("infer", infer)):
+        assert main(argv) == 2, run
+        assert capsys.readouterr().err == want
+        assert list((tmp_path / run).iterdir()) == []
 
 
 def test_train_loads_each_slide_once(world, tmp_path, monkeypatch):

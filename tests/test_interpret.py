@@ -116,6 +116,14 @@ def test_trace_validation():
         AttentionTrace(np.full((1, 1, 1, 2), 1.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_weights(bad):
+    values = np.full((1, 1, 1, 3), 0.25)
+    values[0, 0, 0, 1] = bad
+    with pytest.raises(UsageError, match=r"must lie in \[0, 1\]"):
+        AttentionTrace(values)
+
+
 def test_saliency_entry_validation():
     with pytest.raises(UsageError):
         PatchSaliency([(0, 0.1), (1, 0.5)], k=2, n_patches=2)

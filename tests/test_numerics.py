@@ -544,7 +544,7 @@ def test_backward_frees_each_node_once_its_grads_are_out():
 
     def probe_backward(grad):
         freed.append(mid_ref() is None)
-        x._accumulate(grad)
+        x._tape().accumulate(grad)
 
     probe = Tensor._result(x.data.copy(), (x,), probe_backward)
     mid = probe * probe
@@ -923,6 +923,17 @@ def test_checkpoint_rejects_bad_meta_under_a_valid_digest(tmp_path):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CheckpointError, match="meta"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_names_a_non_finite_tensor(tmp_path, bad):
+    path = tmp_path / "t.ckpt"
+    values = np.arange(6.0).reshape(2, 3)
+    values[1, 2] = bad
+    save_checkpoint(path, {"a": np.ones(2), "b": values})
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: tensor 'b' holds NaN or inf"
 
 
 def test_load_tensors_checks_names_and_shapes(tmp_path):

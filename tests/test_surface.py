@@ -12,10 +12,9 @@ import slidevlm
 
 SRC = Path(slidevlm.__file__).resolve().parent
 
-# overfit_probe drives acceptance criterion 5. labels_to_vqa and the BCNB
-# option table build the SlideBench-VQA (BCNB) records, which no CLI
-# command reads yet.
-TEST_ONLY = {"overfit_probe", "labels_to_vqa", "BCNB_TASKS"}
+# labels_to_vqa and the BCNB option table build the SlideBench-VQA (BCNB)
+# records, which no CLI command reads yet.
+TEST_ONLY = {"labels_to_vqa", "BCNB_TASKS"}
 
 
 def public_names(tree: ast.Module) -> dict[str, ast.AST | None]:

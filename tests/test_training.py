@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_slides, tiny_model
+from conftest import memorize, random_slides, tiny_model
 
 from slidevlm.numerics import AdamW, UsageError, load_checkpoint, stream
 from slidevlm.training import (
@@ -10,7 +10,6 @@ from slidevlm.training import (
     TRAINABLE_BY_STAGE,
     StageConfig,
     TrainSample,
-    overfit_probe,
     run_stage,
 )
 
@@ -223,6 +222,40 @@ def test_full_batch_accumulation_matches_manual_mean_step():
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def test_tail_group_steps_on_its_own_mean(tmp_path):
+    # Five samples in groups of two: 2, 2 and a tail of 1.
+    slides = random_slides(5, seed=10)
+    samples = samples_for(slides)
+    cfg = StageConfig(stage=1, lr=0.01, epochs=2, seed=4, accum_steps=2)
+
+    auto = tiny_model(seed=10)
+    result = run_stage(cfg, samples, auto, slides, out_dir=tmp_path)
+
+    manual = tiny_model(seed=10)
+    manual.set_trainable_groups(set(cfg.trainable_groups))
+    opt = AdamW(manual.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    for epoch in range(cfg.epochs):
+        order = stream(cfg.seed, "shuffle", "stage1", f"epoch{epoch}").permutation(len(samples))
+        for ranks, scale in (((0, 1), 0.5), ((2, 3), 0.5), ((4,), 1.0)):
+            opt.zero_grad()
+            for rank in ranks:
+                s = samples[int(order[rank])]
+                (manual.loss(slides[s.slide_id], s.prompt, s.target) * scale).backward()
+            opt.step()
+    assert opt.step_count == 6
+
+    got = auto.tensors()
+    want = manual.tensors()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    rows = (tmp_path / "loss.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(1, 11))
+    assert [step for step, _, _ in result.losses] == list(range(1, 11))
+    for epoch, last_step in enumerate((5, 10)):
+        _, meta = load_checkpoint(tmp_path / f"stage1_epoch{epoch}.ckpt")
+        assert meta["step"] == last_step
+
+
 def test_accumulation_changes_step_granularity():
     slides = random_slides(4, seed=8)
     samples = samples_for(slides)
@@ -235,23 +268,12 @@ def test_accumulation_changes_step_granularity():
     )
 
 
-# -- overfit probe ----------------------------------------------------------------------
+# -- memorization ---------------------------------------------------------------------
 
 
 def test_probe_memorizes_single_sample():
     model = tiny_model(seed=9, vocab_texts=["tumor fills the slide", "describe the tissue"])
     slides = random_slides(1, seed=9)
-    samples = samples_for(slides)
-    result = overfit_probe(
-        model, samples, slides, stage1_epochs=60, stage2_epochs=400, seed=0
-    )
-    assert result.total == 1
-    assert result.exact_matches == 1
-    assert result.final_ce < 0.1
-
-
-def test_probe_rejects_oversized_sets():
-    model = tiny_model()
-    slides = random_slides(17)
-    with pytest.raises(UsageError):
-        overfit_probe(model, samples_for(slides), slides)
+    ce, exact = memorize(model, samples_for(slides), slides, epochs=(60, 400))
+    assert exact == 1
+    assert ce < 0.1
